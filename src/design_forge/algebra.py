@@ -12,6 +12,9 @@ as design point names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class RingError(ValueError):
@@ -37,9 +40,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class Ring:
-    """A prime field Z_p or the fixed quadratic extension GF(17^2)."""
+    """A prime field Z_p or the fixed quadratic extension GF(17^2).
+
+    Arithmetic is looked up in order x order tables, built on first use.
+    """
 
     kind: str  # "prime" or "gf289"
     order: int
@@ -63,37 +74,42 @@ class Ring:
             raise InvalidElementError(f"{x!r} is not an element code of {self}")
         return x
 
-    def elements(self) -> range:
-        return range(self.order)
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, int]:
+        # every code as a*z + b with b taken mod m; a = 0 in a prime field
+        codes = np.arange(self.order, dtype=np.int32)
+        if self.kind == "prime":
+            return np.zeros_like(codes), codes, self.order
+        return codes // 17, codes % 17, 17
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        """add_table[x, y] is the code of x + y; built on first use, read-only."""
+        a, b, m = self._coefficients()
+        return _read_only(17 * ((a[:, None] + a) % 17) + (b[:, None] + b) % m)
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """mul_table[x, y] is the code of x * y; built on first use, read-only."""
+        a, b, m = self._coefficients()
+        zz = a[:, None] * a  # coefficient of z^2; reduce by z^2 = -3z - 1
+        za = (a[:, None] * b + b[:, None] * a - 3 * zz) % 17
+        return _read_only(17 * za + (b[:, None] * b - zz) % m)
 
     def add(self, x: int, y: int) -> int:
         self._check(x), self._check(y)
-        if self.kind == "prime":
-            return (x + y) % self.order
-        a1, b1 = divmod(x, 17)
-        a2, b2 = divmod(y, 17)
-        return 17 * ((a1 + a2) % 17) + (b1 + b2) % 17
+        return int(self.add_table[x, y])
 
     def neg(self, x: int) -> int:
         self._check(x)
-        if self.kind == "prime":
-            return -x % self.order
-        a, b = divmod(x, 17)
-        return 17 * (-a % 17) + (-b % 17)
+        # row x of the addition table is a permutation; its zero is its minimum
+        return int(self.add_table[x].argmin())
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         self._check(x), self._check(y)
-        if self.kind == "prime":
-            return (x * y) % self.order
-        a1, b1 = divmod(x, 17)
-        a2, b2 = divmod(y, 17)
-        zz = a1 * a2  # coefficient of z^2; reduce by z^2 = -3z - 1
-        a = (a1 * b2 + a2 * b1 - 3 * zz) % 17
-        b = (b1 * b2 - zz) % 17
-        return 17 * a + b
+        return int(self.mul_table[x, y])
 
     def pow(self, x: int, e: int) -> int:
         """Repeated-squaring power; pow(x, 0) = 1 for every x."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from . import certify as certify_mod
 from .blocks import Design, develop, k4444_decomposition, paper_base_blocks
 from .gdd import Gdd, IngredientStore, gdd_24_t
@@ -47,25 +49,24 @@ def admissible(n: int) -> bool:
 
 
 def inflate_block_to_k4444(
-    block: Sequence[int], decomposition: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Map the K_{4,4,4,4} decomposition onto one inflated GDD block.
+    block: Sequence[int] | np.ndarray, decomposition: Sequence[tuple[int, ...]]
+) -> np.ndarray:
+    """Map the K_{4,4,4,4} decomposition onto inflated GDD blocks.
 
     The block's four points p_0 < p_1 < p_2 < p_3 each own the four
     inflated points 4p_i..4p_i+3; decomposition label l (in Z_16, residue
     class i mod 4) goes to inflated point 4*p_i + l div 4.  The two
-    returned tuples cover exactly the 96 pairs of inflated points over
-    distinct p_i.
+    returned rows cover exactly the 96 pairs of inflated points over
+    distinct p_i.  A (G, 4) array of blocks gives a (G, 2, 16) result.
     """
-    p = sorted(block)
-    if len(p) != 4:
+    p = np.sort(np.asarray(block), axis=-1)
+    if p.shape[-1] != 4:
         raise ValueError("a GDD block has exactly 4 points")
-    return [tuple(4 * p[l % 4] + l // 4 for l in tup) for tup in decomposition]
+    dec = np.asarray(decomposition)
+    return 4 * p[..., dec % 4] + dec // 4
 
 
-def overlay_group(
-    group: Sequence[int], d97: Design, infinity: int
-) -> list[tuple[int, ...]]:
+def overlay_group(group: Sequence[int], d97: Design, infinity: int) -> np.ndarray:
     """Push an order-97 design onto a group's inflated points plus infinity.
 
     The k-th smallest inflated point of the group (k = 0..95) plays design
@@ -74,11 +75,10 @@ def overlay_group(
     """
     if d97.order != 97:
         raise ValueError("overlay needs a design of order 97")
-    inflated = sorted(4 * p + j for p in group for j in range(4))
+    inflated = np.sort(4 * np.asarray(group)[:, None] + np.arange(4), axis=None)
     if len(inflated) != 96:
         raise ValueError("a group must inflate to 96 points")
-    point = inflated + [infinity]
-    return [tuple(point[x] for x in block) for block in d97.blocks]
+    return np.append(inflated, infinity)[d97.blocks]
 
 
 def construct_design(
@@ -101,18 +101,15 @@ def construct_design(
         return _certified(design)
     t = (n - 1) // 96
     base = gdd_24_t(t, store)
-    design = Design(order=n, target=target, blocks=tuple(_assembled_blocks(target, base, t)))
+    design = Design(order=n, target=target, blocks=_assembled_blocks(target, base, t))
     return _certified(design)
 
 
-def _assembled_blocks(target: TargetId, base: Gdd, t: int):
-    decomposition = k4444_decomposition(target)
-    for block in base.blocks:
-        yield from inflate_block_to_k4444(block, decomposition)
+def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
+    pieces = [inflate_block_to_k4444(base.blocks, k4444_decomposition(target)).reshape(-1, 16)]
     d97 = develop(paper_base_blocks(target, 97))
-    infinity = 96 * t
-    for group in base.groups:
-        yield from overlay_group(group, d97, infinity)
+    pieces.extend(overlay_group(group, d97, 96 * t) for group in base.groups)
+    return np.concatenate(pieces)
 
 
 def _certified(design: Design) -> Design:

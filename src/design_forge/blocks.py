@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .algebra import Ring, unit_group_coset_partition
-from .targets import TargetId, target_graph
+from .targets import TargetId, as_block_array, target_graph
 
 
 class NotInCatalogError(LookupError):
@@ -65,21 +67,23 @@ class BaseBlock:
         return (n - 1) // 96
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """A claimed decomposition of K_n into labelled copies of the target.
 
-    Point set is 0..order-1; each block is a 16-tuple whose position i is
-    the point placed at canonical vertex i+1.  The block count identity
-    |blocks| = n(n-1)/96 is enforced here; edgewise exactness is the
-    certify module's job.
+    Point set is 0..order-1; row i of ``blocks``, a read-only (B, 16)
+    int32 array (see targets.as_block_array), is one block whose position
+    j is the point placed at canonical vertex j+1.  The block count
+    identity |blocks| = n(n-1)/96 is enforced here; edgewise exactness is
+    the certify module's job.
     """
 
     order: int
     target: TargetId
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", as_block_array(self.blocks))
         n = self.order
         if n < 1:
             raise ValueError("order must be positive")
@@ -159,18 +163,18 @@ def develop(block: BaseBlock) -> Design:
     n = ring.order
     exponents = block.exponent_count
     unit_group_coset_partition(ring, block.omega, exponents)  # omega sanity
-    out: list[tuple[int, ...]] = []
-    for e in range(exponents):
-        factor = ring.pow(block.omega, e)
-        scaled = [ring.mul(factor, x) for x in block.labels]
-        for d in range(n):
-            tup = tuple(ring.add(x, d) for x in scaled)
-            if len(set(tup)) != 16:
-                raise DuplicateLabelError(f"developed tuple at e={e}, d={d} repeats a label")
-            out.append(tup)
-    if len(set(out)) != len(out):
+    factors = [ring.pow(block.omega, e) for e in range(exponents)]
+    scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
+    # [e, d, i] = omega^e * label_i + d, flattened with e outermost
+    blocks = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]].reshape(-1, 16)
+    ordered = np.sort(blocks, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        e, d = divmod(int(repeats.argmax()), n)
+        raise DuplicateLabelError(f"developed tuple at e={e}, d={d} repeats a label")
+    if len(np.unique(blocks, axis=0)) != len(blocks):
         raise DuplicateBlockError("development produced duplicate blocks")
-    return Design(order=n, target=block.target, blocks=tuple(out))
+    return Design(order=n, target=block.target, blocks=blocks)
 
 
 def difference_transversal_check(block: BaseBlock) -> bool:

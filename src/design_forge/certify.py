@@ -1,9 +1,10 @@
 """Independent verification of claimed designs, and certificate file I/O.
 
-A certificate is a list of 16-tuples over the point set, each read as a
-labelled copy of the target graph (position i is the point at canonical
-vertex i+1).  Certification counts, exactly and exhaustively, how often
-every point pair is covered by the induced edge sets:
+A certificate holds its blocks as rows of 16 labels over the point set,
+each read as a labelled copy of the target graph (position i is the point
+at canonical vertex i+1).  Certification counts, exactly and
+exhaustively, how often every point pair is covered by the induced edge
+sets:
 
 * complete mode: every pair over 0..n-1 must be covered exactly once and
   the block count must equal n(n-1)/96;
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .targets import TargetId, graph_from_edges, is_isomorphic, target_graph
+from .targets import TargetId, as_block_array, graph_from_edges, is_isomorphic, target_graph
 
 if TYPE_CHECKING:
     from .blocks import Design
@@ -43,23 +44,32 @@ class CertificateParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """A syntactically well-formed decomposition claim, not yet verified."""
+    """A syntactically well-formed decomposition claim, not yet verified.
+
+    ``blocks`` is a read-only (B, 16) int32 array (see
+    targets.as_block_array); any sequence of 16-label rows is accepted.
+    """
 
     target: TargetId
     order: int
     mode: CertMode
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", as_block_array(self.blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return (self.target, self.order, self.mode) == (
+            other.target, other.order, other.mode
+        ) and bool(np.array_equal(self.blocks, other.blocks))
 
     @staticmethod
     def from_design(design: "Design") -> "Certificate":
-        return Certificate(
-            target=design.target,
-            order=design.order,
-            mode=CertMode.COMPLETE,
-            blocks=design.blocks,
-        )
+        return Certificate(design.target, design.order, CertMode.COMPLETE, design.blocks)
 
 
 @dataclass
@@ -95,11 +105,6 @@ class CertReport:
         return ", ".join(parts)
 
 
-def _pair_index(u: int, v: int) -> int:
-    # pair {u, v} with u < v maps to v(v-1)/2 + u
-    return v * (v - 1) // 2 + u
-
-
 def _pair_from_index(i: int) -> tuple[int, int]:
     v = int((1 + (1 + 8 * i) ** 0.5) // 2)
     while v * (v - 1) // 2 > i:
@@ -110,29 +115,22 @@ def _pair_from_index(i: int) -> tuple[int, int]:
 
 
 def _count_pair_coverage(
-    n: int, blocks: Sequence[tuple[int, ...]], edges: Sequence[tuple[int, int]]
+    n: int, blocks: np.ndarray, edges: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Exact coverage counter over all n(n-1)/2 pairs, one cell per pair."""
-    counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    if not blocks:
-        return counts
-    iu = np.array([u - 1 for u, _ in edges])
-    iv = np.array([v - 1 for _, v in edges])
-    labels = np.asarray(blocks, dtype=np.int64)
-    a = labels[:, iu]
-    b = labels[:, iv]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    np.add.at(counts, (hi * (hi - 1) // 2 + lo).ravel(), 1)
-    return counts
+    iu, iv = (np.array(ends) - 1 for ends in zip(*edges))
+    a, b = blocks[:, iu], blocks[:, iv]
+    hi = np.maximum(a, b).astype(np.int64)
+    return np.bincount((hi * (hi - 1) // 2 + np.minimum(a, b)).ravel(), minlength=n * (n - 1) // 2)
 
 
 def certify(cert: Certificate) -> CertReport:
     """Check a certificate by exact pair counting; all findings go in the report."""
     n = cert.order
     mode = cert.mode
+    blocks = cert.blocks
     expected = 2 if mode is CertMode.FOUR_PARTITE else n * (n - 1) // 96
-    report = CertReport(count_expected=expected, count_actual=len(cert.blocks))
+    report = CertReport(count_expected=expected, count_actual=len(blocks))
     if n < 1:
         report.label_errors.append(f"order {n} is not positive")
         return report
@@ -140,29 +138,23 @@ def certify(cert: Certificate) -> CertReport:
         report.label_errors.append(f"4partite mode requires order 16, got {n}")
         return report
 
-    good_blocks: list[tuple[int, ...]] = []
-    for idx, block in enumerate(cert.blocks):
-        if len(block) != 16:
-            report.label_errors.append(f"block {idx}: {len(block)} labels, want 16")
-            continue
-        if any(not 0 <= x < n for x in block):
-            report.label_errors.append(f"block {idx}: label out of range 0..{n - 1}")
-            continue
-        if len(set(block)) != 16:
-            report.label_errors.append(f"block {idx}: repeated label")
-            continue
-        good_blocks.append(block)
+    out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
+    ordered = np.sort(blocks, axis=1)
+    bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    for idx in np.flatnonzero(bad).tolist():
+        problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
+        report.label_errors.append(f"block {idx}: {problem}")
 
-    counts = _count_pair_coverage(n, good_blocks, target_graph(cert.target).edges)
+    counts = _count_pair_coverage(n, blocks[~bad], target_graph(cert.target).edges)
     if mode is CertMode.FOUR_PARTITE:
         want = np.array(
             [1 if u % 4 != v % 4 else 0 for v in range(n) for u in range(v)],
             dtype=np.int64,
         )
     else:
-        want = np.ones_like(counts)
-    for i in np.nonzero(counts != want)[0]:
-        report.pair_errors.append((_pair_from_index(int(i)), int(counts[i])))
+        want = 1
+    for i in np.flatnonzero(counts != want).tolist():
+        report.pair_errors.append((_pair_from_index(i), int(counts[i])))
     return report
 
 
@@ -199,7 +191,7 @@ def certify_raw_edges(
             report.label_errors.append(f"part {idx}: repeated edge")
             ok = False
         for u, v in edges:
-            counts[_pair_index(u, v)] += 1
+            counts[v * (v - 1) // 2 + u] += 1  # pair {u, v} with u < v
         if not ok:
             continue
         if len(edges) != 48:
@@ -225,14 +217,13 @@ def certify_raw_edges(
 
 
 def format_certificate(cert: Certificate) -> str:
-    for block in cert.blocks:
-        if len(block) != 16 or any(not isinstance(x, int) or x < 0 for x in block):
-            raise ValueError("certificate blocks must be 16-tuples of nonnegative ints")
+    if (cert.blocks < 0).any():
+        raise ValueError("certificate labels must be nonnegative")
     lines = [
         f"design {cert.target.value} {cert.order} {cert.mode.value}",
         f"blocks {len(cert.blocks)}",
     ]
-    lines.extend(" ".join(str(x) for x in block) for block in cert.blocks)
+    lines.extend(" ".join(map(str, block)) for block in cert.blocks.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -285,6 +276,7 @@ def parse_certificate(text: str) -> Certificate:
     if count < 0:
         raise CertificateParseError(lineno, "block count must be nonnegative")
 
+    first = pos
     blocks = []
     for _ in range(count):
         lineno, line = next_line(f"block {len(blocks)}")
@@ -292,12 +284,19 @@ def parse_certificate(text: str) -> Certificate:
         if len(tokens) != 16:
             raise CertificateParseError(lineno, f"{len(tokens)} labels, want 16")
         try:
-            blocks.append(tuple(int(t) for t in tokens))
+            blocks.append(list(map(int, tokens)))
         except ValueError:
             raise CertificateParseError(lineno, "labels must be decimal integers") from None
     if pos < len(numbered):
         raise CertificateParseError(numbered[pos][0], "trailing content after last block")
-    return Certificate(target=target, order=order, mode=mode, blocks=tuple(blocks))
+    try:
+        return Certificate(target=target, order=order, mode=mode, blocks=blocks)
+    except ValueError:
+        # every row is 16 integers, so some label does not fit in int32
+        top = np.iinfo(np.int32)
+        i = next(i for i, row in enumerate(blocks) if min(row) < top.min or max(row) > top.max)
+        lineno = numbered[first + i][0]
+        raise CertificateParseError(lineno, "label does not fit in 32 bits") from None
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

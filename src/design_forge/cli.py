@@ -141,11 +141,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("error: --raw applies to complete-mode certificates only",
                   file=sys.stderr)
             return 2
-        goal = target_graph(cert.target)
-        parts = [
-            [(block[u - 1], block[v - 1]) for u, v in goal.graph.edges]
-            for block in cert.blocks
-        ]
+        edges = target_graph(cert.target).edges
+        parts = []
+        for row in cert.blocks:
+            block = row.tolist()
+            parts.append([(block[u - 1], block[v - 1]) for u, v in edges])
         report = certify_raw_edges(cert.order, parts, cert.target)
     else:
         report = certify(cert)
@@ -251,9 +251,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # non-admissible orders, malformed types, missing ingredients, bad paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 if __name__ == "__main__":

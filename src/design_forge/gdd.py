@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
+
+from .algebra import _is_prime
 
 
 class GddError(ValueError):
@@ -229,17 +231,6 @@ class MolsSet:
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def mols_prime_power(q: int) -> MolsSet:
@@ -561,20 +552,30 @@ def format_gdd_file(design: Gdd) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
-    header: tuple[int, str] | None = None
-    groups: list[tuple[int, ...]] = []
-    blocks: list[tuple[int, ...]] = []
+def _content_lines(text: str):
+    """(line number, tokens) of each line that is neither blank nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            if tokens[0] != "gdd" or len(tokens) < 3:
-                raise IngredientFileError(f"{what} line {lineno}: expected 'gdd <k> <type>'")
-            header = (int(tokens[1]), " ".join(tokens[2:]))
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def _read_header(lines, what: str) -> tuple[int, str]:
+    """Consume the `gdd <k> <type>` header from _content_lines; (k, type text)."""
+    lineno, tokens = next(lines, (None, None))
+    if tokens is None:
+        raise IngredientFileError(f"{what}: missing 'gdd' header")
+    if tokens[0] != "gdd" or len(tokens) < 3:
+        raise IngredientFileError(f"{what} line {lineno}: expected 'gdd <k> <type>'")
+    return int(tokens[1]), " ".join(tokens[2:])
+
+
+def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
+    lines = _content_lines(text)
+    k, type_text = _read_header(lines, what)
+    groups: list[tuple[int, ...]] = []
+    blocks: list[tuple[int, ...]] = []
+    for lineno, tokens in lines:
         try:
             points = tuple(int(t) for t in tokens[1:])
         except ValueError:
@@ -585,9 +586,6 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
             blocks.append(points)
         else:
             raise IngredientFileError(f"{what} line {lineno}: unknown keyword {tokens[0]!r}")
-    if header is None:
-        raise IngredientFileError(f"{what}: missing 'gdd' header")
-    k, type_text = header
     design = Gdd(
         gdd_type=GddType.parse(type_text),
         k=k,
@@ -631,17 +629,13 @@ class IngredientStore:
         if not self.directory.is_dir():
             return None
         for path in sorted(self.directory.glob("*.txt")):
-            head = path.read_text(encoding="utf-8").lstrip().splitlines()
-            if not head:
-                continue
-            tokens = head[0].split()
-            if (
-                len(tokens) >= 3
-                and tokens[0] == "gdd"
-                and tokens[1] == str(k)
-                and " ".join(tokens[2:]) == str(gdd_type)
-            ):
-                return read_gdd_file(path)
+            text = path.read_text(encoding="utf-8")
+            try:
+                header = _read_header(_content_lines(text), str(path))
+            except ValueError:
+                continue  # not an ingredient file
+            if header == (k, str(gdd_type)):
+                return parse_gdd_file(text, what=str(path))
         return None
 
 
@@ -655,12 +649,10 @@ def _relabel_canonical(design: Gdd) -> Gdd:
     for group in order:
         for p in sorted(group):
             mapping[p] = len(mapping)
-    relabelled = Gdd(
-        gdd_type=design.gdd_type,
-        k=design.k,
+    relabelled = replace(
+        design,
         groups=tuple(tuple(mapping[p] for p in sorted(g)) for g in order),
         blocks=tuple(sorted(tuple(sorted(mapping[p] for p in b)) for b in design.blocks)),
-        provenance=design.provenance,
     )
     return _require_valid(relabelled, "relabelled design")
 
@@ -677,28 +669,14 @@ def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
     if t < 4:
         raise GddError(f"4-GDDs of type 24^t exist for t >= 4, got t = {t}")
     if t == 4:
-        mols24 = kronecker_mols(mols_binary_field(8), mols_prime_power(3))
-        td = td_from_mols(4, 24, mols24)
-        return Gdd(
-            gdd_type=td.gdd_type,
-            k=4,
-            groups=td.groups,
-            blocks=td.blocks,
-            provenance="td(4,24) from kronecker mols(8) x mols(3)",
-        )
+        td = td_from_mols(4, 24, mols_for_order(24))
+        return replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
     store = store or IngredientStore.default()
     for size, weight in ((6, 4), (3, 8)):
         ingredient = store.find(4, GddType.of(size, t))
         if ingredient is not None:
-            inflated = inflate(_relabel_canonical(ingredient), weight)
-            return _relabel_canonical(
-                Gdd(
-                    gdd_type=inflated.gdd_type,
-                    k=4,
-                    groups=inflated.groups,
-                    blocks=inflated.blocks,
-                    provenance=f"inflate stored 4-gdd {size}^{t} by weight {weight}",
-                )
+            return _inflate_to_24(
+                ingredient, weight, f"inflate stored 4-gdd {size}^{t} by weight {weight}"
             )
     if 3 * t <= 40:
         try:
@@ -706,16 +684,14 @@ def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
         except BudgetExhaustedError:
             regenerated = None
         if regenerated is not None:
-            inflated = inflate(regenerated, 8)
-            return _relabel_canonical(
-                Gdd(
-                    gdd_type=inflated.gdd_type,
-                    k=4,
-                    groups=inflated.groups,
-                    blocks=inflated.blocks,
-                    provenance=f"inflate regenerated 4-gdd 3^{t} by weight 8",
-                )
+            return _inflate_to_24(
+                regenerated, 8, f"inflate regenerated 4-gdd 3^{t} by weight 8"
             )
     raise IngredientUnavailableError(
         f"no ingredient 4-GDD of type 6^{t} or 3^{t} available for type 24^{t}"
     )
+
+
+def _inflate_to_24(ingredient: Gdd, weight: int, provenance: str) -> Gdd:
+    inflated = inflate(_relabel_canonical(ingredient), weight)
+    return _relabel_canonical(replace(inflated, provenance=provenance))

@@ -8,15 +8,18 @@ and two disjoint triangles in the other.
 
 Vertices are numbered 1..16 throughout, and every labelled 16-tuple used
 elsewhere in the package indexes this numbering: position i of a tuple is
-the label attached to vertex i.
+the label attached to vertex i.  A list of such tuples (the blocks of a
+design or a certificate) is held as one read-only (B, 16) int32 array;
+as_block_array makes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 
 class TargetId(str, Enum):
@@ -49,6 +52,28 @@ LINE_K44_EDGES: tuple[tuple[int, int], ...] = (
 
 class GraphError(ValueError):
     """A graph value violates its structural invariants."""
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def as_block_array(blocks) -> np.ndarray:
+    """Blocks as one read-only, C-contiguous (B, 16) int32 array.
+
+    An int32 array is taken over, not copied.  Raises ValueError unless
+    every block has 16 labels and every label fits in int32.
+    """
+    arr = np.asarray(blocks)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 16)
+    if arr.ndim != 2 or arr.shape[1] != 16:
+        raise ValueError(f"blocks must be rows of 16 labels, got shape {arr.shape}")
+    if arr.size and arr.dtype != np.int32:
+        if not _INT32.min <= arr.min() <= arr.max() <= _INT32.max:
+            raise ValueError("block labels must fit in int32")
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -255,16 +280,6 @@ def is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
     return None
 
 
-def induced_subgraph(g: SmallGraph, vertices: Iterable[int]) -> SmallGraph:
-    """Subgraph induced on the given vertices, relabelled 1..k in sorted order."""
-    vs = sorted(set(vertices))
-    index = {v: i + 1 for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v]) for u, v in combinations(vs, 2) if g.has_edge(u, v)
-    ]
-    return SmallGraph(len(vs), edges)
-
-
 def graph_from_edges(edges: Iterable[tuple[int, int]]) -> SmallGraph:
     """Build a SmallGraph from edges over arbitrary integer points.
 
@@ -281,19 +296,6 @@ def format_edge_list(g: SmallGraph) -> str:
     lines = [f"graph {g.vertex_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str) -> SmallGraph:
-    """Parse the fixture edge-list format produced by format_edge_list."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph "):
-        raise GraphError("missing 'graph <vertex_count>' header")
-    n = int(lines[0].split()[1])
-    edges = []
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
-    return SmallGraph(n, edges)
 
 
 _TARGETS: dict[TargetId, TargetGraph] = {

@@ -117,3 +117,41 @@ def test_coset_partition_gf289():
     assert all(len(c) == 6 for c in cosets)
     nonzero = sorted(x for c in cosets for x in c)
     assert len(nonzero) == 288 and len(set(nonzero)) == 288
+
+
+def test_arithmetic_tables_are_built_on_first_use_and_read_only():
+    f = Ring.gf289()
+    assert "add_table" not in vars(f) and "mul_table" not in vars(f)
+    assert f.mul(18, 18) == f.mul_table[18, 18]
+    assert "mul_table" in vars(f) and "add_table" not in vars(f)
+    for table in (f.add_table, f.mul_table):
+        assert table.shape == (289, 289)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    # every row of the addition table is a permutation, as neg relies on
+    assert all(sorted(row) == list(range(289)) for row in f.add_table.tolist())
+
+
+def _reference_gf289(x: int, y: int) -> tuple[int, int]:
+    # (x + y, x * y) by polynomial arithmetic mod z^2 + 3z + 1 over Z_17
+    (a1, b1), (a2, b2) = divmod(x, 17), divmod(y, 17)
+    zz = a1 * a2
+    return (
+        17 * ((a1 + a2) % 17) + (b1 + b2) % 17,
+        17 * ((a1 * b2 + a2 * b1 - 3 * zz) % 17) + (b1 * b2 - zz) % 17,
+    )
+
+
+def test_tables_match_reference_arithmetic():
+    for p in (5, 97, 193):
+        f = Ring.prime_field(p)
+        for x in range(p):
+            assert f.add_table[x].tolist() == [(x + y) % p for y in range(p)]
+            assert f.mul_table[x].tolist() == [(x * y) % p for y in range(p)]
+            assert f.neg(x) == -x % p
+    g = Ring.gf289()
+    for x in range(289):
+        ref = [_reference_gf289(x, y) for y in range(289)]
+        assert g.add_table[x].tolist() == [s for s, _ in ref]
+        assert g.mul_table[x].tolist() == [m for _, m in ref]
+        assert g.add(x, g.neg(x)) == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from design_forge.algebra import Ring
@@ -54,7 +55,7 @@ def test_develop_block_counts():
         design = develop(block)
         assert design.order == n
         assert len(design.blocks) == EXPECTED_BLOCKS[n]
-        assert len(set(design.blocks)) == EXPECTED_BLOCKS[n]
+        assert len(set(map(tuple, design.blocks.tolist()))) == EXPECTED_BLOCKS[n]
 
 
 def test_developed_designs_certify():
@@ -128,7 +129,7 @@ def test_k4444_blocks_only_cover_cross_residue_pairs():
 def test_develop_includes_the_identity_translate():
     for _, block in ALL_CATALOG:
         design = develop(block)
-        assert block.labels in design.blocks
+        assert block.labels in map(tuple, design.blocks.tolist())
 
 
 def test_random_label_mutations_agree_with_develop_and_certify():
@@ -148,3 +149,25 @@ def test_random_label_mutations_agree_with_develop_and_certify():
             except DevelopmentError:
                 slow = False
             assert fast == slow
+
+
+def test_designs_hold_one_read_only_int32_array():
+    from design_forge.assemble import construct_design
+
+    developed = develop(paper_base_blocks(TargetId.LINE_K44, 289))
+    assembled = construct_design(TargetId.LINE_K44, 385)
+    for design, count in ((developed, 867), (assembled, 1540)):
+        assert design.blocks.shape == (count, 16)
+        assert design.blocks.dtype == np.int32
+        assert design.blocks.flags.c_contiguous
+        with pytest.raises(ValueError):
+            design.blocks[0, 0] = 1
+
+
+def test_duplicate_label_error_names_the_first_bad_tuple():
+    block = paper_base_blocks(TargetId.SHRIKHANDE, 193)
+    labels = list(block.labels)
+    labels[5] = labels[2]
+    mutated = BaseBlock(tuple(labels), block.target, block.ring, block.omega)
+    with pytest.raises(DuplicateLabelError, match=r"e=0, d=0 "):
+        develop(mutated)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
@@ -62,7 +63,7 @@ def test_swapping_two_labels_in_a_block_fails():
 def test_out_of_range_label_reported():
     design = _d97()
     blocks = list(design.blocks)
-    blocks[0] = (99,) + blocks[0][1:]
+    blocks[0] = (99, *blocks[0][1:])
     report = certify(Certificate(design.target, design.order, CertMode.COMPLETE, tuple(blocks)))
     assert not report.passed
     assert report.label_errors
@@ -204,3 +205,45 @@ def test_soundness_random_single_label_mutations_all_fail():
         blocks[i] = tuple(b)
         report = certify(Certificate(cert.target, cert.order, cert.mode, tuple(blocks)))
         assert not report.passed
+
+
+def test_certificate_blocks_are_a_read_only_int32_array_from_any_rows():
+    design = _d97()
+    rows = tuple(map(tuple, design.blocks.tolist()))
+    cert = Certificate(design.target, design.order, CertMode.COMPLETE, rows)
+    assert cert.blocks.shape == (97, 16) and cert.blocks.dtype == np.int32
+    with pytest.raises(ValueError):
+        cert.blocks[0, 0] = 1
+    assert cert == Certificate.from_design(design)
+    assert certify(cert).passed
+    parsed = parse_certificate(format_certificate(cert))
+    assert parsed.blocks.dtype == np.int32 and not parsed.blocks.flags.writeable
+    with pytest.raises(ValueError):
+        Certificate(design.target, design.order, CertMode.COMPLETE, (tuple(range(15)),))
+
+
+def test_label_errors_are_listed_by_block_index():
+    design = _d97()
+    blocks = design.blocks.copy()
+    blocks[7, 0] = 97  # out of range and, after the next line, repeated too
+    blocks[7, 1] = 97
+    blocks[2, 3] = blocks[2, 4]
+    blocks[5, 9] = -1
+    report = certify(Certificate(design.target, 97, CertMode.COMPLETE, blocks))
+    assert report.label_errors == [
+        "block 2: repeated label",
+        "block 5: label out of range 0..96",
+        "block 7: label out of range 0..96",
+    ]
+    assert not report.passed
+
+
+def test_label_too_large_for_int32_is_a_parse_error_on_its_line():
+    text = format_certificate(Certificate.from_design(_d97()))
+    lines = text.splitlines()
+    lines.insert(1, "# a comment")
+    lines[6] = str(2**31) + lines[6][lines[6].index(" "):]
+    with pytest.raises(CertificateParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert err.value.line == 7
+    assert "32 bits" in str(err.value)

@@ -108,3 +108,14 @@ def test_env_var_sets_the_store(tmp_path, monkeypatch, capsys):
     assert main(["gdd", "--type", "24^5"]) == 0
     captured = capsys.readouterr()
     assert "3^5" in captured.out
+
+
+def test_verify_a_label_too_large_for_int32_exits_1(tmp_path, capsys):
+    out = tmp_path / "d97.cert"
+    main(["construct", "--graph", "lk44", "--order", "97", "--out", str(out)])
+    lines = out.read_text(encoding="utf-8").splitlines()
+    lines[4] = "99999999999999999999999 " + lines[4].split(" ", 1)[1]
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "parse error: line 5:" in captured.err

@@ -229,3 +229,15 @@ def test_block_counts_match_48_t_t_minus_1():
     for t in (4, 5):
         g = gdd_24_t(t)
         assert len(g.blocks) == 48 * t * (t - 1)
+
+
+def test_ingredient_store_finds_a_file_that_starts_with_a_comment(tmp_path):
+    shipped = IngredientStore.default().find(4, GddType.parse("6^5"))
+    (tmp_path / "commented.txt").write_text(
+        "# a 4-GDD of type 6^5\n\n" + format_gdd_file(shipped), encoding="utf-8"
+    )
+    (tmp_path / "notes.txt").write_text("not an ingredient\n", encoding="utf-8")
+    found = IngredientStore(tmp_path).find(4, GddType.parse("6^5"))
+    assert found is not None
+    assert found.blocks == shipped.blocks
+    assert IngredientStore(tmp_path).find(4, GddType.parse("3^5")) is None
