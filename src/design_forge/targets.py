@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -127,6 +128,16 @@ class SmallGraph:
     def neighbors(self, v: int) -> list[int]:
         return [u for u in range(1, self.vertex_count + 1) if self.adjacency[v] >> u & 1]
 
+    @cached_property
+    def _signature_classes(self) -> dict[tuple, list[int]]:
+        # vertices grouped by is_isomorphic's signature, each group ascending;
+        # kept on the graph, so a target is read once however many parts
+        # are matched against it
+        classes: dict[tuple, list[int]] = {}
+        for w, sig in enumerate(_signatures(_neighbour_lists(self))[1:], start=1):
+            classes.setdefault(sig, []).append(w)
+        return classes
+
 
 @dataclass(frozen=True)
 class TargetGraph:
@@ -214,69 +225,87 @@ def srg_parameters(g: SmallGraph) -> tuple[int, int, int, int] | None:
     return (n, k, lam, mu)
 
 
+def _neighbour_lists(g: SmallGraph) -> list[list[int]]:
+    # ascending, because g.edges is sorted with u < v; index 0 is unused
+    nb: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
+    for u, v in g.edges:
+        nb[u].append(v)
+        nb[v].append(u)
+    return nb
+
+
+def _signatures(nb: list[list[int]]) -> list[tuple]:
+    # (degree, sorted neighbour degrees) of each vertex; index 0 is unused
+    deg = [len(vs) for vs in nb]
+    return [(deg[v], tuple(sorted(deg[u] for u in nb[v]))) for v in range(len(nb))]
+
+
 def is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
     """Find a vertex bijection f with {u,v} in E(g) iff {f(u),f(v)} in E(h).
 
     Plain backtracking over candidate images, pruned by degree and by the
-    multiset of neighbour degrees, mapping next the vertex with the most
-    already-mapped neighbours.  Returns the bijection as a dict on vertices
-    of g, or None when no isomorphism exists.
+    multiset of neighbour degrees, mapping next the vertex of g with the
+    most already-mapped neighbours (ties: fewest candidates, then lowest
+    number).  That choice depends only on which vertices are mapped, never
+    on their images, and backtracking restores the mapped set, so the
+    vertex mapped at depth k is the same in every branch.  The order and
+    each vertex's earlier-mapped neighbours are therefore fixed once per
+    call before the search, which visits the same nodes as choosing at
+    every node would.  Returns the bijection as a dict on vertices of g,
+    in the order they were mapped, or None when no isomorphism exists.
     """
     n = g.vertex_count
     if n != h.vertex_count or len(g.edges) != len(h.edges):
         return None
 
-    def signature(gr: SmallGraph, v: int) -> tuple:
-        return (gr.degree(v), tuple(sorted(gr.degree(u) for u in gr.neighbors(v))))
-
-    sig_h: dict[tuple, list[int]] = {}
-    for w in range(1, n + 1):
-        sig_h.setdefault(signature(h, w), []).append(w)
-    candidates = {v: sig_h.get(signature(g, v), []) for v in range(1, n + 1)}
-    if any(not c for c in candidates.values()):
+    sig_h = h._signature_classes
+    g_nb = _neighbour_lists(g)
+    candidates = [sig_h.get(sig, []) for sig in _signatures(g_nb)]
+    if not all(candidates[1:]):
         return None
 
-    g_nb = {v: g.neighbors(v) for v in range(1, n + 1)}
-    mapping: dict[int, int] = {}
-    used_h = 0
-
-    def pick_next() -> int:
-        best, best_key = 0, None
-        for v in range(1, n + 1):
-            if v in mapping:
-                continue
-            mapped_nb = sum(1 for u in g_nb[v] if u in mapping)
-            key = (-mapped_nb, len(candidates[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
-    def extend() -> bool:
-        nonlocal used_h
-        if len(mapping) == n:
-            return True
-        v = pick_next()
-        # image of v must be adjacent in h to exactly the images of v's
-        # mapped neighbours, among all mapped images
-        need = 0
+    # fix the order: keys[v] packs (-mapped neighbours, candidate count, v)
+    # into one int, so min(keys) is the next vertex; a mapped one holds done
+    big = (n + 1) ** 2
+    done = big * big
+    keys = [len(c) * (n + 1) + v for v, c in enumerate(candidates)]
+    keys[0] = done
+    order: list[int] = []
+    earlier: list[list[int]] = []  # earlier[k]: neighbours of order[k] in order[:k]
+    for _ in range(n):
+        v = keys.index(min(keys))
+        keys[v] = done
+        order.append(v)
+        prior = []
         for u in g_nb[v]:
-            if u in mapping:
-                need |= 1 << mapping[u]
-        for w in candidates[v]:
-            if used_h >> w & 1:
+            if keys[u] == done:
+                prior.append(u)
+            else:
+                keys[u] -= big
+        earlier.append(prior)
+    options = [candidates[v] for v in order]
+
+    h_adj = h.adjacency
+    image = [0] * (n + 1)
+
+    def extend(k: int, used_h: int) -> bool:
+        if k == n:
+            return True
+        # image of order[k] must be adjacent in h to exactly the images of
+        # its mapped neighbours, among all mapped images
+        need = 0
+        for u in earlier[k]:
+            need |= 1 << image[u]
+        for w in options[k]:
+            if used_h >> w & 1 or h_adj[w] & used_h != need:
                 continue
-            if h.adjacency[w] & used_h != need:
-                continue
-            mapping[v] = w
-            used_h |= 1 << w
-            if extend():
+            image[order[k]] = w
+            if extend(k + 1, used_h | 1 << w):
                 return True
-            del mapping[v]
-            used_h &= ~(1 << w)
         return False
 
-    if extend():
-        return dict(mapping)
+    if extend(0, 0):
+        return {v: image[v] for v in order}
     return None
 
 

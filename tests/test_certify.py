@@ -139,6 +139,52 @@ def test_certify_raw_edges_rejects_a_non_target_part():
     assert not report.passed
 
 
+def _d97_parts():
+    edges = target_graph(TargetId.SHRIKHANDE).edges
+    return [[(row[u - 1], row[v - 1]) for u, v in edges] for row in _d97().blocks.tolist()]
+
+
+def _loop(part):
+    part[0] = (part[0][0], part[0][0])
+
+
+def _label_97(part):
+    part[0] = (part[0][0], 97)
+
+
+def _repeat_edge(part):
+    part[1] = part[0]
+
+
+def _drop_edge(part):
+    part.pop()
+
+
+def _seventeenth_point(part):
+    # the moved edge's far end keeps its other five edges, so 17 points remain
+    outside = min(set(range(97)) - {p for e in part for p in e})
+    part[0] = (part[0][0], outside)
+
+
+@pytest.mark.parametrize(
+    "edit, errors, message",
+    [
+        (_loop, "label_errors", "part 0: bad edge ({0},{0})"),
+        (_label_97, "label_errors", "part 0: bad edge ({0},97)"),
+        (_repeat_edge, "label_errors", "part 0: repeated edge"),
+        (_drop_edge, "part_errors", "part 0: 47 edges, want 48"),
+        (_seventeenth_point, "part_errors", "part 0: 17 vertices, want 16"),
+    ],
+)
+def test_certify_raw_edges_rejection_messages(edit, errors, message):
+    parts = _d97_parts()
+    first = parts[0][0][0]
+    edit(parts[0])
+    report = certify_raw_edges(97, parts, TargetId.SHRIKHANDE)
+    assert not report.passed
+    assert message.format(first) in getattr(report, errors)
+
+
 def test_certificate_round_trip(tmp_path):
     design = _d97(TargetId.LINE_K44)
     cert = Certificate.from_design(design)

@@ -20,7 +20,7 @@ def test_verify_raw_mode(tmp_path):
     assert main(["verify", str(out), "--raw"]) == 0
 
 
-def test_verify_flags_a_hand_edited_label(tmp_path, capsys):
+def _hand_edited_d97(tmp_path: Path) -> Path:
     out = tmp_path / "d97.cert"
     main(["construct", "--graph", "shrikhande", "--order", "97", "--out", str(out)])
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -28,9 +28,28 @@ def test_verify_flags_a_hand_edited_label(tmp_path, capsys):
     first_block[0] = "63"
     lines[2] = " ".join(first_block)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def test_verify_flags_a_hand_edited_label(tmp_path, capsys):
+    out = _hand_edited_d97(tmp_path)
     assert main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "pair (" in captured.out
+
+
+def test_verify_raw_flags_a_hand_edited_label(tmp_path, capsys):
+    out = _hand_edited_d97(tmp_path)
+    assert main(["verify", str(out), "--raw"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "pair (" in captured.out
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    assert captured.out.endswith("all checks passed\n")
 
 
 def test_construct_inadmissible_order_exits_2(capsys):

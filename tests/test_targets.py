@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from design_forge.blocks import develop, paper_base_blocks
 from design_forge.targets import (
     GraphError,
     SmallGraph,
@@ -89,13 +90,178 @@ def test_isomorphism_found_under_random_relabelling():
             assert relabelled.has_edge(mapping[u], mapping[v])
 
 
+def _assert_isomorphism(g: SmallGraph, h: SmallGraph, f: dict[int, int]) -> None:
+    vertices = list(range(1, g.vertex_count + 1))
+    assert sorted(f) == vertices and sorted(f.values()) == vertices
+    for u in vertices:
+        for v in vertices[u:]:
+            assert g.has_edge(u, v) == h.has_edge(f[u], f[v]), (u, v)
+
+
 def test_isomorphism_respects_edge_count():
     path3 = SmallGraph(3, [(1, 2), (2, 3)])
     triangle = SmallGraph(3, [(1, 2), (2, 3), (1, 3)])
     assert is_isomorphic(path3, triangle) is None
-    assert is_isomorphic(triangle, triangle) == {1: 1, 2: 2, 3: 3} or is_isomorphic(
-        triangle, triangle
-    )
+    f = is_isomorphic(triangle, triangle)
+    assert f is not None
+    _assert_isomorphism(triangle, triangle, f)
+
+
+def _reference_is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
+    """The search as it was written first, choosing the next vertex at every
+    node; is_isomorphic must return exactly what this returns."""
+    n = g.vertex_count
+    if n != h.vertex_count or len(g.edges) != len(h.edges):
+        return None
+
+    def signature(gr: SmallGraph, v: int) -> tuple:
+        return (gr.degree(v), tuple(sorted(gr.degree(u) for u in gr.neighbors(v))))
+
+    sig_h: dict[tuple, list[int]] = {}
+    for w in range(1, n + 1):
+        sig_h.setdefault(signature(h, w), []).append(w)
+    candidates = {v: sig_h.get(signature(g, v), []) for v in range(1, n + 1)}
+    if any(not c for c in candidates.values()):
+        return None
+
+    g_nb = {v: g.neighbors(v) for v in range(1, n + 1)}
+    mapping: dict[int, int] = {}
+    used_h = 0
+
+    def pick_next() -> int:
+        best, best_key = 0, None
+        for v in range(1, n + 1):
+            if v in mapping:
+                continue
+            mapped_nb = sum(1 for u in g_nb[v] if u in mapping)
+            key = (-mapped_nb, len(candidates[v]), v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        return best
+
+    def extend() -> bool:
+        nonlocal used_h
+        if len(mapping) == n:
+            return True
+        v = pick_next()
+        # image of v must be adjacent in h to exactly the images of v's
+        # mapped neighbours, among all mapped images
+        need = 0
+        for u in g_nb[v]:
+            if u in mapping:
+                need |= 1 << mapping[u]
+        for w in candidates[v]:
+            if used_h >> w & 1:
+                continue
+            if h.adjacency[w] & used_h != need:
+                continue
+            mapping[v] = w
+            used_h |= 1 << w
+            if extend():
+                return True
+            del mapping[v]
+            used_h &= ~(1 << w)
+        return False
+
+    if extend():
+        return dict(mapping)
+    return None
+
+
+def _assert_same_as_reference(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
+    want = _reference_is_isomorphic(g, h)
+    got = is_isomorphic(g, h)
+    assert got == want
+    if got is not None:
+        assert list(got.items()) == list(want.items())  # same order of mapping
+        _assert_isomorphism(g, h, got)
+    return got
+
+
+def _design_parts(target: TargetId, n: int) -> list[SmallGraph]:
+    edges = target_graph(target).edges
+    return [
+        graph_from_edges((row[u - 1], row[v - 1]) for u, v in edges)
+        for row in develop(paper_base_blocks(target, n)).blocks.tolist()
+    ]
+
+
+@pytest.mark.parametrize("n", [97, 193])
+@pytest.mark.parametrize("target", list(TargetId))
+def test_isomorphism_matches_reference_on_design_blocks(target, n):
+    goal = target_graph(target).graph
+    other = next(t for t in TargetId if t is not target)
+    for part in _design_parts(target, n):
+        assert _assert_same_as_reference(part, goal) is not None
+    for part in _design_parts(other, n)[:20]:
+        assert _assert_same_as_reference(part, goal) is None
+
+
+def test_isomorphism_matches_reference_between_the_targets():
+    sh, lk = shrikhande().graph, line_k44().graph
+    assert _assert_same_as_reference(sh, lk) is None
+    assert _assert_same_as_reference(lk, sh) is None
+    assert _assert_same_as_reference(sh, sh) is not None
+    assert _assert_same_as_reference(lk, lk) is not None
+
+
+_ALL_PAIRS = [(u, v) for u in range(1, 17) for v in range(u + 1, 17)]
+
+
+def _switched(g: SmallGraph, swaps: int, rng: random.Random) -> SmallGraph:
+    # degree-preserving double-edge swaps {a,b},{c,d} -> {a,d},{c,b}: the
+    # result is 6-regular, so every vertex passes the signature filter and
+    # the search has to backtrack to tell it from the target
+    edges = set(g.edges)
+    done = 0
+    while done < swaps:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+        if a == d or c == b or len(new) < 2 or new & edges:
+            continue
+        edges -= {(a, b), (c, d)}
+        edges |= new
+        done += 1
+    return SmallGraph(16, edges)
+
+
+@pytest.mark.parametrize("target", list(TargetId))
+def test_isomorphism_matches_reference_on_random_graphs(target):
+    rng = random.Random(20261018)
+    goal = target_graph(target).graph
+    for _ in range(200):
+        _assert_same_as_reference(SmallGraph(16, rng.sample(_ALL_PAIRS, 48)), goal)
+    found = 0
+    for i in range(24):
+        perm = list(range(1, 17))
+        rng.shuffle(perm)
+        relabelled = SmallGraph(16, [(perm[u - 1], perm[v - 1]) for u, v in goal.edges])
+        switched = _switched(relabelled, i % 4, rng)
+        found += _assert_same_as_reference(switched, goal) is not None
+        _assert_same_as_reference(goal, switched)
+    assert 6 <= found < 24  # both outcomes of the deep search are exercised
+
+
+def test_isomorphism_matches_reference_on_small_graphs():
+    path3 = SmallGraph(3, [(1, 2), (2, 3)])
+    triangle = SmallGraph(3, [(1, 2), (2, 3), (1, 3)])
+    cycle5 = SmallGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    star5 = SmallGraph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    small = [
+        path3,
+        triangle,
+        SmallGraph(3, [(1, 2)]),
+        SmallGraph(3, [(2, 3)]),
+        SmallGraph(1, []),
+        graph_from_edges([(10, 20), (20, 30)]),
+        cycle5,
+        SmallGraph(5, [(3, 1), (1, 4), (4, 2), (2, 5), (5, 3)]),
+        star5,
+        SmallGraph(5, [(2, 1), (2, 3), (2, 4), (2, 5)]),
+    ]
+    for g in small:
+        for h in small:
+            _assert_same_as_reference(g, h)
 
 
 def test_srg_parameters_none_for_irregular_graphs():
