@@ -44,7 +44,8 @@ def admissible(n: int) -> bool:
     if n < 1:
         raise ValueError("order must be positive")
     closed_form = n == 1 or n % 96 == 1
-    assert closed_form == _necessary_conditions(n), f"admissibility clauses split at {n}"
+    if closed_form != _necessary_conditions(n):
+        raise RuntimeError(f"admissibility clauses split at {n}")
     return closed_form
 
 

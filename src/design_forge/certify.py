@@ -228,11 +228,8 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    numbered = [
-        (i, ln.strip())
-        for i, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    stripped = ((i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1))
+    numbered = [(i, ln) for i, ln in stripped if ln and not ln.startswith("#")]
     pos = 0
 
     def next_line(what: str) -> tuple[int, str]:

@@ -4,8 +4,11 @@ A k-GDD of type g^u has gu points split into u groups of size g; its
 blocks are k-subsets meeting every group at most once, such that each
 pair of points from distinct groups lies in exactly one block and no
 same-group pair lies in any block.  verify_gdd checks that definition by
-exhaustive pair counting; every constructor in this module runs it before
-returning, so a Gdd value in circulation is always a certified one.
+exhaustive pair counting at the trust boundaries only: ingredient files on
+load, exact-cover search results, and the 24^t design gdd_24_t returns.
+The steps between (TD from MOLS, inflation, relabelling) need no check of
+their own: MolsSet checks its squares exhaustively, and the final check
+catches any defect a later step introduces.
 
 Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 
@@ -16,7 +19,9 @@ Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
   verified on load) or regenerated by the exact-cover search.
 
 Points are numbered globally 0..N-1 with group i occupying a consecutive
-range; gdd_24_t guarantees group i = {24i, ..., 24i + 23}.
+range; gdd_24_t guarantees group i = {24i, ..., 24i + 23}.  Gdd.blocks is
+one read-only (B, k) int32 array, as for Design; groups stay tuples, since
+mixed types such as 3^5 6^1 are ragged.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import _is_prime
+from .targets import as_block_array
 
 
 class GddError(ValueError):
@@ -89,15 +97,19 @@ class GddType:
         return " ".join(f"{g}^{u}" for g, u in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gdd:
-    """A group divisible design with block size k; see verify_gdd."""
+    """A group divisible design with block size k; see verify_gdd.  Any
+    sequence of k-point rows is accepted as blocks and converted once."""
 
     gdd_type: GddType
     k: int
     groups: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
     provenance: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", as_block_array(self.blocks, self.k))
 
     def point_count(self) -> int:
         return self.gdd_type.point_count()
@@ -157,29 +169,32 @@ def verify_gdd(design: Gdd) -> GddReport:
     if report.group_errors:
         return report
 
-    group_of = {p: i for i, group in enumerate(design.groups) for p in group}
-    counts = bytearray(n * (n - 1) // 2)
-    for idx, block in enumerate(design.blocks):
-        if len(block) != k or len(set(block)) != k:
+    group_of = np.empty(n, dtype=np.int64)
+    for i, group in enumerate(design.groups):
+        group_of[list(group)] = i
+    blocks = np.sort(design.blocks, axis=1).astype(np.int64)
+    repeated = (blocks[:, 1:] == blocks[:, :-1]).any(axis=1)
+    outside = ((blocks < 0) | (blocks >= n)).any(axis=1)
+    counted = ~(repeated | outside)  # a block sharing a group still counts
+    block_groups = np.sort(group_of[np.where(counted[:, None], blocks, 0)], axis=1)
+    shared = counted & (block_groups[:, 1:] == block_groups[:, :-1]).any(axis=1)
+    for idx in np.flatnonzero(~counted | shared).tolist():
+        if repeated[idx]:
             report.block_errors.append(f"block {idx}: not {k} distinct points")
-            continue
-        if any(p not in group_of for p in block):
+        elif outside[idx]:
             report.block_errors.append(f"block {idx}: point out of range")
-            continue
-        if len({group_of[p] for p in block}) != k:
+        else:
             report.block_errors.append(f"block {idx}: two points share a group")
-        for a, b in combinations(block, 2):
-            if a > b:
-                a, b = b, a
-            i = b * (b - 1) // 2 + a
-            if counts[i] < 255:
-                counts[i] += 1
-    for b in range(n):
-        for a in range(b):
-            c = counts[b * (b - 1) // 2 + a]
-            want = 1 if group_of[a] != group_of[b] else 0
-            if c != want:
-                report.pair_errors.append(((a, b), c))
+
+    # pair a < b has index b(b-1)/2 + a; counts saturate at 255 in the report
+    first, second = np.triu_indices(k, 1)
+    a, b = blocks[counted][:, first], blocks[counted][:, second]
+    counts = np.bincount((b * (b - 1) // 2 + a).ravel(), minlength=n * (n - 1) // 2)
+    counts = np.minimum(counts, 255)
+    b_all, a_all = np.tril_indices(n, -1)
+    bad = np.flatnonzero(counts != (group_of[a_all] != group_of[b_all]))
+    pairs = zip(a_all[bad].tolist(), b_all[bad].tolist())
+    report.pair_errors.extend(zip(pairs, counts[bad].tolist()))
     return report
 
 
@@ -310,11 +325,12 @@ def mols_for_order(m: int) -> MolsSet:
 
 
 def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
-    """TD(k, m) from k-2 MOLS of order m: a verified k-GDD of type m^k.
+    """TD(k, m) from k-2 MOLS of order m: a k-GDD of type m^k.
 
     Group i is {i*m, ..., i*m + m - 1}; the block for cell (x, y) takes
     symbol x from group 0, y from group 1, and square i-2's entry at
-    (x, y) from group i.
+    (x, y) from group i.  Not re-verified: MolsSet checked the squares
+    exhaustively, and k-2 MOLS of order m are exactly a TD(k, m).
     """
     if k < 2:
         raise GddError("block size must be at least 2")
@@ -324,40 +340,21 @@ def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
         raise IngredientUnavailableError(
             f"TD({k},{m}) needs {k - 2} MOLS of order {m}, have {len(mols)}"
         )
-    groups = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(k))
-    blocks = []
-    for x in range(m):
-        for y in range(m):
-            block = [x, m + y]
-            for i in range(k - 2):
-                block.append((i + 2) * m + mols.squares[i][x][y])
-            blocks.append(tuple(block))
-    design = Gdd(
+    x, y = np.divmod(np.arange(m * m), m)
+    squares = np.asarray(mols.squares[: k - 2]).reshape(k - 2, m * m)
+    return Gdd(
         gdd_type=GddType.of(m, k),
         k=k,
-        groups=groups,
-        blocks=tuple(blocks),
+        groups=tuple(tuple(range(i * m, (i + 1) * m)) for i in range(k)),
+        blocks=np.vstack([x, y, squares]).T + m * np.arange(k),
         provenance=f"td({k},{m}) from mols",
     )
-    return _require_valid(design, f"TD({k},{m})")
-
-
-def _trivial_td(k: int) -> Gdd:
-    # TD(k, 1): k singleton groups and the one block through them all.
-    design = Gdd(
-        gdd_type=GddType.of(1, k),
-        k=k,
-        groups=tuple((i,) for i in range(k)),
-        blocks=(tuple(range(k)),),
-        provenance=f"td({k},1) trivial",
-    )
-    return _require_valid(design, f"TD({k},1)")
 
 
 def td_for_weight(k: int, w: int) -> Gdd:
     """The TD(k, w) used to replace blocks during inflation."""
-    if w == 1:
-        return _trivial_td(k)
+    if w == 1:  # k-2 copies of the 1x1 square are trivially orthogonal
+        return td_from_mols(k, 1, MolsSet(1, (((0,),),) * (k - 2)))
     return td_from_mols(k, w, mols_for_order(w))
 
 
@@ -370,7 +367,7 @@ def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
     pairs inside a replaced block are covered exactly once by the TD;
     pairs over two different blocks are covered by the copies for the
     unique block containing the original pair, so the GDD property is
-    preserved.  The output is verified, not assumed.
+    preserved.  Not re-verified here: gdd_24_t verifies what it returns.
     """
     w = weight
     if w < 1:
@@ -379,30 +376,23 @@ def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
         td = td_for_weight(design.k, w)
     if td.k != design.k or td.gdd_type != GddType.of(w, design.k):
         raise GddError(f"replacement design is not a TD({design.k},{w})")
-    td_place = {}
+    # TD point t, of rank r in TD group i, becomes inflated point w * block[i] + r
+    group_of = np.empty(td.point_count(), dtype=np.int64)
+    rank = np.empty_like(group_of)
     for i, group in enumerate(td.groups):
-        for rank, p in enumerate(sorted(group)):
-            td_place[p] = (i, rank)
-    groups = tuple(
-        tuple(sorted(w * p + j for p in group for j in range(w)))
-        for group in design.groups
-    )
-    blocks = []
-    for block in design.blocks:
-        for td_block in td.blocks:
-            new = [0] * design.k
-            for t in td_block:
-                i, rank = td_place[t]
-                new[i] = w * block[i] + rank
-            blocks.append(tuple(sorted(new)))
-    inflated = Gdd(
+        members = sorted(group)
+        group_of[members] = i
+        rank[members] = np.arange(len(members))
+    blocks = w * design.blocks[:, group_of[td.blocks]] + rank[td.blocks]
+    return Gdd(
         gdd_type=GddType(tuple((g * w, u) for g, u in design.gdd_type.parts)),
         k=design.k,
-        groups=groups,
-        blocks=tuple(blocks),
+        groups=tuple(
+            tuple(w * p + j for p in sorted(group) for j in range(w)) for group in design.groups
+        ),
+        blocks=np.sort(blocks.reshape(-1, design.k), axis=1),
         provenance=f"inflate weight {w} of [{design.provenance or 'input'}]",
     )
-    return _require_valid(inflated, f"inflation by {w}")
 
 
 # --- exact-cover search for small ingredients --------------------------------
@@ -548,7 +538,7 @@ ENV_INGREDIENTS = "DESIGN_FORGE_INGREDIENTS"
 def format_gdd_file(design: Gdd) -> str:
     lines = [f"gdd {design.k} {design.gdd_type}"]
     lines.extend("group " + " ".join(map(str, g)) for g in design.groups)
-    lines.extend("block " + " ".join(map(str, b)) for b in design.blocks)
+    lines.extend("block " + " ".join(map(str, b)) for b in design.blocks.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -582,17 +572,16 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
             raise IngredientFileError(f"{what} line {lineno}: non-integer point") from None
         if tokens[0] == "group":
             groups.append(points)
-        elif tokens[0] == "block":
-            blocks.append(points)
-        else:
+        elif tokens[0] != "block":
             raise IngredientFileError(f"{what} line {lineno}: unknown keyword {tokens[0]!r}")
-    design = Gdd(
-        gdd_type=GddType.parse(type_text),
-        k=k,
-        groups=tuple(groups),
-        blocks=tuple(blocks),
-        provenance=f"loaded {what}",
-    )
+        elif len(points) != k:
+            raise IngredientFileError(f"{what} line {lineno}: {len(points)} points, want {k}")
+        else:
+            blocks.append(points)
+    try:
+        design = Gdd(GddType.parse(type_text), k, tuple(groups), blocks, f"loaded {what}")
+    except ValueError as exc:  # a malformed type, or a point beyond int32
+        raise IngredientFileError(f"{what}: {exc}") from None
     report = verify_gdd(design)
     if not report.passed:
         raise IngredientFileError(
@@ -643,18 +632,17 @@ class IngredientStore:
 
 
 def _relabel_canonical(design: Gdd) -> Gdd:
-    """Renumber points so group i is a consecutive ascending range."""
-    order = sorted(design.groups, key=min)
-    mapping: dict[int, int] = {}
-    for group in order:
-        for p in sorted(group):
-            mapping[p] = len(mapping)
-    relabelled = replace(
+    """Renumber points so group i is a consecutive ascending range, then
+    sort each block and the blocks.  Every block is kept, duplicates too."""
+    order = [sorted(group) for group in sorted(design.groups, key=min)]
+    mapping = np.empty(design.point_count(), dtype=np.int64)
+    mapping[[p for group in order for p in group]] = np.arange(design.point_count())
+    blocks = np.sort(mapping[design.blocks], axis=1)
+    return replace(
         design,
-        groups=tuple(tuple(mapping[p] for p in sorted(g)) for g in order),
-        blocks=tuple(sorted(tuple(sorted(mapping[p] for p in b)) for b in design.blocks)),
+        groups=tuple(tuple(mapping[group].tolist()) for group in order),
+        blocks=blocks[np.lexsort(blocks.T[::-1])],
     )
-    return _require_valid(relabelled, "relabelled design")
 
 
 def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
@@ -670,28 +658,30 @@ def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
         raise GddError(f"4-GDDs of type 24^t exist for t >= 4, got t = {t}")
     if t == 4:
         td = td_from_mols(4, 24, mols_for_order(24))
-        return replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
-    store = store or IngredientStore.default()
-    for size, weight in ((6, 4), (3, 8)):
-        ingredient = store.find(4, GddType.of(size, t))
-        if ingredient is not None:
-            return _inflate_to_24(
-                ingredient, weight, f"inflate stored 4-gdd {size}^{t} by weight {weight}"
-            )
+        design = replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
+    else:
+        how, ingredient = _ingredient(t, store or IngredientStore.default())
+        g = ingredient.gdd_type.parts[0][0]
+        inflated = inflate(_relabel_canonical(ingredient), 24 // g)
+        provenance = f"inflate {how} 4-gdd {g}^{t} by weight {24 // g}"
+        design = _relabel_canonical(replace(inflated, provenance=provenance))
+    # no step above is verified on its own: this one check covers them all
+    return _require_valid(design, f"4-GDD of type 24^{t}")
+
+
+def _ingredient(t: int, store: IngredientStore) -> tuple[str, Gdd]:
+    """A verified 4-GDD of type 6^t or 3^t: stored, else regenerated by search."""
+    for size in (6, 3):
+        found = store.find(4, GddType.of(size, t))
+        if found is not None:
+            return "stored", found
     if 3 * t <= 40:
         try:
-            regenerated = exact_cover_search(GddType.of(3, t), 4)
+            found = exact_cover_search(GddType.of(3, t), 4)
         except BudgetExhaustedError:
-            regenerated = None
-        if regenerated is not None:
-            return _inflate_to_24(
-                regenerated, 8, f"inflate regenerated 4-gdd 3^{t} by weight 8"
-            )
+            found = None
+        if found is not None:
+            return "regenerated", found
     raise IngredientUnavailableError(
         f"no ingredient 4-GDD of type 6^{t} or 3^{t} available for type 24^{t}"
     )
-
-
-def _inflate_to_24(ingredient: Gdd, weight: int, provenance: str) -> Gdd:
-    inflated = inflate(_relabel_canonical(ingredient), weight)
-    return _relabel_canonical(replace(inflated, provenance=provenance))

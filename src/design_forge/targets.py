@@ -58,17 +58,17 @@ class GraphError(ValueError):
 _INT32 = np.iinfo(np.int32)
 
 
-def as_block_array(blocks) -> np.ndarray:
-    """Blocks as one read-only, C-contiguous (B, 16) int32 array.
+def as_block_array(blocks, width: int = 16) -> np.ndarray:
+    """Blocks as one read-only, C-contiguous (B, width) int32 array.
 
     An int32 array is taken over, not copied.  Raises ValueError unless
-    every block has 16 labels and every label fits in int32.
+    every block has `width` labels and every label fits in int32.
     """
     arr = np.asarray(blocks)
     if arr.shape == (0,):
-        arr = arr.reshape(0, 16)
-    if arr.ndim != 2 or arr.shape[1] != 16:
-        raise ValueError(f"blocks must be rows of 16 labels, got shape {arr.shape}")
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"blocks must be rows of {width} labels, got shape {arr.shape}")
     if arr.size and arr.dtype != np.int32:
         if not _INT32.min <= arr.min() <= arr.max() <= _INT32.max:
             raise ValueError("block labels must fit in int32")

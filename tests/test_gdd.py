@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+from itertools import combinations
+
+import numpy as np
 import pytest
+
+from design_forge import gdd as gdd_mod
 
 from design_forge.gdd import (
     BudgetExhaustedError,
@@ -91,7 +98,7 @@ def test_verify_gdd_catches_an_intra_group_block():
         gdd_type=td.gdd_type,
         k=td.k,
         groups=td.groups,
-        blocks=td.blocks[:-1] + ((0, 1, 4, 7),),
+        blocks=td.blocks.tolist()[:-1] + [[0, 1, 4, 7]],
     )
     report = verify_gdd(tampered)
     assert not report.passed
@@ -137,7 +144,7 @@ def test_inflating_type_3_4_by_weight_8_reaches_type_24_4():
 def test_exact_cover_type_1_4_is_the_single_block():
     found = exact_cover_search(GddType.of(1, 4), 4)
     assert found is not None
-    assert found.blocks == ((0, 1, 2, 3),)
+    assert found.blocks.tolist() == [[0, 1, 2, 3]]
 
 
 def test_exact_cover_finds_type_3_5():
@@ -151,7 +158,7 @@ def test_exact_cover_is_deterministic_for_a_seed():
     a = exact_cover_search(GddType.parse("3^5"), 4, seed=3)
     b = exact_cover_search(GddType.parse("3^5"), 4, seed=3)
     assert a is not None and b is not None
-    assert a.blocks == b.blocks
+    assert np.array_equal(a.blocks, b.blocks)
 
 
 def test_exact_cover_divisibility_precheck():
@@ -181,7 +188,7 @@ def test_gdd_file_round_trip(tmp_path):
     write_gdd_file(td, path)
     again = read_gdd_file(path)
     assert again.gdd_type == td.gdd_type
-    assert again.blocks == td.blocks
+    assert np.array_equal(again.blocks, td.blocks)
     assert again.groups == td.groups
 
 
@@ -239,5 +246,187 @@ def test_ingredient_store_finds_a_file_that_starts_with_a_comment(tmp_path):
     (tmp_path / "notes.txt").write_text("not an ingredient\n", encoding="utf-8")
     found = IngredientStore(tmp_path).find(4, GddType.parse("6^5"))
     assert found is not None
-    assert found.blocks == shipped.blocks
+    assert np.array_equal(found.blocks, shipped.blocks)
     assert IngredientStore(tmp_path).find(4, GddType.parse("3^5")) is None
+
+
+# TD(4,3) from mols_prime_power(3): groups {0,1,2} {3,4,5} {6,7,8} {9,10,11}
+TD43_GROUPS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
+TD43_BLOCKS = (
+    (0, 3, 6, 9), (0, 4, 7, 10), (0, 5, 8, 11), (1, 3, 7, 11), (1, 4, 8, 9),
+    (1, 5, 6, 10), (2, 3, 8, 10), (2, 4, 6, 11), (2, 5, 7, 9),
+)
+# the six cross pairs of the last block (2, 5, 7, 9), in report order
+LAST_BLOCK_UNCOVERED = [((2, 5), 0), ((2, 7), 0), ((5, 7), 0), ((2, 9), 0), ((5, 9), 0), ((7, 9), 0)]
+
+
+def _with_last_block(block):
+    return TD43_BLOCKS[:-1] + (block,)
+
+
+# (groups, blocks, group errors, block errors, pair errors): one case per
+# verify_gdd message.  Group errors stop the check before any block is read;
+# a block with a repeated or out-of-range point is not counted, a block with
+# two points in one group is.
+VERIFY_GDD_CASES = {
+    "point outside the range": (
+        ((0, 1, 12),) + TD43_GROUPS[1:], TD43_BLOCKS,
+        ["point 12 outside 0..11"], [], []),
+    "point in two groups": (
+        ((0, 1, 3),) + TD43_GROUPS[1:], TD43_BLOCKS,
+        ["point 3 in two groups", "groups cover 11 of 12 points"], [], []),
+    "groups cover m of n": (
+        ((0, 1),) + TD43_GROUPS[1:], TD43_BLOCKS,
+        ["groups cover 11 of 12 points", "group sizes [2, 3, 3, 3] != type 3^4"], [], []),
+    "group sizes differ from the type": (
+        ((0, 1, 2, 3), (4, 5)) + TD43_GROUPS[2:], TD43_BLOCKS,
+        ["group sizes [2, 3, 3, 4] != type 3^4"], [], []),
+    "block not k distinct": (
+        TD43_GROUPS, _with_last_block((2, 2, 7, 9)),
+        [], ["block 8: not 4 distinct points"], LAST_BLOCK_UNCOVERED),
+    "point out of range": (
+        TD43_GROUPS, _with_last_block((2, 5, 7, 12)),
+        [], ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
+    "negative point out of range": (
+        TD43_GROUPS, _with_last_block((-1, 5, 7, 9)),
+        [], ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
+    "two points share a group": (
+        TD43_GROUPS, _with_last_block((2, 5, 7, 8)),
+        [], ["block 8: two points share a group"],
+        [((2, 8), 2), ((5, 8), 2), ((7, 8), 1), ((2, 9), 0), ((5, 9), 0), ((7, 9), 0)]),
+    "block messages in block order": (
+        TD43_GROUPS,
+        TD43_BLOCKS[:2] + ((0, 5, 8, 12), (1, 3, 3, 11), (1, 4, 8, 7)) + TD43_BLOCKS[5:],
+        [],
+        ["block 2: point out of range", "block 3: not 4 distinct points",
+         "block 4: two points share a group"],
+        [((1, 3), 0), ((0, 5), 0), ((3, 7), 0), ((4, 7), 2), ((0, 8), 0), ((5, 8), 0),
+         ((7, 8), 1), ((1, 9), 0), ((4, 9), 0), ((8, 9), 0), ((0, 11), 0), ((1, 11), 0),
+         ((3, 11), 0), ((5, 11), 0), ((7, 11), 0), ((8, 11), 0)]),
+    "pair counts capped at 255": (
+        TD43_GROUPS, TD43_BLOCKS + ((0, 3, 6, 9),) * 300,
+        [], [],
+        [((0, 3), 255), ((0, 6), 255), ((3, 6), 255), ((0, 9), 255), ((3, 9), 255),
+         ((6, 9), 255)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_GDD_CASES))
+def test_verify_gdd_reports_each_violation_verbatim(case):
+    groups, blocks, group_errors, block_errors, pair_errors = VERIFY_GDD_CASES[case]
+    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, groups=groups, blocks=blocks))
+    assert not report.passed
+    assert report.block_count_expected == 9
+    assert report.block_count_actual == len(blocks)
+    assert report.group_errors == group_errors
+    assert report.block_errors == block_errors
+    assert report.pair_errors == pair_errors
+
+
+def test_verify_gdd_passes_td_4_3():
+    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, groups=TD43_GROUPS, blocks=TD43_BLOCKS))
+    assert report.passed
+    assert (report.group_errors, report.block_errors, report.pair_errors) == ([], [], [])
+
+
+def test_gdd_file_with_a_short_block_row_names_its_line():
+    text = format_gdd_file(td_from_mols(4, 3, mols_prime_power(3)))
+    lines = text.splitlines()
+    lines[7] = "block 0 3 6"
+    with pytest.raises(IngredientFileError, match="line 8"):
+        parse_gdd_file("\n".join(lines) + "\n")
+
+
+def test_gdd_file_with_a_point_beyond_int32_is_rejected():
+    text = format_gdd_file(td_from_mols(4, 3, mols_prime_power(3)))
+    with pytest.raises(IngredientFileError):
+        parse_gdd_file(text.replace("block 0 ", f"block {2**40} ", 1))
+
+
+def _reference_verify_gdd_blocks(design):
+    """The block and pair checks of verify_gdd as a loop over Python ints:
+    (block errors, pair errors), for designs whose groups pass."""
+    n, k = design.point_count(), design.k
+    group_of = {p: i for i, group in enumerate(design.groups) for p in group}
+    counts = bytearray(n * (n - 1) // 2)
+    block_errors, pair_errors = [], []
+    for idx, block in enumerate(design.blocks.tolist()):
+        if len(set(block)) != k:
+            block_errors.append(f"block {idx}: not {k} distinct points")
+            continue
+        if any(p not in group_of for p in block):
+            block_errors.append(f"block {idx}: point out of range")
+            continue
+        if len({group_of[p] for p in block}) != k:
+            block_errors.append(f"block {idx}: two points share a group")
+        for a, b in combinations(sorted(block), 2):
+            i = b * (b - 1) // 2 + a
+            counts[i] = min(counts[i] + 1, 255)
+    for b in range(n):
+        for a in range(b):
+            c = counts[b * (b - 1) // 2 + a]
+            if c != (group_of[a] != group_of[b]):
+                pair_errors.append(((a, b), c))
+    return block_errors, pair_errors
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_gdd_matches_the_loop_reference_on_random_corruptions(seed):
+    rng = random.Random(seed)
+    base = td_from_mols(4, 3, mols_prime_power(3)) if seed % 2 else gdd_24_t(4)
+    n = base.point_count()
+    blocks = base.blocks.tolist()
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:  # move a point anywhere, in range or not
+            blocks[rng.randrange(len(blocks))][rng.randrange(4)] = rng.randrange(-2, n + 2)
+        elif kind == 1:
+            blocks.append(list(rng.choice(blocks)))
+        elif kind == 2 and len(blocks) > 1:
+            blocks.pop(rng.randrange(len(blocks)))
+        else:
+            blocks.extend([list(rng.choice(blocks))] * rng.randrange(250, 260))
+    design = replace(base, blocks=blocks)
+    report = verify_gdd(design)
+    assert report.group_errors == []
+    assert (report.block_errors, report.pair_errors) == _reference_verify_gdd_blocks(design)
+    assert report.passed == (not report.block_errors and not report.pair_errors
+                             and len(blocks) == report.block_count_expected)
+
+
+def _move_one_point(design):
+    """The design with one point of block 0 moved to another point of its
+    group: every block still meets k distinct groups, but four cross pairs
+    are now covered twice and four not at all."""
+    blocks = [list(map(int, row)) for row in design.blocks]
+    p = blocks[0][0]
+    group = next(g for g in design.groups if p in g)
+    blocks[0][0] = next(q for q in group if q != p)
+    return replace(design, blocks=tuple(map(tuple, blocks)))
+
+
+@pytest.mark.parametrize(
+    ("stage", "t", "route"),
+    [
+        ("td_from_mols", 4, "stored"),
+        ("td_from_mols", 5, "stored"),
+        ("td_from_mols", 5, "searched"),
+        ("inflate", 5, "stored"),
+        ("inflate", 5, "searched"),
+        ("_relabel_canonical", 5, "stored"),
+        ("_relabel_canonical", 5, "searched"),
+    ],
+)
+def test_a_corrupted_intermediate_is_caught_at_a_boundary(monkeypatch, tmp_path, stage, t, route):
+    original = getattr(gdd_mod, stage)
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        calls.append(stage)
+        return _move_one_point(original(*args, **kwargs))
+
+    monkeypatch.setattr(gdd_mod, stage, corrupted)
+    store = IngredientStore(tmp_path) if route == "searched" else None
+    with pytest.raises(GddError):
+        gdd_24_t(t, store)
+    assert calls

@@ -1,8 +1,9 @@
-"""Golden SHA-256 digests of the certificates `construct` writes.
+"""Golden SHA-256 digests of the certificates `construct` writes and of
+the GDD files `gdd --out` writes.
 
-Construction is deterministic, so every certificate is pinned byte for
-byte: a refactor of any layer between the base blocks and the written file
-must leave these digests unchanged.
+Construction is deterministic, so every output is pinned byte for byte: a
+refactor of any layer between the base blocks (or the MOLS and ingredient
+GDDs) and the written file must leave these digests unchanged.
 """
 
 from __future__ import annotations
@@ -56,3 +57,28 @@ def test_construct_certificate_digest(tmp_path, capsys, graph, order, store):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(graph, order, store)]
+
+
+GDD_GOLDEN = {
+    ("24^4", "stored"):
+        "81b4924cc890f6e7ccaa57dc0680221efbe2a16937369114a3aa5607e388b3aa",
+    ("24^5", "stored"):
+        "c67ce5d3e54f8e32e9b2bfb6c9230f835963b5b8cb17511e64e024656c40793e",
+    ("24^5", "empty"):
+        "8d5c217f6310a70065a4b39880e876cd1acf5e9555c57b6d57f423c7e24b228a",
+    ("3^5", "stored"):
+        "f67feca5cd4d4be0218728f78fc43794aea03d0612fa271273ab775aa602aa31",
+}
+
+
+@pytest.mark.parametrize(("gdd_type", "store"), sorted(GDD_GOLDEN))
+def test_gdd_file_digest(tmp_path, capsys, gdd_type, store):
+    out = tmp_path / "design.gdd"
+    argv = ["gdd", "--type", gdd_type, "--out", str(out)]
+    if store == "empty":
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv += ["--ingredients", str(empty)]
+    assert main(argv) == 0
+    assert "verified" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GDD_GOLDEN[(gdd_type, store)]
