@@ -1,12 +1,18 @@
-"""Exact arithmetic in Z_p (p prime) and in GF(17^2).
+"""Exact arithmetic in the finite fields this package uses.
 
-Elements are plain integer codes 0..order-1.  For GF(17^2) the element
-a*z + b with a, b in Z_17 is coded as 17*a + b, and multiplication reduces
-by the fixed irreducible polynomial z^2 + 3z + 1, i.e. z^2 = -3z - 1.
+This module is the one home of field arithmetic, and Ring.field(q) is its
+one constructor: Z_q for prime q, and GF(4), GF(8) and GF(17^2) from the
+reduction polynomials in REDUCTION_POLYNOMIALS.  Base blocks are developed
+over Z_97, Z_193 and GF(289) (blocks), and the MOLS behind every
+transversal design are read off the tables of Z_q, GF(4) and GF(8) (gdd).
 
-These are the two ring families in which base blocks are developed: the
-affine maps x -> omega^e * x + d act on element codes, so the codes double
-as design point names.
+Elements are plain integer codes 0..q-1.  An element of GF(p^k) is a
+polynomial c_0 + c_1 z + ... + c_{k-1} z^{k-1} over Z_p with code
+sum(c_i p^i): a*z + b in GF(289) is 17a + b, and bit i of a GF(2^k) code is
+the coefficient of z^i.  Z_p is the case k = 1, reduced by the polynomial z.
+
+The affine maps x -> omega^e * x + d act on element codes, so the codes
+double as design point names.
 """
 
 from __future__ import annotations
@@ -45,55 +51,75 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
+# Monic reduction polynomials of the extension fields, coefficients low to
+# high: z^2 + z + 1 and z^3 + z + 1 over Z_2, z^2 + 3z + 1 over Z_17.
+REDUCTION_POLYNOMIALS: dict[int, tuple[int, ...]] = {
+    4: (1, 1, 1),
+    8: (1, 1, 0, 1),
+    289: (1, 3, 1),
+}
+
+
 @dataclass(frozen=True)
 class Ring:
-    """A prime field Z_p or the fixed quadratic extension GF(17^2).
+    """The finite field of ``order`` elements, reduced by ``polynomial``.
 
     Arithmetic is looked up in order x order tables, built on first use.
     """
 
-    kind: str  # "prime" or "gf289"
     order: int
+    polynomial: tuple[int, ...]  # monic, low to high; (0, 1) for Z_p
 
     @staticmethod
-    def prime_field(p: int) -> "Ring":
-        if not _is_prime(p):
-            raise RingError(f"{p} is not prime")
-        return Ring("prime", p)
+    def field(q: int) -> "Ring":
+        """Z_q for prime q; GF(q) for q in REDUCTION_POLYNOMIALS."""
+        if _is_prime(q):
+            return Ring(q, (0, 1))
+        if q not in REDUCTION_POLYNOMIALS:
+            raise RingError(f"no field of order {q} here")
+        ring = Ring(q, REDUCTION_POLYNOMIALS[q])
+        p = ring.characteristic
+        # a polynomial of degree 2 or 3 is irreducible iff it has no root
+        for r in range(p):
+            if sum(c * r**i for i, c in enumerate(ring.polynomial)) % p == 0:
+                raise RingError(f"the reduction polynomial of GF({q}) has the root {r}")
+        return ring
 
-    @staticmethod
-    def gf289() -> "Ring":
-        # z^2 + 3z + 1 must have no root in Z_17; exhaust all candidates.
-        for r in range(17):
-            if (r * r + 3 * r + 1) % 17 == 0:
-                raise RingError("z^2 + 3z + 1 is reducible over Z_17")
-        return Ring("gf289", 289)
+    @property
+    def characteristic(self) -> int:
+        return round(self.order ** (1 / (len(self.polynomial) - 1)))
 
     def _check(self, x: int) -> int:
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.order:
             raise InvalidElementError(f"{x!r} is not an element code of {self}")
         return x
 
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray, int]:
-        # every code as a*z + b with b taken mod m; a = 0 in a prime field
-        codes = np.arange(self.order, dtype=np.int32)
-        if self.kind == "prime":
-            return np.zeros_like(codes), codes, self.order
-        return codes // 17, codes % 17, 17
+    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
+        # (weights p^i, digits) with code x = sum(digits[x, i] * weights[i])
+        p = self.characteristic
+        weights = p ** np.arange(len(self.polynomial) - 1)
+        return weights, np.arange(self.order)[:, None] // weights % p
 
     @cached_property
     def add_table(self) -> np.ndarray:
         """add_table[x, y] is the code of x + y; built on first use, read-only."""
-        a, b, m = self._coefficients()
-        return _read_only(17 * ((a[:, None] + a) % 17) + (b[:, None] + b) % m)
+        weights, d = self._digits()
+        coefficients = (d[:, None] + d) % self.characteristic
+        return _read_only((coefficients @ weights).astype(np.int32))
 
     @cached_property
     def mul_table(self) -> np.ndarray:
         """mul_table[x, y] is the code of x * y; built on first use, read-only."""
-        a, b, m = self._coefficients()
-        zz = a[:, None] * a  # coefficient of z^2; reduce by z^2 = -3z - 1
-        za = (a[:, None] * b + b[:, None] * a - 3 * zz) % 17
-        return _read_only(17 * za + (b[:, None] * b - zz) % m)
+        weights, d = self._digits()
+        k = len(weights)
+        product = np.zeros((self.order, self.order, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            product[:, :, i : i + k] += d[:, None, i, None] * d
+        # z^k = -(c_0 + ... + c_{k-1} z^{k-1}); fold the top degrees down
+        for top in range(2 * k - 2, k - 1, -1):
+            product[:, :, top - k : top] -= product[:, :, top, None] * self.polynomial[:k]
+        coefficients = product[:, :, :k] % self.characteristic
+        return _read_only((coefficients @ weights).astype(np.int32))
 
     def add(self, x: int, y: int) -> int:
         self._check(x), self._check(y)
@@ -126,7 +152,7 @@ class Ring:
         return result
 
     def __str__(self) -> str:
-        return f"Z_{self.order}" if self.kind == "prime" else "GF(289)"
+        return f"Z_{self.order}" if len(self.polynomial) == 2 else f"GF({self.order})"
 
 
 def signed_power_subgroup(ring: Ring, omega: int, exponents: int) -> frozenset[int]:

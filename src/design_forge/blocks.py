@@ -112,10 +112,6 @@ def k4444_decomposition(target: TargetId) -> list[tuple[int, ...]]:
     return list(K4444_BLOCKS[TargetId(target)])
 
 
-def _ring_for_order(n: int) -> Ring:
-    return Ring.gf289() if n == 289 else Ring.prime_field(n)
-
-
 def _load_catalog() -> dict[tuple[TargetId, int], BaseBlock]:
     catalog: dict[tuple[TargetId, int], BaseBlock] = {}
     text = resources.files("design_forge").joinpath("data/base_blocks.txt").read_text()
@@ -127,7 +123,7 @@ def _load_catalog() -> dict[tuple[TargetId, int], BaseBlock]:
         n = int(tokens[1])
         omega = int(tokens[2])
         labels = tuple(int(t) for t in tokens[3:])
-        catalog[(target, n)] = BaseBlock(labels, target, _ring_for_order(n), omega)
+        catalog[(target, n)] = BaseBlock(labels, target, Ring.field(n), omega)
     return catalog
 
 

@@ -10,6 +10,11 @@ The steps between (TD from MOLS, inflation, relabelling) need no check of
 their own: MolsSet checks its squares exhaustively, and the final check
 catches any defect a later step introduces.
 
+MOLS live here as MolsSet, whose squares are one read-only (s, m, m) int32
+array.  mols_for_order reads field MOLS L_a(x, y) = a*x + y off the
+add/mul tables of algebra.Ring.field(m), the package's one home of field
+arithmetic, and forms MOLS(24) as their Kronecker (MacNeish) product.
+
 Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 
 * t = 4: a transversal design TD(4,24), built from two MOLS of order 24
@@ -35,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import _is_prime
+from .algebra import Ring, RingError
 from .targets import as_block_array
 
 
@@ -208,88 +213,53 @@ def _require_valid(design: Gdd, what: str) -> Gdd:
 # --- mutually orthogonal Latin squares -------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolsSet:
     """Latin squares of one order, pairwise orthogonal.
 
-    Both properties are verified exhaustively at construction: each row
-    and column must be a permutation, and superimposing any two squares
-    must produce all order^2 ordered symbol pairs.
+    ``squares`` is one read-only (s, order, order) int32 array; an array
+    or a nested sequence of that shape is accepted and converted once.  Both
+    properties are verified exhaustively at construction: each row and
+    column must be a permutation, and superimposing any two squares must
+    produce all order^2 ordered symbol pairs.  The first failure, in the
+    order square, row before column, then pair, is the one reported.
     """
 
     order: int
-    squares: tuple[tuple[tuple[int, ...], ...], ...]
+    squares: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.order
-        full = set(range(m))
-        for s, sq in enumerate(self.squares):
-            if len(sq) != m or any(len(row) != m for row in sq):
-                raise GddError(f"square {s} is not {m}x{m}")
-            for x in range(m):
-                if set(sq[x]) != full:
-                    raise GddError(f"square {s}: row {x} is not a permutation")
-                if {sq[y][x] for y in range(m)} != full:
-                    raise GddError(f"square {s}: column {x} is not a permutation")
-        for s, t in combinations(range(len(self.squares)), 2):
-            pairs = {
-                (self.squares[s][x][y], self.squares[t][x][y])
-                for x in range(m)
-                for y in range(m)
-            }
-            if len(pairs) != m * m:
-                raise GddError(f"squares {s} and {t} are not orthogonal")
+        try:
+            squares = np.ascontiguousarray(self.squares, dtype=np.int32)
+        except ValueError:  # ragged nesting
+            squares = None
+        if squares is None or squares.shape[1:] != (m, m):
+            raise GddError(f"squares are not all {m}x{m}")
+        squares.flags.writeable = False
+        object.__setattr__(self, "squares", squares)
+        symbols = np.arange(m)
+        # bad[s, x] = (row x of square s, column x of square s) not a permutation
+        bad = np.stack(
+            [
+                (np.sort(squares, axis=2) != symbols).any(axis=2),
+                (np.sort(squares, axis=1) != symbols[:, None]).any(axis=1),
+            ],
+            axis=2,
+        )
+        if bad.any():
+            s, x, column = np.unravel_index(bad.argmax(), bad.shape)
+            line = "column" if column else "row"
+            raise GddError(f"square {s}: {line} {x} is not a permutation")
+        # squares s < t are orthogonal iff the pairs s*m + t take m^2 values
+        for s in range(len(squares) - 1):
+            pairs = np.sort((m * squares[s] + squares[s + 1 :]).reshape(-1, m * m), axis=1)
+            clash = (pairs[:, 1:] == pairs[:, :-1]).any(axis=1)
+            if clash.any():
+                raise GddError(f"squares {s} and {s + 1 + clash.argmax()} are not orthogonal")
 
     def __len__(self) -> int:
         return len(self.squares)
-
-
-def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in rows)
-
-
-def mols_prime_power(q: int) -> MolsSet:
-    """The q-1 squares L_a(x, y) = a*x + y over Z_q, q prime."""
-    if not _is_prime(q):
-        raise UnsupportedOrderError(f"{q} is not prime")
-    squares = [
-        _freeze([[(a * x + y) % q for y in range(q)] for x in range(q)])
-        for a in range(1, q)
-    ]
-    return MolsSet(order=q, squares=tuple(squares))
-
-
-# Reduction polynomials for the two tiny binary fields needed as MOLS
-# ingredients; bit i is the coefficient of x^i.
-_BINARY_FIELD_POLY = {4: 0b111, 8: 0b1011}  # x^2+x+1, x^3+x+1
-
-
-def _gf2_mul(x: int, y: int, poly: int, degree: int) -> int:
-    r = 0
-    while y:
-        if y & 1:
-            r ^= x
-        y >>= 1
-        x <<= 1
-        if x >> degree & 1:
-            x ^= poly
-    return r
-
-
-def mols_binary_field(m: int) -> MolsSet:
-    """m-1 MOLS of order m in {4, 8} from the local GF(2^k) tables.
-
-    Addition is xor; L_a(x, y) = a*x + y exactly as in the prime case.
-    """
-    if m not in _BINARY_FIELD_POLY:
-        raise UnsupportedOrderError(f"no binary field of order {m} here")
-    poly = _BINARY_FIELD_POLY[m]
-    degree = m.bit_length() - 1
-    squares = [
-        _freeze([[_gf2_mul(a, x, poly, degree) ^ y for y in range(m)] for x in range(m)])
-        for a in range(1, m)
-    ]
-    return MolsSet(order=m, squares=tuple(squares))
 
 
 def kronecker_mols(a: MolsSet, b: MolsSet) -> MolsSet:
@@ -301,24 +271,22 @@ def kronecker_mols(a: MolsSet, b: MolsSet) -> MolsSet:
     """
     m, n = a.order, b.order
     count = min(len(a), len(b))
-    squares = []
-    for i in range(count):
-        sq = [[0] * (m * n) for _ in range(m * n)]
-        for x1, x2, y1, y2 in product(range(m), range(n), range(m), range(n)):
-            sq[x1 * n + x2][y1 * n + y2] = a.squares[i][x1][y1] * n + b.squares[i][x2][y2]
-        squares.append(_freeze(sq))
-    return MolsSet(order=m * n, squares=tuple(squares))
+    first, second = a.squares[:count], b.squares[:count]
+    # axes (i, x1, x2, y1, y2)
+    squares = first[:, :, None, :, None] * n + second[:, None, :, None, :]
+    return MolsSet(order=m * n, squares=squares.reshape(count, m * n, m * n))
 
 
 def mols_for_order(m: int) -> MolsSet:
-    """MOLS for the orders this package needs: primes, 4, 8, and 24."""
-    if _is_prime(m):
-        return mols_prime_power(m)
-    if m in _BINARY_FIELD_POLY:
-        return mols_binary_field(m)
+    """The m - 1 MOLS L_a(x, y) = a*x + y, a != 0, over the field
+    Ring.field(m) (m prime, 4, 8 or 289), or MOLS(8) x MOLS(3) for m = 24."""
     if m == 24:
-        return kronecker_mols(mols_binary_field(8), mols_prime_power(3))
-    raise UnsupportedOrderError(f"no MOLS construction for order {m}")
+        return kronecker_mols(mols_for_order(8), mols_for_order(3))
+    try:
+        f = Ring.field(m)
+    except RingError:
+        raise UnsupportedOrderError(f"no MOLS construction for order {m}") from None
+    return MolsSet(order=m, squares=f.add_table[f.mul_table[1:, :, None], np.arange(m)])
 
 
 # --- transversal designs and inflation --------------------------------------
@@ -341,7 +309,7 @@ def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
             f"TD({k},{m}) needs {k - 2} MOLS of order {m}, have {len(mols)}"
         )
     x, y = np.divmod(np.arange(m * m), m)
-    squares = np.asarray(mols.squares[: k - 2]).reshape(k - 2, m * m)
+    squares = mols.squares[: k - 2].reshape(k - 2, m * m)
     return Gdd(
         gdd_type=GddType.of(m, k),
         k=k,
@@ -354,7 +322,7 @@ def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
 def td_for_weight(k: int, w: int) -> Gdd:
     """The TD(k, w) used to replace blocks during inflation."""
     if w == 1:  # k-2 copies of the 1x1 square are trivially orthogonal
-        return td_from_mols(k, 1, MolsSet(1, (((0,),),) * (k - 2)))
+        return td_from_mols(k, 1, MolsSet(1, np.zeros((k - 2, 1, 1))))
     return td_from_mols(k, w, mols_for_order(w))
 
 
@@ -557,6 +525,10 @@ def _read_header(lines, what: str) -> tuple[int, str]:
         raise IngredientFileError(f"{what}: missing 'gdd' header")
     if tokens[0] != "gdd" or len(tokens) < 3:
         raise IngredientFileError(f"{what} line {lineno}: expected 'gdd <k> <type>'")
+    if not tokens[1].isdecimal() or int(tokens[1]) < 2:
+        raise IngredientFileError(
+            f"{what} line {lineno}: block size {tokens[1]!r} is not an integer >= 2"
+        )
     return int(tokens[1]), " ".join(tokens[2:])
 
 

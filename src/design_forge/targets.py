@@ -143,38 +143,21 @@ class SmallGraph:
 class TargetGraph:
     """One of the two canonical decomposition targets.
 
-    Construction checks 16 vertices, 48 edges, 6-regularity and the exact
-    adjacency identity A^2 = 2J + 4I, which for a 6-regular graph is
-    equivalent to srg(16, 6, 2, 2).
+    Construction checks that the graph is strongly regular with parameters
+    srg(16, 6, 2, 2), which implies 16 vertices, 48 edges and 6-regularity.
     """
 
     id: TargetId
     graph: SmallGraph
 
     def __post_init__(self) -> None:
-        g = self.graph
-        if g.vertex_count != 16 or len(g.edges) != 48:
-            raise GraphError("target graph must have 16 vertices and 48 edges")
-        if any(g.degree(v) != 6 for v in range(1, 17)):
-            raise GraphError("target graph must be 6-regular")
-        if not _adjacency_identity_holds(g):
-            raise GraphError("A^2 = 2J + 4I fails")
+        params = srg_parameters(self.graph)
+        if params != (16, 6, 2, 2):
+            raise GraphError(f"target graph must be srg(16, 6, 2, 2), got {params}")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self.graph.edges
-
-
-def _adjacency_identity_holds(g: SmallGraph) -> bool:
-    # (A^2)[u][v] counts common neighbours; must be 2 off-diagonal (J term)
-    # and 6 on the diagonal (2 + 4, degree row).
-    n = g.vertex_count
-    for u in range(1, n + 1):
-        for v in range(u, n + 1):
-            common = (g.adjacency[u] & g.adjacency[v]).bit_count()
-            if common != (6 if u == v else 2):
-                return False
-    return True
 
 
 def shrikhande() -> TargetGraph:

@@ -27,8 +27,7 @@ from design_forge.gdd import (
     gdd_24_t,
     inflate,
     kronecker_mols,
-    mols_binary_field,
-    mols_prime_power,
+    mols_for_order,
     td_from_mols,
     verify_gdd,
 )
@@ -99,7 +98,7 @@ def test_criterion_4_order_481_with_store_and_with_regeneration(tmp_path):
 
 def test_criterion_5_td_4_24_from_kronecker_mols():
     t0 = time.perf_counter()
-    mols = kronecker_mols(mols_binary_field(8), mols_prime_power(3))
+    mols = kronecker_mols(mols_for_order(8), mols_for_order(3))
     td = td_from_mols(4, 24, mols)
     report = verify_gdd(td)
     cross_pairs = 6 * 24 * 24

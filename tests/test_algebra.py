@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from design_forge import algebra
 from design_forge.algebra import (
     InvalidElementError,
     NotASubgroupError,
@@ -14,13 +15,13 @@ from design_forge.algebra import (
 
 def test_prime_field_rejects_composites():
     with pytest.raises(RingError):
-        Ring.prime_field(91)
+        Ring.field(91)
     with pytest.raises(RingError):
-        Ring.prime_field(1)
+        Ring.field(1)
 
 
 def test_prime_field_arithmetic():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     assert f.add(90, 10) == 3
     assert f.add(96, 5) == 4
     assert f.mul(50, 2) == 3
@@ -33,13 +34,13 @@ def test_prime_field_arithmetic():
 
 
 def test_z193_81_squared_is_minus_one():
-    f = Ring.prime_field(193)
+    f = Ring.field(193)
     assert f.mul(81, 81) == 192
     assert f.pow(81, 4) == 1
 
 
 def test_gf289_arithmetic_known_values():
-    f = Ring.gf289()
+    f = Ring.field(289)
     assert f.order == 289
     # z + 16 is coded 17*1 + 16
     assert f.add(17, 16) == 33
@@ -54,7 +55,7 @@ def test_gf289_arithmetic_known_values():
 
 
 def test_gf289_multiplicative_group_order():
-    f = Ring.gf289()
+    f = Ring.field(289)
     # 139 has multiplicative order 3 and -1 is not a power of it, so
     # {+/- 139^e} has six elements
     assert f.pow(139, 3) == 1
@@ -64,7 +65,7 @@ def test_gf289_multiplicative_group_order():
 
 
 def test_element_range_checked():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     with pytest.raises(InvalidElementError):
         f.add(97, 0)
     with pytest.raises(InvalidElementError):
@@ -72,26 +73,26 @@ def test_element_range_checked():
 
 
 def test_signed_power_subgroup_z97():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     h = signed_power_subgroup(f, 1, 1)
     assert h == frozenset({1, 96})
 
 
 def test_signed_power_subgroup_z193():
-    f = Ring.prime_field(193)
+    f = Ring.field(193)
     h = signed_power_subgroup(f, 81, 2)
     assert h == frozenset({1, 81, 192, 112})
 
 
 def test_signed_powers_must_form_a_subgroup_of_the_right_size():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     # {+/- 1^e} for e < 2 has only 2 elements, not 4
     with pytest.raises(NotASubgroupError):
         signed_power_subgroup(f, 1, 2)
 
 
 def test_coset_partition_z97():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     cosets = unit_group_coset_partition(f, 1, 1)
     assert len(cosets) == 48
     assert all(len(c) == 2 for c in cosets)
@@ -103,7 +104,7 @@ def test_coset_partition_z97():
 
 
 def test_coset_partition_z193():
-    f = Ring.prime_field(193)
+    f = Ring.field(193)
     cosets = unit_group_coset_partition(f, 81, 2)
     assert len(cosets) == 48
     assert all(len(c) == 4 for c in cosets)
@@ -111,7 +112,7 @@ def test_coset_partition_z193():
 
 
 def test_coset_partition_gf289():
-    f = Ring.gf289()
+    f = Ring.field(289)
     cosets = unit_group_coset_partition(f, 139, 3)
     assert len(cosets) == 48
     assert all(len(c) == 6 for c in cosets)
@@ -120,7 +121,7 @@ def test_coset_partition_gf289():
 
 
 def test_arithmetic_tables_are_built_on_first_use_and_read_only():
-    f = Ring.gf289()
+    f = Ring.field(289)
     assert "add_table" not in vars(f) and "mul_table" not in vars(f)
     assert f.mul(18, 18) == f.mul_table[18, 18]
     assert "mul_table" in vars(f) and "add_table" not in vars(f)
@@ -142,16 +143,55 @@ def _reference_gf289(x: int, y: int) -> tuple[int, int]:
     )
 
 
+def _reference_gf2k(x: int, y: int, poly: int) -> int:
+    # carry-less product, then reduction by poly (bit i = coefficient of z^i)
+    r = 0
+    for i in range(y.bit_length()):
+        if y >> i & 1:
+            r ^= x << i
+    degree = poly.bit_length() - 1
+    for i in range(r.bit_length() - 1, degree - 1, -1):
+        if r >> i & 1:
+            r ^= poly << (i - degree)
+    return r
+
+
 def test_tables_match_reference_arithmetic():
     for p in (5, 97, 193):
-        f = Ring.prime_field(p)
+        f = Ring.field(p)
         for x in range(p):
             assert f.add_table[x].tolist() == [(x + y) % p for y in range(p)]
             assert f.mul_table[x].tolist() == [(x * y) % p for y in range(p)]
             assert f.neg(x) == -x % p
-    g = Ring.gf289()
+    g = Ring.field(289)
     for x in range(289):
         ref = [_reference_gf289(x, y) for y in range(289)]
         assert g.add_table[x].tolist() == [s for s, _ in ref]
         assert g.mul_table[x].tolist() == [m for _, m in ref]
         assert g.add(x, g.neg(x)) == 0
+    for q, poly in ((4, 0b111), (8, 0b1011)):  # z^2+z+1, z^3+z+1 over Z_2
+        f = Ring.field(q)
+        for x in range(q):
+            assert f.add_table[x].tolist() == [x ^ y for y in range(q)]
+            assert f.mul_table[x].tolist() == [_reference_gf2k(x, y, poly) for y in range(q)]
+            assert f.neg(x) == x
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 9, 16, 91, 125])
+def test_field_rejects_orders_without_a_field_here(q):
+    with pytest.raises(RingError):
+        Ring.field(q)
+
+
+@pytest.mark.parametrize("q, name", [(2, "Z_2"), (97, "Z_97"), (4, "GF(4)"), (8, "GF(8)"), (289, "GF(289)")])
+def test_field_names(q, name):
+    assert str(Ring.field(q)) == name
+    assert Ring.field(q) == Ring.field(q)
+
+
+@pytest.mark.parametrize("q, reducible", [(4, (1, 0, 1)), (8, (1, 1, 1, 1)), (289, (1, 2, 1))])
+def test_field_rejects_a_reducible_polynomial(monkeypatch, q, reducible):
+    # (z + 1)^2 over Z_2, (z + 1)(z^2 + 1) over Z_2 and (z + 1)^2 over Z_17
+    monkeypatch.setitem(algebra.REDUCTION_POLYNOMIALS, q, reducible)
+    with pytest.raises(RingError, match="root"):
+        Ring.field(q)

@@ -89,13 +89,13 @@ def test_duplicate_labels_fail_both_oracles():
 
 
 def test_exponent_count_requires_admissible_order():
-    f = Ring.prime_field(97)
+    f = Ring.field(97)
     block = paper_base_blocks(TargetId.SHRIKHANDE, 97)
     assert block.exponent_count == 1
     assert paper_base_blocks(TargetId.SHRIKHANDE, 193).exponent_count == 2
     assert paper_base_blocks(TargetId.SHRIKHANDE, 289).exponent_count == 3
     with pytest.raises(ValueError):
-        BaseBlock(block.labels, block.target, Ring.prime_field(101), 1).exponent_count
+        BaseBlock(block.labels, block.target, Ring.field(101), 1).exponent_count
 
 
 def test_k4444_decompositions_are_two_blocks_of_16():

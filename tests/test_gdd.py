@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,14 +17,14 @@ from design_forge.gdd import (
     IngredientFileError,
     IngredientStore,
     IngredientUnavailableError,
+    MolsSet,
+    UnsupportedOrderError,
     exact_cover_search,
     format_gdd_file,
     gdd_24_t,
     inflate,
     kronecker_mols,
-    mols_binary_field,
     mols_for_order,
-    mols_prime_power,
     parse_gdd_file,
     read_gdd_file,
     td_from_mols,
@@ -45,11 +45,11 @@ def test_gdd_type_parsing_and_printing():
 
 
 def test_mols_prime_power_counts():
-    assert len(mols_prime_power(2).squares) == 1
-    assert len(mols_prime_power(3).squares) == 2
-    assert len(mols_prime_power(5).squares) == 4
-    assert len(mols_binary_field(4).squares) == 3
-    assert len(mols_binary_field(8).squares) == 7
+    assert len(mols_for_order(2).squares) == 1
+    assert len(mols_for_order(3).squares) == 2
+    assert len(mols_for_order(5).squares) == 4
+    assert len(mols_for_order(4).squares) == 3
+    assert len(mols_for_order(8).squares) == 7
 
 
 def test_trivial_two_gdd_of_type_1_2_passes():
@@ -65,14 +65,14 @@ def test_trivial_two_gdd_of_type_1_2_passes():
 
 
 def test_kronecker_product_order_24():
-    m = kronecker_mols(mols_binary_field(8), mols_prime_power(3))
+    m = kronecker_mols(mols_for_order(8), mols_for_order(3))
     assert m.order == 24
     assert len(m.squares) == 2
     assert mols_for_order(24).order == 24
 
 
 def test_td_4_3_has_nine_blocks():
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     assert td.gdd_type == GddType.of(3, 4)
     assert len(td.blocks) == 9
     assert verify_gdd(td).passed
@@ -89,11 +89,11 @@ def test_td_4_24_has_576_blocks():
 def test_td_4_2_is_unavailable():
     # needs 2 orthogonal latin squares of order 2; there is only 1
     with pytest.raises(IngredientUnavailableError):
-        td_from_mols(4, 2, mols_prime_power(2))
+        td_from_mols(4, 2, mols_for_order(2))
 
 
 def test_verify_gdd_catches_an_intra_group_block():
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     tampered = Gdd(
         gdd_type=td.gdd_type,
         k=td.k,
@@ -106,7 +106,7 @@ def test_verify_gdd_catches_an_intra_group_block():
 
 
 def test_verify_gdd_catches_a_dropped_block():
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     report = verify_gdd(
         Gdd(gdd_type=td.gdd_type, k=td.k, groups=td.groups, blocks=td.blocks[:-1])
     )
@@ -118,14 +118,14 @@ def test_verify_gdd_catches_a_dropped_block():
 
 
 def test_inflate_by_weight_one_is_identity_on_counts():
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     out = inflate(td, 1)
     assert out.gdd_type == td.gdd_type
     assert len(out.blocks) == len(td.blocks)
 
 
 def test_inflate_multiplies_blocks_by_weight_squared():
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     out = inflate(td, 3)
     assert out.gdd_type == GddType.of(9, 4)
     assert len(out.blocks) == 9 * 9
@@ -134,7 +134,7 @@ def test_inflate_multiplies_blocks_by_weight_squared():
 
 def test_inflating_type_3_4_by_weight_8_reaches_type_24_4():
     # alternative route to the t = 4 ingredient
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     out = inflate(td, 8)
     assert out.gdd_type == GddType.of(24, 4)
     assert len(out.blocks) == 9 * 64
@@ -183,7 +183,7 @@ def test_exact_cover_budget_error_reports_nodes():
 
 
 def test_gdd_file_round_trip(tmp_path):
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     path = tmp_path / "td43.txt"
     write_gdd_file(td, path)
     again = read_gdd_file(path)
@@ -193,7 +193,7 @@ def test_gdd_file_round_trip(tmp_path):
 
 
 def test_gdd_file_with_a_bad_block_is_rejected(tmp_path):
-    td = td_from_mols(4, 3, mols_prime_power(3))
+    td = td_from_mols(4, 3, mols_for_order(3))
     text = format_gdd_file(td)
     broken = text.replace("block ", "block 0 ", 1)
     with pytest.raises(IngredientFileError):
@@ -250,7 +250,7 @@ def test_ingredient_store_finds_a_file_that_starts_with_a_comment(tmp_path):
     assert IngredientStore(tmp_path).find(4, GddType.parse("3^5")) is None
 
 
-# TD(4,3) from mols_prime_power(3): groups {0,1,2} {3,4,5} {6,7,8} {9,10,11}
+# TD(4,3) from mols_for_order(3): groups {0,1,2} {3,4,5} {6,7,8} {9,10,11}
 TD43_GROUPS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
 TD43_BLOCKS = (
     (0, 3, 6, 9), (0, 4, 7, 10), (0, 5, 8, 11), (1, 3, 7, 11), (1, 4, 8, 9),
@@ -330,7 +330,7 @@ def test_verify_gdd_passes_td_4_3():
 
 
 def test_gdd_file_with_a_short_block_row_names_its_line():
-    text = format_gdd_file(td_from_mols(4, 3, mols_prime_power(3)))
+    text = format_gdd_file(td_from_mols(4, 3, mols_for_order(3)))
     lines = text.splitlines()
     lines[7] = "block 0 3 6"
     with pytest.raises(IngredientFileError, match="line 8"):
@@ -338,7 +338,7 @@ def test_gdd_file_with_a_short_block_row_names_its_line():
 
 
 def test_gdd_file_with_a_point_beyond_int32_is_rejected():
-    text = format_gdd_file(td_from_mols(4, 3, mols_prime_power(3)))
+    text = format_gdd_file(td_from_mols(4, 3, mols_for_order(3)))
     with pytest.raises(IngredientFileError):
         parse_gdd_file(text.replace("block 0 ", f"block {2**40} ", 1))
 
@@ -373,7 +373,7 @@ def _reference_verify_gdd_blocks(design):
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_gdd_matches_the_loop_reference_on_random_corruptions(seed):
     rng = random.Random(seed)
-    base = td_from_mols(4, 3, mols_prime_power(3)) if seed % 2 else gdd_24_t(4)
+    base = td_from_mols(4, 3, mols_for_order(3)) if seed % 2 else gdd_24_t(4)
     n = base.point_count()
     blocks = base.blocks.tolist()
     for _ in range(rng.randrange(1, 6)):
@@ -430,3 +430,106 @@ def test_a_corrupted_intermediate_is_caught_at_a_boundary(monkeypatch, tmp_path,
     with pytest.raises(GddError):
         gdd_24_t(t, store)
     assert calls
+
+
+# --- MOLS: the loop constructions that MolsSet arrays must reproduce ---------
+
+
+def _gf2_mul(x: int, y: int, poly: int, degree: int) -> int:
+    r = 0
+    while y:
+        if y & 1:
+            r ^= x
+        y >>= 1
+        x <<= 1
+        if x >> degree & 1:
+            x ^= poly
+    return r
+
+
+_BINARY_FIELD_POLY = {4: 0b111, 8: 0b1011}  # x^2+x+1, x^3+x+1
+
+
+def _reference_kronecker(a: list, b: list) -> list:
+    m, n = len(a[0]), len(b[0])
+    squares = []
+    for i in range(min(len(a), len(b))):
+        sq = [[0] * (m * n) for _ in range(m * n)]
+        for x1, x2, y1, y2 in product(range(m), range(n), range(m), range(n)):
+            sq[x1 * n + x2][y1 * n + y2] = a[i][x1][y1] * n + b[i][x2][y2]
+        squares.append(sq)
+    return squares
+
+
+def _reference_mols(q: int) -> list:
+    """The squares as nested lists, built by the loops mols_for_order replaced."""
+    if q == 24:
+        return _reference_kronecker(_reference_mols(8), _reference_mols(3))
+    if q in _BINARY_FIELD_POLY:
+        poly, degree = _BINARY_FIELD_POLY[q], q.bit_length() - 1
+        return [
+            [[_gf2_mul(a, x, poly, degree) ^ y for y in range(q)] for x in range(q)]
+            for a in range(1, q)
+        ]
+    return [[[(a * x + y) % q for y in range(q)] for x in range(q)] for a in range(1, q)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 24])
+def test_mols_for_order_matches_the_loop_reference(q):
+    assert np.asarray(mols_for_order(q).squares).tolist() == _reference_mols(q)
+
+
+@pytest.mark.parametrize("q", [3, 8, 24])
+def test_mols_squares_are_one_read_only_int32_array(q):
+    squares = mols_for_order(q).squares
+    assert isinstance(squares, np.ndarray) and squares.dtype == np.int32
+    assert squares.shape == (len(_reference_mols(q)), q, q)
+    with pytest.raises(ValueError):
+        squares[0, 0, 0] = 0
+
+
+def test_mols_for_an_order_without_a_field_is_unsupported():
+    for m in (6, 9, 12):
+        with pytest.raises(UnsupportedOrderError):
+            mols_for_order(m)
+
+
+_Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]  # x + y over Z_3
+_Z3_2X = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]  # 2x + y over Z_3
+_Z5 = [[[(a * x + y) % 5 for y in range(5)] for x in range(5)] for a in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "order, squares, message",
+    [
+        (3, [[[0, 1, 2], [1, 1, 0], [2, 0, 1]], _Z3_2X], "square 0: row 1 is not a permutation"),
+        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]]], "square 1: column 0 is not a permutation"),
+        (5, _Z5 + [_Z5[1]], "squares 1 and 4 are not orthogonal"),
+        (3, [_Z3, _Z3], "squares 0 and 1 are not orthogonal"),
+        # two defects: the first in (square, line, row before column) order wins
+        (3, [[[0, 1, 2], [1, 2, 0], [2, 0, 0]], [[1, 1, 2], _Z3[1], _Z3[2]]],
+         "square 0: row 2 is not a permutation"),
+        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]], _Z3], "square 1: column 0 is not a permutation"),
+        (3, [[[0, 1], [1, 0]]], "squares are not all 3x3"),
+        (3, _Z3, "squares are not all 3x3"),
+        (3, [_Z3, [[0, 1], [1, 0]]], "squares are not all 3x3"),
+    ],
+)
+def test_mols_set_rejects_each_defect_with_its_message(order, squares, message):
+    with pytest.raises(GddError, match=f"^{message}$"):
+        MolsSet(order, squares)
+
+
+# --- ingredient file headers -------------------------------------------------
+
+
+@pytest.mark.parametrize("k", ["x", "0", "1"])
+def test_gdd_file_header_needs_a_block_size_of_at_least_two(tmp_path, k):
+    text = f"# not a design\ngdd {k} 3^5\n"
+    with pytest.raises(IngredientFileError, match=f"^bad.txt line 2: block size '{k}' "):
+        parse_gdd_file(text, what="bad.txt")
+    shipped = IngredientStore.default().find(4, GddType.parse("3^5"))
+    (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "good.txt").write_text(format_gdd_file(shipped), encoding="utf-8")
+    found = IngredientStore(tmp_path).find(4, GddType.parse("3^5"))
+    assert found is not None and np.array_equal(found.blocks, shipped.blocks)

@@ -8,6 +8,7 @@ from design_forge.blocks import develop, paper_base_blocks
 from design_forge.targets import (
     GraphError,
     SmallGraph,
+    TargetGraph,
     TargetId,
     format_edge_list,
     graph_from_edges,
@@ -299,3 +300,25 @@ def test_target_edge_lists_have_48_edges_and_degree_6():
     for target in (shrikhande(), line_k44()):
         assert len(target.graph.edges) == 48
         assert all(target.graph.degree(v) == 6 for v in range(1, 17))
+
+
+def _circulant_16_1_2_3() -> SmallGraph:
+    # 6-regular with 48 edges, but adjacent pairs share 4 or 2 neighbours
+    return SmallGraph(16, [(v + 1, (v + d) % 16 + 1) for v in range(16) for d in (1, 2, 3)])
+
+
+def _shrikhande_without_vertex_16() -> SmallGraph:
+    return SmallGraph(15, [e for e in shrikhande().edges if 16 not in e])
+
+
+def _five_cycle() -> SmallGraph:
+    # strongly regular, but srg(5, 2, 0, 1)
+    return SmallGraph(5, [(v, v % 5 + 1) for v in range(1, 6)])
+
+
+@pytest.mark.parametrize("graph", [_circulant_16_1_2_3, _shrikhande_without_vertex_16, _five_cycle])
+def test_target_graph_rejects_a_graph_that_is_not_srg_16_6_2_2(graph):
+    g = graph()
+    assert srg_parameters(g) != (16, 6, 2, 2)
+    with pytest.raises(GraphError):
+        TargetGraph(TargetId.SHRIKHANDE, g)
