@@ -109,7 +109,7 @@ def construct_design(
 def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
     pieces = [inflate_block_to_k4444(base.blocks, k4444_decomposition(target)).reshape(-1, 16)]
     d97 = develop(paper_base_blocks(target, 97))
-    pieces.extend(overlay_group(group, d97, 96 * t) for group in base.groups)
+    pieces.extend(overlay_group(group, d97, 96 * t) for group in base.gdd_type.group_ranges())
     return np.concatenate(pieces)
 
 

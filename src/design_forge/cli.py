@@ -15,7 +15,7 @@ import argparse
 import random
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .assemble import ConstructionError, construct_design
 from .blocks import (
@@ -36,10 +36,14 @@ from .certify import (
 )
 from .gdd import (
     BudgetExhaustedError,
+    Gdd,
+    GddError,
     GddType,
     IngredientStore,
     exact_cover_search,
     gdd_24_t,
+    read_gdd_file,
+    verify_gdd,
     write_gdd_file,
 )
 from .targets import (
@@ -155,9 +159,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gdd(args: argparse.Namespace) -> int:
     gdd_type = GddType.parse(args.gdd_type)
-    sizes = gdd_type.group_sizes()
-    if set(sizes) == {24}:
-        design = gdd_24_t(len(sizes), _store(args))
+    if {g for g, _ in gdd_type.parts} == {24}:
+        design = gdd_24_t(gdd_type.group_count(), _store(args))
     else:
         design = exact_cover_search(gdd_type, 4, node_budget=args.budget)
         if design is None:
@@ -204,6 +207,13 @@ def _develop_certifies(block: BaseBlock) -> bool:
     return certify(Certificate.from_design(design)).passed
 
 
+def _gdd_verifies(build: Callable[..., Gdd], *args) -> bool:
+    try:
+        return verify_gdd(build(*args)).passed
+    except GddError:  # a file that fails to load, or a failed internal check
+        return False
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
 
@@ -228,6 +238,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         )
         check(f"{target.value} {n}: transversal criterion agrees with develop+certify "
               f"on 20 mutations", agree)
+
+    store = IngredientStore.default()
+    for path in sorted(store.directory.glob("*.txt")):
+        check(f"ingredient {path.name} loads and verifies", _gdd_verifies(read_gdd_file, path))
+    for t in (4, 5):
+        check(f"4-GDD of type 24^{t} verifies", _gdd_verifies(gdd_24_t, t, store))
 
     print(f"{failures} failures" if failures else "all checks passed")
     return 1 if failures else 0

@@ -3,12 +3,16 @@
 A k-GDD of type g^u has gu points split into u groups of size g; its
 blocks are k-subsets meeting every group at most once, such that each
 pair of points from distinct groups lies in exactly one block and no
-same-group pair lies in any block.  verify_gdd checks that definition by
-exhaustive pair counting at the trust boundaries only: ingredient files on
-load, exact-cover search results, and the 24^t design gdd_24_t returns.
-The steps between (TD from MOLS, inflation, relabelling) need no check of
-their own: MolsSet checks its squares exhaustively, and the final check
-catches any defect a later step introduces.
+same-group pair lies in any block.  A Gdd is its type and its blocks, a
+read-only (B, k) int32 array as for Design: group i is the i-th
+consecutive range of points in GddType.group_sizes() order.
+
+verify_gdd checks the blocks by exhaustive pair counting at the trust
+boundaries only: ingredient files on load (where parse_gdd_file checks
+that group line i is range i), exact-cover search results, and the 24^t
+design gdd_24_t returns.  The steps between (TD from MOLS, inflation)
+need no check of their own: MolsSet checks its squares exhaustively, and
+the final check catches any defect a later step introduces.
 
 MOLS live here as MolsSet, whose squares are one read-only (s, m, m) int32
 array.  mols_for_order reads field MOLS L_a(x, y) = a*x + y off the
@@ -22,11 +26,6 @@ Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 * t >= 5: Wilson inflation of a small ingredient GDD, type 6^t by weight
   4 or type 3^t by weight 8, loaded from the ingredient store (data files
   verified on load) or regenerated by the exact-cover search.
-
-Points are numbered globally 0..N-1 with group i occupying a consecutive
-range; gdd_24_t guarantees group i = {24i, ..., 24i + 23}.  Gdd.blocks is
-one read-only (B, k) int32 array, as for Design; groups stay tuples, since
-mixed types such as 3^5 6^1 are ragged.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -95,6 +95,22 @@ class GddType:
     def group_sizes(self) -> list[int]:
         return [g for g, u in self.parts for _ in range(u)]
 
+    def group_count(self) -> int:
+        return sum(u for _, u in self.parts)
+
+    def group_ranges(self) -> Iterator[range]:
+        """Group i is the i-th consecutive range of points; yielded lazily."""
+        start = 0
+        for g, u in self.parts:
+            for _ in range(u):
+                yield range(start, start + g)
+                start += g
+
+    def group_of(self) -> np.ndarray:
+        """The group index of each point."""
+        sizes = self.group_sizes()
+        return np.repeat(np.arange(len(sizes)), sizes)
+
     def point_count(self) -> int:
         return sum(g * u for g, u in self.parts)
 
@@ -104,12 +120,12 @@ class GddType:
 
 @dataclass(frozen=True, eq=False)
 class Gdd:
-    """A group divisible design with block size k; see verify_gdd.  Any
-    sequence of k-point rows is accepted as blocks and converted once."""
+    """A group divisible design with block size k, its groups given by
+    gdd_type; see verify_gdd.  Any sequence of k-point rows is accepted as
+    blocks and converted once."""
 
     gdd_type: GddType
     k: int
-    groups: tuple[tuple[int, ...], ...]
     blocks: np.ndarray
     provenance: str = ""
 
@@ -127,7 +143,6 @@ class GddReport:
 
     block_count_expected: int | None
     block_count_actual: int
-    group_errors: list[str] = field(default_factory=list)
     block_errors: list[str] = field(default_factory=list)
     pair_errors: list[tuple[tuple[int, int], int]] = field(default_factory=list)
 
@@ -135,14 +150,14 @@ class GddReport:
     def passed(self) -> bool:
         return (
             self.block_count_expected == self.block_count_actual
-            and not self.group_errors
             and not self.block_errors
             and not self.pair_errors
         )
 
 
 def verify_gdd(design: Gdd) -> GddReport:
-    """Check the three GDD definition clauses by exhaustive pair counting.
+    """Check the block clauses of the GDD definition by exhaustive pair
+    counting, with the groups read off the type.
 
     Violations are report content, never exceptions: every cross-group
     pair covered other than once and every covered same-group pair is
@@ -151,32 +166,12 @@ def verify_gdd(design: Gdd) -> GddReport:
     """
     n = design.point_count()
     k = design.k
-    sizes = sorted(design.gdd_type.group_sizes())
-    cross_pairs = (n * (n - 1) - sum(g * (g - 1) for g in sizes)) // 2
+    cross_pairs = (n * (n - 1) - sum(g * (g - 1) * u for g, u in design.gdd_type.parts)) // 2
     per_block = k * (k - 1) // 2
     expected = cross_pairs // per_block if cross_pairs % per_block == 0 else None
     report = GddReport(block_count_expected=expected, block_count_actual=len(design.blocks))
 
-    seen: set[int] = set()
-    for group in design.groups:
-        for p in group:
-            if not 0 <= p < n:
-                report.group_errors.append(f"point {p} outside 0..{n - 1}")
-            elif p in seen:
-                report.group_errors.append(f"point {p} in two groups")
-            seen.add(p)
-    if len(seen) != n:
-        report.group_errors.append(f"groups cover {len(seen)} of {n} points")
-    if sorted(len(g) for g in design.groups) != sizes:
-        report.group_errors.append(
-            f"group sizes {sorted(len(g) for g in design.groups)} != type {design.gdd_type}"
-        )
-    if report.group_errors:
-        return report
-
-    group_of = np.empty(n, dtype=np.int64)
-    for i, group in enumerate(design.groups):
-        group_of[list(group)] = i
+    group_of = design.gdd_type.group_of()
     blocks = np.sort(design.blocks, axis=1).astype(np.int64)
     repeated = (blocks[:, 1:] == blocks[:, :-1]).any(axis=1)
     outside = ((blocks < 0) | (blocks >= n)).any(axis=1)
@@ -313,7 +308,6 @@ def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
     return Gdd(
         gdd_type=GddType.of(m, k),
         k=k,
-        groups=tuple(tuple(range(i * m, (i + 1) * m)) for i in range(k)),
         blocks=np.vstack([x, y, squares]).T + m * np.arange(k),
         provenance=f"td({k},{m}) from mols",
     )
@@ -329,8 +323,8 @@ def td_for_weight(k: int, w: int) -> Gdd:
 def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
     """Wilson's fundamental construction with constant weight.
 
-    Every point p becomes the w points {w*p, ..., w*p + w - 1}, groups
-    inflate accordingly, and each block is replaced by a copy of
+    Every point p becomes the w points {w*p, ..., w*p + w - 1}, so group i
+    stays the i-th consecutive range, and each block is replaced by a copy of
     TD(k, w) whose k groups sit over the block's k point sets.  Cross
     pairs inside a replaced block are covered exactly once by the TD;
     pairs over two different blocks are covered by the copies for the
@@ -344,20 +338,12 @@ def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
         td = td_for_weight(design.k, w)
     if td.k != design.k or td.gdd_type != GddType.of(w, design.k):
         raise GddError(f"replacement design is not a TD({design.k},{w})")
-    # TD point t, of rank r in TD group i, becomes inflated point w * block[i] + r
-    group_of = np.empty(td.point_count(), dtype=np.int64)
-    rank = np.empty_like(group_of)
-    for i, group in enumerate(td.groups):
-        members = sorted(group)
-        group_of[members] = i
-        rank[members] = np.arange(len(members))
-    blocks = w * design.blocks[:, group_of[td.blocks]] + rank[td.blocks]
+    # TD point t = w * i + r, of rank r in TD group i, becomes w * block[i] + r
+    group, rank = np.divmod(td.blocks, w)
+    blocks = w * design.blocks[:, group] + rank
     return Gdd(
         gdd_type=GddType(tuple((g * w, u) for g, u in design.gdd_type.parts)),
         k=design.k,
-        groups=tuple(
-            tuple(w * p + j for p in sorted(group) for j in range(w)) for group in design.groups
-        ),
         blocks=np.sort(blocks.reshape(-1, design.k), axis=1),
         provenance=f"inflate weight {w} of [{design.provenance or 'input'}]",
     )
@@ -372,114 +358,88 @@ def exact_cover_search(
     node_budget: int = 1_000_000,
     seed: int = 0,
 ) -> Gdd | None:
-    """Backtracking exact-cover search over the cross-group pairs.
+    """Knuth's Algorithm X (arXiv:cs/0011047) over the cross-group pairs.
 
-    Candidate blocks are all k-subsets meeting k distinct groups; a
-    solution is a block set covering every cross pair exactly once.  At
-    each node the uncovered pair with the fewest usable candidate blocks
-    is branched on, with candidate counts maintained incrementally, so
-    infeasible states die immediately.
+    The rows are the candidate blocks, all k-subsets meeting k distinct
+    groups, shuffled once by the seed; a solution is a row set covering
+    every cross pair exactly once.  ``live`` maps each uncovered pair to
+    its live rows, those holding no covered pair, and is updated as rows
+    are covered and uncovered.  Each node branches on the pair with the
+    fewest live rows, the lowest pair on a tie, except that the scan stops
+    at the first pair with at most one; its rows are tried in shuffled
+    order, and a pair with none ends the branch.
 
     Returns a verified Gdd, or None when the exhausted search tree proves
     nonexistence.  Raises BudgetExhaustedError when the node budget runs
     out first: that outcome is deliberately distinct from nonexistence.
-    Deterministic for a fixed seed (the seed shuffles candidate order
-    once, up front).
+    Deterministic for a fixed seed.
     """
     n = gdd_type.point_count()
     if n > 40:
         raise GddError(f"{n} points exceeds the desk-scale guard of 40")
     if k < 2:
         raise GddError("block size must be at least 2")
-    sizes = gdd_type.group_sizes()
-    if len(sizes) < k:
+    groups = list(gdd_type.group_ranges())
+    if len(groups) < k:
         return None  # fewer groups than a single block needs
-    groups = []
-    start = 0
-    for g in sizes:
-        groups.append(tuple(range(start, start + g)))
-        start += g
-    group_of = {p: i for i, grp in enumerate(groups) for p in grp}
-
-    pair_index: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if group_of[a] != group_of[b]:
-                pair_index[(a, b)] = len(pair_index)
-    pair_count = len(pair_index)
-    per_block = k * (k - 1) // 2
-    if pair_count % per_block:
+    group_of = gdd_type.group_of().tolist()
+    # pair a < b is a * n + b, so pairs order as (a, b) does
+    live = {a * n + b: set() for a, b in combinations(range(n), 2) if group_of[a] != group_of[b]}
+    if len(live) % (k * (k - 1) // 2):
         return None  # block size cannot tile the cross pairs
+    ascending = list(live)
 
-    candidates: list[tuple[int, ...]] = []
-    for chosen in combinations(range(len(groups)), k):
-        for pts in product(*(groups[i] for i in chosen)):
-            candidates.append(tuple(sorted(pts)))
-    rng = random.Random(seed)
-    rng.shuffle(candidates)
-    block_pairs = [
-        tuple(pair_index[(a, b)] for a, b in combinations(block, 2))
-        for block in candidates
-    ]
-    blocks_of_pair: list[list[int]] = [[] for _ in range(pair_count)]
-    for b, pairs in enumerate(block_pairs):
-        for p in pairs:
-            blocks_of_pair[p].append(b)
-
-    covered = bytearray(pair_count)
-    conflicts = [0] * len(candidates)  # covered pairs inside each candidate
-    usable = [len(blocks_of_pair[p]) for p in range(pair_count)]
-    chosen_blocks: list[int] = []
+    # groups are ascending ranges, so each product is already a sorted block
+    rows = [pts for chosen in combinations(groups, k) for pts in product(*chosen)]
+    random.Random(seed).shuffle(rows)
+    row_pairs = [[a * n + b for a, b in combinations(row, 2)] for row in rows]
+    for r, pairs in enumerate(row_pairs):
+        for pair in pairs:
+            live[pair].add(r)
+    chosen_rows: list[int] = []
     nodes = 0
 
-    def place(b: int) -> None:
-        for p in block_pairs[b]:
-            covered[p] = 1
-        for p in block_pairs[b]:
-            for b2 in blocks_of_pair[p]:
-                conflicts[b2] += 1
-                if conflicts[b2] == 1:
-                    for q in block_pairs[b2]:
-                        if not covered[q]:
-                            usable[q] -= 1
+    # a live row holds no covered pair, so every other pair of r2 is live
+    def cover(r: int) -> list[tuple[int, set[int]]]:
+        removed = []
+        for pair in row_pairs[r]:
+            rows_of_pair = live.pop(pair)
+            for r2 in rows_of_pair:
+                for q in row_pairs[r2]:
+                    if q != pair:
+                        live[q].remove(r2)
+            removed.append((pair, rows_of_pair))
+        return removed
 
-    def unplace(b: int) -> None:
-        for p in block_pairs[b]:
-            for b2 in blocks_of_pair[p]:
-                conflicts[b2] -= 1
-                if conflicts[b2] == 0:
-                    for q in block_pairs[b2]:
-                        if not covered[q]:
-                            usable[q] += 1
-        for p in block_pairs[b]:
-            covered[p] = 0
+    def uncover(removed: list[tuple[int, set[int]]]) -> None:
+        for pair, rows_of_pair in reversed(removed):
+            for r2 in rows_of_pair:
+                for q in row_pairs[r2]:
+                    if q != pair:
+                        live[q].add(r2)
+            live[pair] = rows_of_pair
 
     def search() -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExhaustedError(nodes)
-        best_pair = -1
-        best_count = None
-        for p in range(pair_count):
-            if not covered[p]:
-                c = usable[p]
-                if c == 0:
-                    return False
-                if best_count is None or c < best_count:
-                    best_pair, best_count = p, c
-                    if c == 1:
-                        break
-        if best_pair < 0:
+        fewest, pair = None, None
+        for p in ascending:  # so the lowest pair wins a tie
+            rows_of_p = live.get(p)
+            if rows_of_p is not None and (fewest is None or len(rows_of_p) < fewest):
+                fewest, pair = len(rows_of_p), p
+                if fewest <= 1:
+                    break  # a forced pair, or a dead end
+        if pair is None:
             return True
-        for b in blocks_of_pair[best_pair]:
-            if conflicts[b] == 0:
-                chosen_blocks.append(b)
-                place(b)
-                if search():
-                    return True
-                unplace(b)
-                chosen_blocks.pop()
+        for r in sorted(live[pair]):
+            removed = cover(r)
+            chosen_rows.append(r)
+            if search():
+                return True
+            chosen_rows.pop()
+            uncover(removed)
         return False
 
     if not search():
@@ -487,8 +447,7 @@ def exact_cover_search(
     design = Gdd(
         gdd_type=gdd_type,
         k=k,
-        groups=tuple(groups),
-        blocks=tuple(sorted(candidates[b] for b in chosen_blocks)),
+        blocks=sorted(rows[r] for r in chosen_rows),
         provenance=f"exact cover search (seed {seed})",
     )
     return _require_valid(design, f"search result for {gdd_type}")
@@ -497,15 +456,16 @@ def exact_cover_search(
 # --- ingredient store --------------------------------------------------------
 #
 # Ingredient files: header `gdd <k> <type>`, then one `group <points...>`
-# line per group and one `block <points...>` line per block.  Lines
-# starting with `#` are comments.  Every loaded file is re-verified.
+# line per group, line i listing the i-th consecutive range of the type,
+# and one `block <points...>` line per block.  Lines starting with `#` are
+# comments.  Every loaded file is re-verified.
 
 ENV_INGREDIENTS = "DESIGN_FORGE_INGREDIENTS"
 
 
 def format_gdd_file(design: Gdd) -> str:
     lines = [f"gdd {design.k} {design.gdd_type}"]
-    lines.extend("group " + " ".join(map(str, g)) for g in design.groups)
+    lines.extend("group " + " ".join(map(str, g)) for g in design.gdd_type.group_ranges())
     lines.extend("block " + " ".join(map(str, b)) for b in design.blocks.tolist())
     return "\n".join(lines) + "\n"
 
@@ -518,8 +478,9 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
-def _read_header(lines, what: str) -> tuple[int, str]:
-    """Consume the `gdd <k> <type>` header from _content_lines; (k, type text)."""
+def _read_header(lines, what: str) -> tuple[int, int, str]:
+    """Consume the `gdd <k> <type>` header from _content_lines;
+    (line number, k, type text)."""
     lineno, tokens = next(lines, (None, None))
     if tokens is None:
         raise IngredientFileError(f"{what}: missing 'gdd' header")
@@ -529,13 +490,27 @@ def _read_header(lines, what: str) -> tuple[int, str]:
         raise IngredientFileError(
             f"{what} line {lineno}: block size {tokens[1]!r} is not an integer >= 2"
         )
-    return int(tokens[1]), " ".join(tokens[2:])
+    return lineno, int(tokens[1]), " ".join(tokens[2:])
 
 
 def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
+    """Parse and verify an ingredient file.  Nothing sized by the header is
+    built before the file's own lines bear it out: a block size above the
+    group count, a group line that is not its range, or a group-line count
+    other than the type's is rejected with its line number."""
     lines = _content_lines(text)
-    k, type_text = _read_header(lines, what)
-    groups: list[tuple[int, ...]] = []
+    header_line, k, type_text = _read_header(lines, what)
+    try:
+        gdd_type = GddType.parse(type_text)
+    except GddError as exc:
+        raise IngredientFileError(f"{what}: {exc}") from None
+    u = gdd_type.group_count()
+    if k > u:
+        raise IngredientFileError(
+            f"{what} line {header_line}: block size {k} exceeds the {u} groups of {gdd_type}"
+        )
+    expected_groups = gdd_type.group_ranges()
+    group_lines = 0
     blocks: list[tuple[int, ...]] = []
     for lineno, tokens in lines:
         try:
@@ -543,23 +518,35 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
         except ValueError:
             raise IngredientFileError(f"{what} line {lineno}: non-integer point") from None
         if tokens[0] == "group":
-            groups.append(points)
+            group = next(expected_groups, None)
+            if group is None:
+                raise IngredientFileError(f"{what} line {lineno}: {gdd_type} has only {u} groups")
+            # the length first: a type may claim groups far larger than the line
+            if len(points) != group.stop - group.start or points != tuple(group):
+                raise IngredientFileError(
+                    f"{what} line {lineno}: group {group_lines} must be points "
+                    f"{group.start}..{group.stop - 1}"
+                )
+            group_lines += 1
         elif tokens[0] != "block":
             raise IngredientFileError(f"{what} line {lineno}: unknown keyword {tokens[0]!r}")
         elif len(points) != k:
             raise IngredientFileError(f"{what} line {lineno}: {len(points)} points, want {k}")
         else:
             blocks.append(points)
+    if group_lines != u:
+        raise IngredientFileError(
+            f"{what} line {header_line}: {gdd_type} has {u} groups, the file lists {group_lines}"
+        )
     try:
-        design = Gdd(GddType.parse(type_text), k, tuple(groups), blocks, f"loaded {what}")
-    except ValueError as exc:  # a malformed type, or a point beyond int32
+        design = Gdd(gdd_type, k, blocks, f"loaded {what}")
+    except ValueError as exc:  # a point beyond int32
         raise IngredientFileError(f"{what}: {exc}") from None
     report = verify_gdd(design)
     if not report.passed:
         raise IngredientFileError(
             f"{what}: fails verification "
-            f"({len(report.group_errors)} group, {len(report.block_errors)} block, "
-            f"{len(report.pair_errors)} pair errors)"
+            f"({len(report.block_errors)} block, {len(report.pair_errors)} pair errors)"
         )
     return design
 
@@ -595,26 +582,12 @@ class IngredientStore:
                 header = _read_header(_content_lines(text), str(path))
             except ValueError:
                 continue  # not an ingredient file
-            if header == (k, str(gdd_type)):
+            if header[1:] == (k, str(gdd_type)):
                 return parse_gdd_file(text, what=str(path))
         return None
 
 
 # --- the 4-GDDs of type 24^t -------------------------------------------------
-
-
-def _relabel_canonical(design: Gdd) -> Gdd:
-    """Renumber points so group i is a consecutive ascending range, then
-    sort each block and the blocks.  Every block is kept, duplicates too."""
-    order = [sorted(group) for group in sorted(design.groups, key=min)]
-    mapping = np.empty(design.point_count(), dtype=np.int64)
-    mapping[[p for group in order for p in group]] = np.arange(design.point_count())
-    blocks = np.sort(mapping[design.blocks], axis=1)
-    return replace(
-        design,
-        groups=tuple(tuple(mapping[group].tolist()) for group in order),
-        blocks=blocks[np.lexsort(blocks.T[::-1])],
-    )
 
 
 def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
@@ -634,9 +607,9 @@ def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
     else:
         how, ingredient = _ingredient(t, store or IngredientStore.default())
         g = ingredient.gdd_type.parts[0][0]
-        inflated = inflate(_relabel_canonical(ingredient), 24 // g)
+        blocks = inflate(ingredient, 24 // g).blocks
         provenance = f"inflate {how} 4-gdd {g}^{t} by weight {24 // g}"
-        design = _relabel_canonical(replace(inflated, provenance=provenance))
+        design = Gdd(GddType.of(24, t), 4, blocks[np.lexsort(blocks.T[::-1])], provenance)
     # no step above is verified on its own: this one check covers them all
     return _require_valid(design, f"4-GDD of type 24^{t}")
 

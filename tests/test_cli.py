@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 from design_forge.cli import main
@@ -92,6 +93,18 @@ def test_gdd_24_4_via_cli(tmp_path, capsys):
     assert main(["gdd", "--type", "24^4"]) == 0
     captured = capsys.readouterr()
     assert "576 blocks" in captured.out
+
+
+def test_gdd_24_u_with_a_huge_exponent_exits_2_in_little_memory(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["gdd", "--type", "24^10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "no ingredient" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_catalog_lists_all_base_blocks(capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -56,7 +58,6 @@ def test_trivial_two_gdd_of_type_1_2_passes():
     g = Gdd(
         gdd_type=GddType.of(1, 2),
         k=2,
-        groups=((0,), (1,)),
         blocks=((0, 1),),
     )
     report = verify_gdd(g)
@@ -97,7 +98,6 @@ def test_verify_gdd_catches_an_intra_group_block():
     tampered = Gdd(
         gdd_type=td.gdd_type,
         k=td.k,
-        groups=td.groups,
         blocks=td.blocks.tolist()[:-1] + [[0, 1, 4, 7]],
     )
     report = verify_gdd(tampered)
@@ -108,7 +108,7 @@ def test_verify_gdd_catches_an_intra_group_block():
 def test_verify_gdd_catches_a_dropped_block():
     td = td_from_mols(4, 3, mols_for_order(3))
     report = verify_gdd(
-        Gdd(gdd_type=td.gdd_type, k=td.k, groups=td.groups, blocks=td.blocks[:-1])
+        Gdd(gdd_type=td.gdd_type, k=td.k, blocks=td.blocks[:-1])
     )
     assert not report.passed
     assert report.block_count_actual == 8
@@ -182,6 +182,119 @@ def test_exact_cover_budget_error_reports_nodes():
     assert err.value.nodes >= 1_000
 
 
+def _reference_exact_cover_search(gdd_type, k, node_budget=1_000_000, seed=0):
+    """The pair-indexed backtracking search exact_cover_search replaced:
+    the sorted blocks of the first solution, or None when none exists."""
+    n = gdd_type.point_count()
+    sizes = gdd_type.group_sizes()
+    if len(sizes) < k:
+        return None
+    groups = []
+    start = 0
+    for g in sizes:
+        groups.append(tuple(range(start, start + g)))
+        start += g
+    group_of = {p: i for i, grp in enumerate(groups) for p in grp}
+
+    pair_index = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if group_of[a] != group_of[b]:
+                pair_index[(a, b)] = len(pair_index)
+    pair_count = len(pair_index)
+    if pair_count % (k * (k - 1) // 2):
+        return None
+
+    candidates = []
+    for chosen in combinations(range(len(groups)), k):
+        for pts in product(*(groups[i] for i in chosen)):
+            candidates.append(tuple(sorted(pts)))
+    random.Random(seed).shuffle(candidates)
+    block_pairs = [
+        tuple(pair_index[(a, b)] for a, b in combinations(block, 2)) for block in candidates
+    ]
+    blocks_of_pair = [[] for _ in range(pair_count)]
+    for b, pairs in enumerate(block_pairs):
+        for p in pairs:
+            blocks_of_pair[p].append(b)
+
+    covered = bytearray(pair_count)
+    conflicts = [0] * len(candidates)  # covered pairs inside each candidate
+    usable = [len(blocks_of_pair[p]) for p in range(pair_count)]
+    chosen_blocks = []
+    nodes = 0
+
+    def place(b):
+        for p in block_pairs[b]:
+            covered[p] = 1
+        for p in block_pairs[b]:
+            for b2 in blocks_of_pair[p]:
+                conflicts[b2] += 1
+                if conflicts[b2] == 1:
+                    for q in block_pairs[b2]:
+                        if not covered[q]:
+                            usable[q] -= 1
+
+    def unplace(b):
+        for p in block_pairs[b]:
+            for b2 in blocks_of_pair[p]:
+                conflicts[b2] -= 1
+                if conflicts[b2] == 0:
+                    for q in block_pairs[b2]:
+                        if not covered[q]:
+                            usable[q] += 1
+        for p in block_pairs[b]:
+            covered[p] = 0
+
+    def search():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExhaustedError(nodes)
+        best_pair = -1
+        best_count = None
+        for p in range(pair_count):
+            if not covered[p]:
+                c = usable[p]
+                if c == 0:
+                    return False
+                if best_count is None or c < best_count:
+                    best_pair, best_count = p, c
+                    if c == 1:
+                        break
+        if best_pair < 0:
+            return True
+        for b in blocks_of_pair[best_pair]:
+            if conflicts[b] == 0:
+                chosen_blocks.append(b)
+                place(b)
+                if search():
+                    return True
+                unplace(b)
+                chosen_blocks.pop()
+        return False
+
+    if not search():
+        return None
+    return sorted(list(candidates[b]) for b in chosen_blocks)
+
+
+@pytest.mark.parametrize(
+    ("gdd_type", "seed"), [("3^5", seed) for seed in range(20)] + [("1^4", 0), ("3^3", 0)]
+)
+def test_exact_cover_search_matches_the_pair_indexed_reference(gdd_type, seed):
+    found = exact_cover_search(GddType.parse(gdd_type), 4, seed=seed)
+    expected = _reference_exact_cover_search(GddType.parse(gdd_type), 4, seed=seed)
+    assert (None if found is None else found.blocks.tolist()) == expected
+    assert (found is None) == (gdd_type == "3^3")
+
+
+def test_exact_cover_search_and_the_reference_both_exhaust_a_small_budget_on_6_4():
+    for search in (exact_cover_search, _reference_exact_cover_search):
+        with pytest.raises(BudgetExhaustedError):
+            search(GddType.parse("6^4"), 4, node_budget=1_000)
+
+
 def test_gdd_file_round_trip(tmp_path):
     td = td_from_mols(4, 3, mols_for_order(3))
     path = tmp_path / "td43.txt"
@@ -189,7 +302,7 @@ def test_gdd_file_round_trip(tmp_path):
     again = read_gdd_file(path)
     assert again.gdd_type == td.gdd_type
     assert np.array_equal(again.blocks, td.blocks)
-    assert again.groups == td.groups
+    assert format_gdd_file(again) == format_gdd_file(td)
 
 
 def test_gdd_file_with_a_bad_block_is_rejected(tmp_path):
@@ -251,7 +364,6 @@ def test_ingredient_store_finds_a_file_that_starts_with_a_comment(tmp_path):
 
 
 # TD(4,3) from mols_for_order(3): groups {0,1,2} {3,4,5} {6,7,8} {9,10,11}
-TD43_GROUPS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
 TD43_BLOCKS = (
     (0, 3, 6, 9), (0, 4, 7, 10), (0, 5, 8, 11), (1, 3, 7, 11), (1, 4, 8, 9),
     (1, 5, 6, 10), (2, 3, 8, 10), (2, 4, 6, 11), (2, 5, 7, 9),
@@ -264,48 +376,33 @@ def _with_last_block(block):
     return TD43_BLOCKS[:-1] + (block,)
 
 
-# (groups, blocks, group errors, block errors, pair errors): one case per
-# verify_gdd message.  Group errors stop the check before any block is read;
-# a block with a repeated or out-of-range point is not counted, a block with
+# (blocks, block errors, pair errors): one case per verify_gdd message.  A
+# block with a repeated or out-of-range point is not counted, a block with
 # two points in one group is.
 VERIFY_GDD_CASES = {
-    "point outside the range": (
-        ((0, 1, 12),) + TD43_GROUPS[1:], TD43_BLOCKS,
-        ["point 12 outside 0..11"], [], []),
-    "point in two groups": (
-        ((0, 1, 3),) + TD43_GROUPS[1:], TD43_BLOCKS,
-        ["point 3 in two groups", "groups cover 11 of 12 points"], [], []),
-    "groups cover m of n": (
-        ((0, 1),) + TD43_GROUPS[1:], TD43_BLOCKS,
-        ["groups cover 11 of 12 points", "group sizes [2, 3, 3, 3] != type 3^4"], [], []),
-    "group sizes differ from the type": (
-        ((0, 1, 2, 3), (4, 5)) + TD43_GROUPS[2:], TD43_BLOCKS,
-        ["group sizes [2, 3, 3, 4] != type 3^4"], [], []),
     "block not k distinct": (
-        TD43_GROUPS, _with_last_block((2, 2, 7, 9)),
-        [], ["block 8: not 4 distinct points"], LAST_BLOCK_UNCOVERED),
+        _with_last_block((2, 2, 7, 9)),
+        ["block 8: not 4 distinct points"], LAST_BLOCK_UNCOVERED),
     "point out of range": (
-        TD43_GROUPS, _with_last_block((2, 5, 7, 12)),
-        [], ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
+        _with_last_block((2, 5, 7, 12)),
+        ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
     "negative point out of range": (
-        TD43_GROUPS, _with_last_block((-1, 5, 7, 9)),
-        [], ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
+        _with_last_block((-1, 5, 7, 9)),
+        ["block 8: point out of range"], LAST_BLOCK_UNCOVERED),
     "two points share a group": (
-        TD43_GROUPS, _with_last_block((2, 5, 7, 8)),
-        [], ["block 8: two points share a group"],
+        _with_last_block((2, 5, 7, 8)),
+        ["block 8: two points share a group"],
         [((2, 8), 2), ((5, 8), 2), ((7, 8), 1), ((2, 9), 0), ((5, 9), 0), ((7, 9), 0)]),
     "block messages in block order": (
-        TD43_GROUPS,
         TD43_BLOCKS[:2] + ((0, 5, 8, 12), (1, 3, 3, 11), (1, 4, 8, 7)) + TD43_BLOCKS[5:],
-        [],
         ["block 2: point out of range", "block 3: not 4 distinct points",
          "block 4: two points share a group"],
         [((1, 3), 0), ((0, 5), 0), ((3, 7), 0), ((4, 7), 2), ((0, 8), 0), ((5, 8), 0),
          ((7, 8), 1), ((1, 9), 0), ((4, 9), 0), ((8, 9), 0), ((0, 11), 0), ((1, 11), 0),
          ((3, 11), 0), ((5, 11), 0), ((7, 11), 0), ((8, 11), 0)]),
     "pair counts capped at 255": (
-        TD43_GROUPS, TD43_BLOCKS + ((0, 3, 6, 9),) * 300,
-        [], [],
+        TD43_BLOCKS + ((0, 3, 6, 9),) * 300,
+        [],
         [((0, 3), 255), ((0, 6), 255), ((3, 6), 255), ((0, 9), 255), ((3, 9), 255),
          ((6, 9), 255)]),
 }
@@ -313,20 +410,65 @@ VERIFY_GDD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(VERIFY_GDD_CASES))
 def test_verify_gdd_reports_each_violation_verbatim(case):
-    groups, blocks, group_errors, block_errors, pair_errors = VERIFY_GDD_CASES[case]
-    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, groups=groups, blocks=blocks))
+    blocks, block_errors, pair_errors = VERIFY_GDD_CASES[case]
+    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, blocks=blocks))
     assert not report.passed
     assert report.block_count_expected == 9
     assert report.block_count_actual == len(blocks)
-    assert report.group_errors == group_errors
     assert report.block_errors == block_errors
     assert report.pair_errors == pair_errors
 
 
 def test_verify_gdd_passes_td_4_3():
-    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, groups=TD43_GROUPS, blocks=TD43_BLOCKS))
+    report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, blocks=TD43_BLOCKS))
     assert report.passed
-    assert (report.group_errors, report.block_errors, report.pair_errors) == ([], [], [])
+    assert (report.block_errors, report.pair_errors) == ([], [])
+
+
+# (edit of the TD(4,3) file's lines, message): group line i must be exactly
+# the i-th consecutive range of the type.  Line 1 is the header, lines 2-5
+# the groups.
+GDD_FILE_GROUP_CASES = {
+    "wrong point": (
+        lambda lines: lines[:2] + ["group 3 4 6"] + lines[3:],
+        "line 3: group 1 must be points 3..5"),
+    "missing line": (
+        lambda lines: lines[:4] + lines[5:],
+        "line 1: 3^4 has 4 groups, the file lists 3"),
+    "extra line": (
+        lambda lines: lines[:5] + ["group 12 13 14"] + lines[5:],
+        "line 6: 3^4 has only 4 groups"),
+    "wrong size": (
+        lambda lines: lines[:1] + ["group 0 1 2 3"] + lines[2:],
+        "line 2: group 0 must be points 0..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GDD_FILE_GROUP_CASES))
+def test_gdd_file_groups_out_of_layout_name_their_line(case):
+    edit, message = GDD_FILE_GROUP_CASES[case]
+    lines = format_gdd_file(td_from_mols(4, 3, mols_for_order(3))).splitlines()
+    with pytest.raises(IngredientFileError, match=f"^{re.escape('td43.txt ' + message)}$"):
+        parse_gdd_file("\n".join(edit(lines)) + "\n", what="td43.txt")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gdd 2000 3^5\ngroup 0 1 2\ngroup 3 4 5\ngroup 6 7 8\ngroup 9 10 11\ngroup 12 13 14\n",
+        "gdd 4 3^1000000\n",
+    ],
+    ids=["block size above the group count", "a million groups claimed, none listed"],
+)
+def test_a_hostile_header_is_rejected_in_memory_sized_by_the_file(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(IngredientFileError):
+            parse_gdd_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gdd_file_with_a_short_block_row_names_its_line():
@@ -345,16 +487,16 @@ def test_gdd_file_with_a_point_beyond_int32_is_rejected():
 
 def _reference_verify_gdd_blocks(design):
     """The block and pair checks of verify_gdd as a loop over Python ints:
-    (block errors, pair errors), for designs whose groups pass."""
+    (block errors, pair errors)."""
     n, k = design.point_count(), design.k
-    group_of = {p: i for i, group in enumerate(design.groups) for p in group}
+    group_of = design.gdd_type.group_of().tolist()
     counts = bytearray(n * (n - 1) // 2)
     block_errors, pair_errors = [], []
     for idx, block in enumerate(design.blocks.tolist()):
         if len(set(block)) != k:
             block_errors.append(f"block {idx}: not {k} distinct points")
             continue
-        if any(p not in group_of for p in block):
+        if any(not 0 <= p < n for p in block):
             block_errors.append(f"block {idx}: point out of range")
             continue
         if len({group_of[p] for p in block}) != k:
@@ -388,7 +530,6 @@ def test_verify_gdd_matches_the_loop_reference_on_random_corruptions(seed):
             blocks.extend([list(rng.choice(blocks))] * rng.randrange(250, 260))
     design = replace(base, blocks=blocks)
     report = verify_gdd(design)
-    assert report.group_errors == []
     assert (report.block_errors, report.pair_errors) == _reference_verify_gdd_blocks(design)
     assert report.passed == (not report.block_errors and not report.pair_errors
                              and len(blocks) == report.block_count_expected)
@@ -400,8 +541,8 @@ def _move_one_point(design):
     are now covered twice and four not at all."""
     blocks = [list(map(int, row)) for row in design.blocks]
     p = blocks[0][0]
-    group = next(g for g in design.groups if p in g)
-    blocks[0][0] = next(q for q in group if q != p)
+    group_of = design.gdd_type.group_of()
+    blocks[0][0] = next(q for q in np.flatnonzero(group_of == group_of[p]).tolist() if q != p)
     return replace(design, blocks=tuple(map(tuple, blocks)))
 
 
@@ -413,8 +554,6 @@ def _move_one_point(design):
         ("td_from_mols", 5, "searched"),
         ("inflate", 5, "stored"),
         ("inflate", 5, "searched"),
-        ("_relabel_canonical", 5, "stored"),
-        ("_relabel_canonical", 5, "searched"),
     ],
 )
 def test_a_corrupted_intermediate_is_caught_at_a_boundary(monkeypatch, tmp_path, stage, t, route):
