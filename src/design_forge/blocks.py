@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import Ring, unit_group_coset_partition
+from .algebra import Ring, signed_power_subgroup, unit_group_coset_partition
 from .targets import TargetId, as_block_array, target_graph
 
 
@@ -158,7 +158,7 @@ def develop(block: BaseBlock) -> Design:
     ring = block.ring
     n = ring.order
     exponents = block.exponent_count
-    unit_group_coset_partition(ring, block.omega, exponents)  # omega sanity
+    signed_power_subgroup(ring, block.omega, exponents)  # omega sanity
     factors = [ring.pow(block.omega, e) for e in range(exponents)]
     scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
     # [e, d, i] = omega^e * label_i + d, flattened with e outermost

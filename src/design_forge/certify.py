@@ -13,13 +13,20 @@ sets:
   class must never be covered.
 
 Nothing is sampled and nothing is trusted: a malformed certificate yields
-a failing report, not an exception.
+a failing report, not an exception.  A complete-mode header whose block
+count is wrong and whose blocks cannot cover half its pairs fails on the
+count alone, with no pair counting, so memory follows the file.
+
+PairCounter is the package's one pair counter: certify, certify_raw_edges
+and gdd.verify_gdd each choose which blocks count and pass their groups,
+and every report caps its pair counts at 255.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isqrt
 from pathlib import Path
 from typing import Iterable, Sequence, TYPE_CHECKING
 
@@ -105,23 +112,41 @@ class CertReport:
         return ", ".join(parts)
 
 
-def _pair_from_index(i: int) -> tuple[int, int]:
-    v = int((1 + (1 + 8 * i) ** 0.5) // 2)
-    while v * (v - 1) // 2 > i:
-        v -= 1
-    while (v + 1) * v // 2 <= i:
-        v += 1
-    return (i - v * (v - 1) // 2, v)
+def _pair_index(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pair {u < v}, given in either order, has index v(v-1)/2 + u."""
+    hi = np.maximum(u, v)
+    return np.multiply(hi, hi - 1, dtype=np.int64) // 2 + np.minimum(u, v)
 
 
-def _count_pair_coverage(
-    n: int, blocks: np.ndarray, edges: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Exact coverage counter over all n(n-1)/2 pairs, one cell per pair."""
-    iu, iv = (np.array(ends) - 1 for ends in zip(*edges))
-    a, b = blocks[:, iu], blocks[:, iv]
-    hi = np.maximum(a, b).astype(np.int64)
-    return np.bincount((hi * (hi - 1) // 2 + np.minimum(a, b)).ravel(), minlength=n * (n - 1) // 2)
+class PairCounter:
+    """Exact coverage counts of the pairs of 0..n-1; each caller chooses which blocks count."""
+
+    def __init__(self, n: int):
+        self.counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+
+    def add(self, ends: np.ndarray) -> None:
+        """Count each pair {ends[0][i], ends[1][i]} of distinct points, repeats included."""
+        np.add.at(self.counts, _pair_index(ends[0], ends[1]), 1)
+
+    def errors(self, groups: Iterable[Iterable[int]] = ()) -> list[tuple[tuple[int, int], int]]:
+        """((u, v), count capped at 255) of each pair covered other than once
+        across groups, or at all inside one group, in index order."""
+        wrong = self.counts != 1
+        for group in groups:
+            points = np.fromiter(group, dtype=np.int64)
+            inside = _pair_index(points[:, None], points)[points[:, None] < points]
+            wrong[inside] = self.counts[inside] != 0
+        index = np.flatnonzero(wrong)
+        v = np.array([(1 + isqrt(8 * i + 1)) // 2 for i in index.tolist()], dtype=np.int64)
+        pairs = zip((index - _pair_index(0, v)).tolist(), v.tolist())
+        return list(zip(pairs, np.minimum(self.counts[index], 255).tolist()))
+
+
+def _header_outruns_blocks(report: CertReport, n: int) -> bool:
+    """A complete-mode header whose block count is wrong and whose blocks
+    cannot cover half its n(n-1)/2 pairs: the report fails on the block
+    count alone, before anything sized by n is built."""
+    return report.count_actual != report.count_expected and n * (n - 1) > 192 * report.count_actual
 
 
 def certify(cert: Certificate) -> CertReport:
@@ -138,6 +163,9 @@ def certify(cert: Certificate) -> CertReport:
         report.label_errors.append(f"4partite mode requires order 16, got {n}")
         return report
 
+    if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
+        return report
+
     out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
     ordered = np.sort(blocks, axis=1)
     bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
@@ -145,16 +173,10 @@ def certify(cert: Certificate) -> CertReport:
         problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
         report.label_errors.append(f"block {idx}: {problem}")
 
-    counts = _count_pair_coverage(n, blocks[~bad], target_graph(cert.target).edges)
-    if mode is CertMode.FOUR_PARTITE:
-        want = np.array(
-            [1 if u % 4 != v % 4 else 0 for v in range(n) for u in range(v)],
-            dtype=np.int64,
-        )
-    else:
-        want = 1
-    for i in np.flatnonzero(counts != want).tolist():
-        report.pair_errors.append((_pair_from_index(i), int(counts[i])))
+    counter = PairCounter(n)
+    counter.add(blocks[~bad].T[np.array(target_graph(cert.target).edges).T - 1])
+    residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
+    report.pair_errors = counter.errors(residues)
     return report
 
 
@@ -176,8 +198,10 @@ def certify_raw_edges(
     if n < 1:
         report.label_errors.append(f"order {n} is not positive")
         return report
+    if _header_outruns_blocks(report, n):
+        return report
     goal = target_graph(target)
-    counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    counter = PairCounter(n)
     for idx, part in enumerate(edge_partition):
         edges = []
         ok = True
@@ -190,8 +214,7 @@ def certify_raw_edges(
         if len(set(edges)) != len(edges):
             report.label_errors.append(f"part {idx}: repeated edge")
             ok = False
-        for u, v in edges:
-            counts[v * (v - 1) // 2 + u] += 1  # pair {u, v} with u < v
+        counter.add(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
         if not ok:
             continue
         if len(edges) != 48:
@@ -203,8 +226,7 @@ def certify_raw_edges(
             continue
         if is_isomorphic(graph_from_edges(edges), goal.graph) is None:
             report.part_errors.append(f"part {idx}: not isomorphic to {target.value}")
-    for i in np.nonzero(counts != 1)[0]:
-        report.pair_errors.append((_pair_from_index(int(i)), int(counts[i])))
+    report.pair_errors = counter.errors()
     return report
 
 

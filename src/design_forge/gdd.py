@@ -7,10 +7,12 @@ same-group pair lies in any block.  A Gdd is its type and its blocks, a
 read-only (B, k) int32 array as for Design: group i is the i-th
 consecutive range of points in GddType.group_sizes() order.
 
-verify_gdd checks the blocks by exhaustive pair counting at the trust
+verify_gdd checks the blocks by exhaustive pair counting, through
+certify.PairCounter, the package's one pair counter, at the trust
 boundaries only: ingredient files on load (where parse_gdd_file checks
-that group line i is range i), exact-cover search results, and the 24^t
-design gdd_24_t returns.  The steps between (TD from MOLS, inflation)
+first that group line i is range i and that the block lines number
+GddType.block_count), exact-cover search results, and the 24^t design
+gdd_24_t returns.  The steps between (TD from MOLS, inflation)
 need no check of their own: MolsSet checks its squares exhaustively, and
 the final check catches any defect a later step introduces.
 
@@ -41,6 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import Ring, RingError
+from .certify import PairCounter
 from .targets import as_block_array
 
 
@@ -114,6 +117,14 @@ class GddType:
     def point_count(self) -> int:
         return sum(g * u for g, u in self.parts)
 
+    def block_count(self, k: int) -> int | None:
+        """The block count of a k-GDD of this type: its cross pairs over
+        C(k, 2), or None when that does not divide."""
+        n = self.point_count()
+        cross_pairs = (n * (n - 1) - sum(g * (g - 1) * u for g, u in self.parts)) // 2
+        per_block = k * (k - 1) // 2
+        return cross_pairs // per_block if cross_pairs % per_block == 0 else None
+
     def __str__(self) -> str:
         return " ".join(f"{g}^{u}" for g, u in self.parts)
 
@@ -161,18 +172,16 @@ def verify_gdd(design: Gdd) -> GddReport:
 
     Violations are report content, never exceptions: every cross-group
     pair covered other than once and every covered same-group pair is
-    listed.  The expected block count (cross pairs / C(k,2)) is recomputed
-    from the type alone as an independent cross-check.
+    listed, by certify.PairCounter.  The expected block count
+    (GddType.block_count) is recomputed from the type alone as an
+    independent cross-check.
     """
     n = design.point_count()
     k = design.k
-    cross_pairs = (n * (n - 1) - sum(g * (g - 1) * u for g, u in design.gdd_type.parts)) // 2
-    per_block = k * (k - 1) // 2
-    expected = cross_pairs // per_block if cross_pairs % per_block == 0 else None
-    report = GddReport(block_count_expected=expected, block_count_actual=len(design.blocks))
+    report = GddReport(design.gdd_type.block_count(k), len(design.blocks))
 
     group_of = design.gdd_type.group_of()
-    blocks = np.sort(design.blocks, axis=1).astype(np.int64)
+    blocks = np.sort(design.blocks, axis=1)
     repeated = (blocks[:, 1:] == blocks[:, :-1]).any(axis=1)
     outside = ((blocks < 0) | (blocks >= n)).any(axis=1)
     counted = ~(repeated | outside)  # a block sharing a group still counts
@@ -186,15 +195,9 @@ def verify_gdd(design: Gdd) -> GddReport:
         else:
             report.block_errors.append(f"block {idx}: two points share a group")
 
-    # pair a < b has index b(b-1)/2 + a; counts saturate at 255 in the report
-    first, second = np.triu_indices(k, 1)
-    a, b = blocks[counted][:, first], blocks[counted][:, second]
-    counts = np.bincount((b * (b - 1) // 2 + a).ravel(), minlength=n * (n - 1) // 2)
-    counts = np.minimum(counts, 255)
-    b_all, a_all = np.tril_indices(n, -1)
-    bad = np.flatnonzero(counts != (group_of[a_all] != group_of[b_all]))
-    pairs = zip(a_all[bad].tolist(), b_all[bad].tolist())
-    report.pair_errors.extend(zip(pairs, counts[bad].tolist()))
+    counter = PairCounter(n)
+    counter.add(blocks[counted].T[np.array(np.triu_indices(k, 1))])
+    report.pair_errors = counter.errors(design.gdd_type.group_ranges())
     return report
 
 
@@ -496,8 +499,9 @@ def _read_header(lines, what: str) -> tuple[int, int, str]:
 def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
     """Parse and verify an ingredient file.  Nothing sized by the header is
     built before the file's own lines bear it out: a block size above the
-    group count, a group line that is not its range, or a group-line count
-    other than the type's is rejected with its line number."""
+    group count, a group line that is not its range, or a group-line or
+    block-line count other than the type's is rejected with its line
+    number."""
     lines = _content_lines(text)
     header_line, k, type_text = _read_header(lines, what)
     try:
@@ -537,6 +541,13 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
     if group_lines != u:
         raise IngredientFileError(
             f"{what} line {header_line}: {gdd_type} has {u} groups, the file lists {group_lines}"
+        )
+    want = gdd_type.block_count(k)
+    if len(blocks) != want:
+        count = "no whole number of blocks" if want is None else f"{want} blocks"
+        raise IngredientFileError(
+            f"{what} line {header_line}: a {k}-GDD of type {gdd_type} has {count}, "
+            f"the file lists {len(blocks)}"
         )
     try:
         design = Gdd(gdd_type, k, blocks, f"loaded {what}")

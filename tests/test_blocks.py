@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from design_forge.algebra import Ring
+from design_forge.algebra import NotASubgroupError, Ring
 from design_forge.blocks import (
     BaseBlock,
     DevelopmentError,
@@ -171,3 +171,10 @@ def test_duplicate_label_error_names_the_first_bad_tuple():
     mutated = BaseBlock(tuple(labels), block.target, block.ring, block.omega)
     with pytest.raises(DuplicateLabelError, match=r"e=0, d=0 "):
         develop(mutated)
+
+
+def test_develop_rejects_an_omega_whose_signed_powers_are_no_subgroup():
+    block = paper_base_blocks(TargetId.SHRIKHANDE, 193)
+    bad = BaseBlock(block.labels, block.target, block.ring, 2)  # 2^2 = 4 is not +-1 or +-2
+    with pytest.raises(NotASubgroupError):
+        develop(bad)

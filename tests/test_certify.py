@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
 from design_forge.certify import (
     Certificate,
     CertificateParseError,
     CertMode,
+    PairCounter,
     certify,
     certify_raw_edges,
     format_certificate,
@@ -17,6 +21,7 @@ from design_forge.certify import (
     read_certificate,
     write_certificate,
 )
+from design_forge.gdd import mols_for_order, td_from_mols, verify_gdd
 from design_forge.targets import TargetId, target_graph
 
 
@@ -293,3 +298,183 @@ def test_label_too_large_for_int32_is_a_parse_error_on_its_line():
         parse_certificate("\n".join(lines) + "\n")
     assert err.value.line == 7
     assert "32 bits" in str(err.value)
+
+
+# --- the pair counter against the parent's pair counting -------------------
+#
+# _pair_from_index, _count_pair_coverage, the pair part of certify and the
+# counting loop of certify_raw_edges as they were before PairCounter, kept
+# verbatim as references.
+
+
+def _pair_from_index(i: int) -> tuple[int, int]:
+    v = int((1 + (1 + 8 * i) ** 0.5) // 2)
+    while v * (v - 1) // 2 > i:
+        v -= 1
+    while (v + 1) * v // 2 <= i:
+        v += 1
+    return (i - v * (v - 1) // 2, v)
+
+
+def _count_pair_coverage(n, blocks, edges):
+    """Exact coverage counter over all n(n-1)/2 pairs, one cell per pair."""
+    iu, iv = (np.array(ends) - 1 for ends in zip(*edges))
+    a, b = blocks[:, iu], blocks[:, iv]
+    hi = np.maximum(a, b).astype(np.int64)
+    return np.bincount((hi * (hi - 1) // 2 + np.minimum(a, b)).ravel(), minlength=n * (n - 1) // 2)
+
+
+def _reference_certify_pair_errors(cert):
+    n, mode, blocks = cert.order, cert.mode, cert.blocks
+    out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
+    ordered = np.sort(blocks, axis=1)
+    bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    counts = _count_pair_coverage(n, blocks[~bad], target_graph(cert.target).edges)
+    if mode is CertMode.FOUR_PARTITE:
+        want = np.array(
+            [1 if u % 4 != v % 4 else 0 for v in range(n) for u in range(v)],
+            dtype=np.int64,
+        )
+    else:
+        want = 1
+    pair_errors = []
+    for i in np.flatnonzero(counts != want).tolist():
+        pair_errors.append((_pair_from_index(i), int(counts[i])))
+    return pair_errors
+
+
+def _reference_raw_pair_errors(n, edge_partition):
+    counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    for part in edge_partition:
+        edges = []
+        for u, v in part:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                continue
+            edges.append((u, v) if u < v else (v, u))
+        for u, v in edges:
+            counts[v * (v - 1) // 2 + u] += 1  # pair {u, v} with u < v
+    pair_errors = []
+    for i in np.nonzero(counts != 1)[0]:
+        pair_errors.append((_pair_from_index(int(i)), int(counts[i])))
+    return pair_errors
+
+
+def _corrupt(blocks, n, rng):
+    """A few seeded edits: labels moved (out of range too) or repeated
+    inside their block, which repeats raw edges, and blocks repeated,
+    dropped or swapped for another's."""
+    rows = blocks.tolist()
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[rng.randrange(len(rows))][rng.randrange(16)] = rng.randrange(-1, n + 1)
+        elif kind == 4:
+            row = rows[rng.randrange(len(rows))]
+            row[rng.randrange(16)] = row[rng.randrange(16)]
+        elif kind == 1:
+            rows.extend([list(rng.choice(rows))] * rng.choice((1, 2, 200)))
+        elif kind == 2 and len(rows) > 1:
+            rows.pop(rng.randrange(len(rows)))
+        else:
+            rows[rng.randrange(len(rows))] = list(rng.choice(rows))
+    return rows
+
+
+def _capped(pair_errors):
+    """The one intended difference: reports cap counts at 255."""
+    return [(pair, min(count, 255)) for pair, count in pair_errors]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_errors_match_the_parent_counting(seed):
+    rng = random.Random(seed)
+    n = (97, 193)[seed % 2]
+    target = (TargetId.SHRIKHANDE, TargetId.LINE_K44)[seed // 2 % 2]
+    rows = _corrupt(develop(paper_base_blocks(target, n)).blocks, n, rng)
+    cert = Certificate(target, n, CertMode.COMPLETE, rows)
+    assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
+    edges = target_graph(target).edges
+    parts = [[(row[u - 1], row[v - 1]) for u, v in edges] for row in rows]
+    report = certify_raw_edges(n, parts, target)
+    assert report.pair_errors == _capped(_reference_raw_pair_errors(n, parts))
+
+    pieces = np.array(k4444_decomposition(target))
+    four = Certificate(target, 16, CertMode.FOUR_PARTITE, _corrupt(pieces, 16, rng))
+    assert certify(four).pair_errors == _capped(_reference_certify_pair_errors(four))
+
+
+def test_a_pair_covered_300_times_reads_255_in_every_report():
+    design = _d97()
+    report = certify(Certificate(design.target, 97, CertMode.COMPLETE,
+                                 np.vstack([design.blocks] + [design.blocks[:1]] * 299)))
+    pair = tuple(sorted(design.blocks[0, :2].tolist()))  # canonical vertices 1 and 2 are adjacent
+    assert (pair, 255) in report.pair_errors
+    assert max(count for _, count in report.pair_errors) == 255
+
+    parts = _d97_parts() + [[pair]] * 299
+    report = certify_raw_edges(97, parts, TargetId.SHRIKHANDE)
+    assert report.pair_errors == [(pair, 255)]
+
+    td = td_from_mols(4, 3, mols_for_order(3))
+    report = verify_gdd(replace(td, blocks=np.vstack([td.blocks] + [td.blocks[:1]] * 299)))
+    assert ((0, 3), 255) in report.pair_errors
+    assert max(count for _, count in report.pair_errors) == 255
+
+
+def test_order_two_without_blocks_fails_on_its_uncovered_pair():
+    # 2 * 1 / 96 rounds to 0 blocks, so the count matches and the pair counts
+    report = certify(Certificate(TargetId.SHRIKHANDE, 2, CertMode.COMPLETE, ()))
+    assert (report.count_expected, report.count_actual) == (0, 0)
+    assert report.pair_errors == [((0, 1), 0)]
+    assert certify_raw_edges(2, [], TargetId.SHRIKHANDE).pair_errors == [((0, 1), 0)]
+
+
+def test_a_header_the_blocks_cannot_bear_out_fails_on_the_count_alone():
+    n = 1_000_000_001
+    for report in (certify(Certificate(TargetId.SHRIKHANDE, n, CertMode.COMPLETE, ())),
+                   certify_raw_edges(n, [], TargetId.SHRIKHANDE)):
+        assert not report.passed
+        assert (report.count_expected, report.count_actual) == (n * (n - 1) // 96, 0)
+        assert (report.label_errors, report.pair_errors, report.part_errors) == ([], [], [])
+
+
+def _loop_pair_errors(n, pairs, groups):
+    group_of = {p: i for i, group in enumerate(groups) for p in group}
+    counts = {}
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        counts[key] = counts.get(key, 0) + 1
+    errors = []
+    for v in range(n):
+        for u in range(v):
+            count = counts.get((u, v), 0)
+            across = not groups or group_of[u] != group_of[v]
+            if count != (1 if across else 0):
+                errors.append(((u, v), min(count, 255)))
+    return errors
+
+
+@st.composite
+def _counter_inputs(draw):
+    n = draw(st.integers(1, 30))
+    points = st.integers(-2, n + 1)
+    rows = draw(st.lists(st.lists(points, min_size=2, max_size=5), max_size=12))
+    copies = draw(st.lists(st.sampled_from((1, 2, 256, 300)), min_size=len(rows),
+                           max_size=len(rows)))
+    rows = [row for row, c in zip(rows, copies) for _ in range(c)]
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [n]) if a < b]
+    return n, rows, draw(st.sampled_from(((), groups)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_counter_inputs())
+def test_pair_counter_matches_a_python_loop(data):
+    n, rows, groups = data
+    # like certify, count only rows of distinct points in range
+    kept = [row for row in rows if len(set(row)) == len(row) and all(0 <= p < n for p in row)]
+    pairs = [(row[i], row[j]) for row in kept for i in range(len(row)) for j in range(i)]
+    counter = PairCounter(n)
+    counter.add(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    assert counter.errors(groups) == _loop_pair_errors(n, pairs, groups)

@@ -107,6 +107,21 @@ def test_gdd_24_u_with_a_huge_exponent_exits_2_in_little_memory(capsys):
     assert peak < 2**20
 
 
+def test_verify_of_a_hostile_header_exits_1_in_little_memory(tmp_path, capsys):
+    path = tmp_path / "hostile.cert"
+    path.write_text("design shrikhande 1000000001 complete\nblocks 0\n", encoding="utf-8")
+    for argv in (["verify", str(path)], ["verify", "--raw", str(path)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "FAIL (0 blocks, expected 10416666677083333)" in capsys.readouterr().out
+        assert peak < 2**20
+
+
 def test_catalog_lists_all_base_blocks(capsys):
     assert main(["catalog"]) == 0
     captured = capsys.readouterr()

@@ -457,8 +457,10 @@ def test_gdd_file_groups_out_of_layout_name_their_line(case):
     [
         "gdd 2000 3^5\ngroup 0 1 2\ngroup 3 4 5\ngroup 6 7 8\ngroup 9 10 11\ngroup 12 13 14\n",
         "gdd 4 3^1000000\n",
+        "gdd 2 1^2000\n" + "".join(f"group {p}\n" for p in range(2000)),
     ],
-    ids=["block size above the group count", "a million groups claimed, none listed"],
+    ids=["block size above the group count", "a million groups claimed, none listed",
+         "two thousand groups listed, no blocks"],
 )
 def test_a_hostile_header_is_rejected_in_memory_sized_by_the_file(text):
     tracemalloc.start()
@@ -469,6 +471,23 @@ def test_a_hostile_header_is_rejected_in_memory_sized_by_the_file(text):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("".join(line + "\n" for line in format_gdd_file(td_from_mols(4, 3, mols_for_order(3)))
+                 .splitlines()[:-1]),
+         "line 1: a 4-GDD of type 3^4 has 9 blocks, the file lists 8"),
+        ("# C(4, 2) does not divide the 10 pairs\ngdd 4 1^5\n"
+         + "".join(f"group {p}\n" for p in range(5)),
+         "line 2: a 4-GDD of type 1^5 has no whole number of blocks, the file lists 0"),
+    ],
+    ids=["a block dropped", "no whole number of blocks"],
+)
+def test_gdd_file_with_a_block_count_other_than_the_types_names_the_header_line(text, message):
+    with pytest.raises(IngredientFileError, match=f"^{re.escape('f.txt ' + message)}$"):
+        parse_gdd_file(text, what="f.txt")
 
 
 def test_gdd_file_with_a_short_block_row_names_its_line():
