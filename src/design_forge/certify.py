@@ -17,9 +17,12 @@ a failing report, not an exception.  A complete-mode header whose block
 count is wrong and whose blocks cannot cover half its pairs fails on the
 count alone, with no pair counting, so memory follows the file.
 
-PairCounter is the package's one pair counter: certify, certify_raw_edges
-and gdd.verify_gdd each choose which blocks count and pass their groups,
-and every report caps its pair counts at 255.
+certify_raw_edges adds one isomorphism search per block with clean labels:
+its 48 edges, read through the target's edge table, must form a copy.
+
+PairCounter is the package's one pair counter: certify and
+gdd.verify_gdd each choose which blocks count and pass their groups, and
+every report caps its pair counts at 255.
 """
 
 from __future__ import annotations
@@ -149,6 +152,14 @@ def _header_outruns_blocks(report: CertReport, n: int) -> bool:
     return report.count_actual != report.count_expected and n * (n - 1) > 192 * report.count_actual
 
 
+def _bad_rows(blocks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether a label lies outside 0..n-1, and whether one does
+    or two labels are equal (a label error)."""
+    out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
+    ordered = np.sort(blocks, axis=1)
+    return out_of_range, out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+
+
 def certify(cert: Certificate) -> CertReport:
     """Check a certificate by exact pair counting; all findings go in the report."""
     n = cert.order
@@ -166,9 +177,7 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
-    out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
-    ordered = np.sort(blocks, axis=1)
-    bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    out_of_range, bad = _bad_rows(blocks, n)
     for idx in np.flatnonzero(bad).tolist():
         problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
         report.label_errors.append(f"block {idx}: {problem}")
@@ -180,53 +189,18 @@ def certify(cert: Certificate) -> CertReport:
     return report
 
 
-def certify_raw_edges(
-    order: int,
-    edge_partition: Sequence[Iterable[tuple[int, int]]],
-    target: TargetId,
-) -> CertReport:
-    """Definitional certification for raw-edge certificates.
-
-    Each part must be the edge set of a graph isomorphic to the target
-    (checked by explicit isomorphism search, not by trusting any tuple),
-    and together the parts must cover every pair of 0..order-1 exactly
-    once.
-    """
-    n = order
-    expected = n * (n - 1) // 96
-    report = CertReport(count_expected=expected, count_actual=len(edge_partition))
-    if n < 1:
-        report.label_errors.append(f"order {n} is not positive")
-        return report
-    if _header_outruns_blocks(report, n):
-        return report
-    goal = target_graph(target)
-    counter = PairCounter(n)
-    for idx, part in enumerate(edge_partition):
-        edges = []
-        ok = True
-        for u, v in part:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                report.label_errors.append(f"part {idx}: bad edge ({u},{v})")
-                ok = False
-                continue
-            edges.append((u, v) if u < v else (v, u))
-        if len(set(edges)) != len(edges):
-            report.label_errors.append(f"part {idx}: repeated edge")
-            ok = False
-        counter.add(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
-        if not ok:
-            continue
-        if len(edges) != 48:
-            report.part_errors.append(f"part {idx}: {len(edges)} edges, want 48")
-            continue
-        support = {p for e in edges for p in e}
-        if len(support) != 16:
-            report.part_errors.append(f"part {idx}: {len(support)} vertices, want 16")
-            continue
-        if is_isomorphic(graph_from_edges(edges), goal.graph) is None:
-            report.part_errors.append(f"part {idx}: not isomorphic to {target.value}")
-    report.pair_errors = counter.errors()
+def certify_raw_edges(cert: Certificate) -> CertReport:
+    """certify(cert)'s report, plus one isomorphism search per block whose
+    labels are in range and distinct: its 48 edges (row[u-1], row[v-1]),
+    over the target's edges (u, v), must form a copy of the target, or the
+    report gains ``part {idx}: not isomorphic to {target}``."""
+    report = certify(cert)
+    goal = target_graph(cert.target)
+    _, bad = _bad_rows(cert.blocks, cert.order)
+    ends = cert.blocks[:, np.array(goal.edges) - 1]
+    for idx in np.flatnonzero(~bad).tolist():
+        if is_isomorphic(graph_from_edges(ends[idx].tolist()), goal.graph) is None:
+            report.part_errors.append(f"part {idx}: not isomorphic to {cert.target.value}")
     return report
 
 
@@ -234,8 +208,24 @@ def certify_raw_edges(
 #
 # Text, UTF-8, LF.  Line 1: `design <shrikhande|lk44> <n> <complete|4partite>`;
 # line 2: `blocks <count>`; then one line of 16 decimal labels per block.
+# Every integer is ASCII decimal (_ascii_ints, shared with ingredient files).
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
+
+
+def _beyond_ascii_decimal(text: str) -> bool:
+    """Whether text holds a character that int() takes and -?[0-9]+ does
+    not: '+', '_' or any non-ASCII character (digits of other scripts)."""
+    return not text.isascii() or "+" in text or "_" in text
+
+
+def _ascii_ints(tokens: Sequence[str]) -> list[int]:
+    """The integers of tokens spelled -?[0-9]+ in ASCII, the one integer
+    syntax of certificate and ingredient files; ValueError for any other
+    token."""
+    if _beyond_ascii_decimal("".join(tokens)):
+        raise ValueError(f"not ASCII decimal integers: {' '.join(tokens)!r}")
+    return list(map(int, tokens))
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -276,7 +266,7 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise CertificateParseError(lineno, f"unknown target {tokens[1]!r}") from None
     try:
-        order = int(tokens[2])
+        (order,) = _ascii_ints(tokens[2:3])
     except ValueError:
         raise CertificateParseError(lineno, f"bad order {tokens[2]!r}") from None
     try:
@@ -289,12 +279,15 @@ def parse_certificate(text: str) -> Certificate:
     if len(tokens) != 2 or tokens[0] != "blocks":
         raise CertificateParseError(lineno, "expected 'blocks <count>'")
     try:
-        count = int(tokens[1])
+        (count,) = _ascii_ints(tokens[1:])
     except ValueError:
         raise CertificateParseError(lineno, f"bad block count {tokens[1]!r}") from None
     if count < 0:
         raise CertificateParseError(lineno, "block count must be nonnegative")
 
+    # where the whole text passes, int() alone keeps to _ascii_ints' rule,
+    # so label lines, the bulk of the file, skip the check per line
+    ints = _ascii_ints if _beyond_ascii_decimal(text) else lambda t: list(map(int, t))
     first = pos
     blocks = []
     for _ in range(count):
@@ -303,7 +296,7 @@ def parse_certificate(text: str) -> Certificate:
         if len(tokens) != 16:
             raise CertificateParseError(lineno, f"{len(tokens)} labels, want 16")
         try:
-            blocks.append(list(map(int, tokens)))
+            blocks.append(ints(tokens))
         except ValueError:
             raise CertificateParseError(lineno, "labels must be decimal integers") from None
     if pos < len(numbered):

@@ -24,6 +24,7 @@ from .blocks import (
     catalog,
     develop,
     difference_transversal_check,
+    k4444_decomposition,
 )
 from .certify import (
     Certificate,
@@ -140,19 +141,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except CertificateParseError as exc:
         print(f"{args.path}: parse error: {exc}", file=sys.stderr)
         return 1
-    if args.raw:
-        if cert.mode is not CertMode.COMPLETE:
-            print("error: --raw applies to complete-mode certificates only",
-                  file=sys.stderr)
-            return 2
-        edges = target_graph(cert.target).edges
-        parts = []
-        for row in cert.blocks:
-            block = row.tolist()
-            parts.append([(block[u - 1], block[v - 1]) for u, v in edges])
-        report = certify_raw_edges(cert.order, parts, cert.target)
-    else:
-        report = certify(cert)
+    if args.raw and cert.mode is not CertMode.COMPLETE:
+        print("error: --raw applies to complete-mode certificates only", file=sys.stderr)
+        return 2
+    report = certify_raw_edges(cert) if args.raw else certify(cert)
     _print_report(report)
     return 0 if report.passed else 1
 
@@ -227,6 +219,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
               srg_parameters(target.graph) == (16, 6, 2, 2))
     check("the two targets are non-isomorphic",
           is_isomorphic(shrikhande().graph, line_k44().graph) is None)
+
+    for target in TargetId:
+        pieces = Certificate(target, 16, CertMode.FOUR_PARTITE, k4444_decomposition(target))
+        check(f"{target.value}: the two K_{{4,4,4,4}} pieces certify in 4partite mode",
+              certify(pieces).passed)
 
     rng = random.Random(20260816)
     for (target, n), block in sorted(catalog().items(), key=lambda kv: (kv[0][0].value, kv[0][1])):

@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import Ring, RingError
-from .certify import PairCounter
+from .certify import PairCounter, _ascii_ints
 from .targets import as_block_array
 
 
@@ -89,10 +89,13 @@ class GddType:
     def parse(text: str) -> "GddType":
         parts = []
         for token in text.split():
-            base, sep, exp = token.partition("^")
-            if not sep or not base.isdigit() or not exp.isdigit():
+            try:
+                g, u = _ascii_ints(token.split("^"))
+            except ValueError:
+                g = u = -1
+            if g < 0 or u < 0:
                 raise GddError(f"bad type token {token!r}, want g^u")
-            parts.append((int(base), int(exp)))
+            parts.append((g, u))
         return GddType(tuple(parts))
 
     def group_sizes(self) -> list[int]:
@@ -489,11 +492,15 @@ def _read_header(lines, what: str) -> tuple[int, int, str]:
         raise IngredientFileError(f"{what}: missing 'gdd' header")
     if tokens[0] != "gdd" or len(tokens) < 3:
         raise IngredientFileError(f"{what} line {lineno}: expected 'gdd <k> <type>'")
-    if not tokens[1].isdecimal() or int(tokens[1]) < 2:
+    try:
+        (k,) = _ascii_ints(tokens[1:2])
+    except ValueError:
+        k = 0
+    if k < 2:
         raise IngredientFileError(
             f"{what} line {lineno}: block size {tokens[1]!r} is not an integer >= 2"
         )
-    return lineno, int(tokens[1]), " ".join(tokens[2:])
+    return lineno, k, " ".join(tokens[2:])
 
 
 def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
@@ -518,7 +525,7 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
     blocks: list[tuple[int, ...]] = []
     for lineno, tokens in lines:
         try:
-            points = tuple(int(t) for t in tokens[1:])
+            points = tuple(_ascii_ints(tokens[1:]))
         except ValueError:
             raise IngredientFileError(f"{what} line {lineno}: non-integer point") from None
         if tokens[0] == "group":
@@ -588,10 +595,10 @@ class IngredientStore:
         if not self.directory.is_dir():
             return None
         for path in sorted(self.directory.glob("*.txt")):
-            text = path.read_text(encoding="utf-8")
             try:
+                text = path.read_text(encoding="utf-8")
                 header = _read_header(_content_lines(text), str(path))
-            except ValueError:
+            except ValueError:  # UnicodeDecodeError included
                 continue  # not an ingredient file
             if header[1:] == (k, str(gdd_type)):
                 return parse_gdd_file(text, what=str(path))

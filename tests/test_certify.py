@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import replace
 
@@ -23,6 +24,9 @@ from design_forge.certify import (
 )
 from design_forge.gdd import mols_for_order, td_from_mols, verify_gdd
 from design_forge.targets import TargetId, target_graph
+
+# the package attribute `certify` is the function, so import the module by name
+certify_module = importlib.import_module("design_forge.certify")
 
 
 def _d97(target=TargetId.SHRIKHANDE):
@@ -95,99 +99,83 @@ def test_four_partite_rejects_intra_part_pairs():
 
 
 def test_certify_raw_edges_agrees_with_tuple_mode():
-    design = _d97()
-    goal = target_graph(design.target)
-    parts = [
-        [(block[u - 1], block[v - 1]) for u, v in goal.graph.edges]
-        for block in design.blocks
-    ]
-    report = certify_raw_edges(97, parts, design.target)
-    assert report.passed
+    for target in TargetId:
+        cert = Certificate.from_design(_d97(target))
+        report = certify_raw_edges(cert)
+        assert report.passed
+        assert report == certify(cert)
 
 
 def test_certify_raw_edges_empty_partition_of_order_one_passes():
-    report = certify_raw_edges(1, [], TargetId.SHRIKHANDE)
+    report = certify_raw_edges(Certificate(TargetId.SHRIKHANDE, 1, CertMode.COMPLETE, ()))
     assert report.passed
     assert report.count_expected == 0
 
 
-def test_certify_raw_edges_flags_a_part_of_the_wrong_target():
-    # swap one shrikhande part for line graph edges over the same 16 points:
-    # the part is a perfectly good 6-regular srg, but not this target
-    design = _d97(TargetId.SHRIKHANDE)
-    goal = target_graph(TargetId.SHRIKHANDE)
-    wrong = target_graph(TargetId.LINE_K44)
-    parts = [
-        [(block[u - 1], block[v - 1]) for u, v in goal.graph.edges]
-        for block in design.blocks
-    ]
-    parts[0] = [
-        (design.blocks[0][u - 1], design.blocks[0][v - 1]) for u, v in wrong.graph.edges
-    ]
-    report = certify_raw_edges(97, parts, TargetId.SHRIKHANDE)
-    assert not report.passed
-    assert any("part 0" in msg for msg in report.part_errors)
+def _rewire_part(monkeypatch, cert, idx, rewire):
+    """Make certify_raw_edges search rewire(edges) in place of block idx's
+    48 edges.  A certificate cannot spell such a part: every row of 16
+    distinct labels reads, through the target's edge table, as a copy of
+    the target."""
+    row = cert.blocks[idx].tolist()
+    mine = sorted((row[u - 1], row[v - 1]) for u, v in target_graph(cert.target).edges)
+    build = certify_module.graph_from_edges
+
+    def patched(edges):
+        edges = [tuple(e) for e in edges]
+        return build(rewire(edges) if sorted(edges) == mine else edges)
+
+    monkeypatch.setattr(certify_module, "graph_from_edges", patched)
 
 
-def test_certify_raw_edges_rejects_a_non_target_part():
+def test_certify_raw_edges_flags_a_part_of_the_wrong_target(monkeypatch):
+    # the line graph over block 0's points is a perfectly good 6-regular
+    # srg, but not this target
+    cert = Certificate.from_design(_d97(TargetId.SHRIKHANDE))
+    row = cert.blocks[0].tolist()
+    wrong = [(row[u - 1], row[v - 1]) for u, v in target_graph(TargetId.LINE_K44).edges]
+    _rewire_part(monkeypatch, cert, 0, lambda edges: wrong)
+    report = certify_raw_edges(cert)
+    assert report.part_errors == ["part 0: not isomorphic to shrikhande"]
+    assert replace(report, part_errors=[]) == certify(cert)
+
+
+def test_certify_raw_edges_rejects_a_non_target_part(monkeypatch):
+    # drop one edge and add a non-edge at one of its ends: still 48 edges
+    # over the same 16 points, no longer regular
+    cert = Certificate.from_design(_d97(TargetId.LINE_K44))
+    row = cert.blocks[5].tolist()
+
+    def rewire(edges):
+        a, rest = edges[0][0], edges[1:]
+        c = next(p for p in row if p != a and (a, p) not in edges and (p, a) not in edges)
+        return rest + [(a, c)]
+
+    _rewire_part(monkeypatch, cert, 5, rewire)
+    report = certify_raw_edges(cert)
+    assert report.part_errors == ["part 5: not isomorphic to lk44"]
+    assert replace(report, part_errors=[]) == certify(cert)
+
+
+def test_blocks_with_a_label_error_get_no_isomorphism_search(monkeypatch):
     design = _d97()
-    goal = target_graph(design.target)
-    parts = [
-        [(block[u - 1], block[v - 1]) for u, v in goal.graph.edges]
-        for block in design.blocks
-    ]
-    # rewire one part: drop an edge, add a pair that keeps the count at 48
-    part = parts[0]
-    missing = part.pop()
-    part.append((missing[0], (missing[1] + 1) % 97))
-    report = certify_raw_edges(97, parts, design.target)
-    assert not report.passed
+    blocks = design.blocks.copy()
+    blocks[3, 0] = 97
+    blocks[8, 2] = blocks[8, 7]
+    cert = Certificate(design.target, 97, CertMode.COMPLETE, blocks)
+    searched = []
+    build = certify_module.graph_from_edges
 
+    def recording(edges):
+        searched.append(sorted({p for e in edges for p in e}))
+        return build(edges)
 
-def _d97_parts():
-    edges = target_graph(TargetId.SHRIKHANDE).edges
-    return [[(row[u - 1], row[v - 1]) for u, v in edges] for row in _d97().blocks.tolist()]
-
-
-def _loop(part):
-    part[0] = (part[0][0], part[0][0])
-
-
-def _label_97(part):
-    part[0] = (part[0][0], 97)
-
-
-def _repeat_edge(part):
-    part[1] = part[0]
-
-
-def _drop_edge(part):
-    part.pop()
-
-
-def _seventeenth_point(part):
-    # the moved edge's far end keeps its other five edges, so 17 points remain
-    outside = min(set(range(97)) - {p for e in part for p in e})
-    part[0] = (part[0][0], outside)
-
-
-@pytest.mark.parametrize(
-    "edit, errors, message",
-    [
-        (_loop, "label_errors", "part 0: bad edge ({0},{0})"),
-        (_label_97, "label_errors", "part 0: bad edge ({0},97)"),
-        (_repeat_edge, "label_errors", "part 0: repeated edge"),
-        (_drop_edge, "part_errors", "part 0: 47 edges, want 48"),
-        (_seventeenth_point, "part_errors", "part 0: 17 vertices, want 16"),
-    ],
-)
-def test_certify_raw_edges_rejection_messages(edit, errors, message):
-    parts = _d97_parts()
-    first = parts[0][0][0]
-    edit(parts[0])
-    report = certify_raw_edges(97, parts, TargetId.SHRIKHANDE)
-    assert not report.passed
-    assert message.format(first) in getattr(report, errors)
+    monkeypatch.setattr(certify_module, "graph_from_edges", recording)
+    report = certify_raw_edges(cert)
+    assert searched == [sorted(row) for i, row in enumerate(blocks.tolist()) if i not in (3, 8)]
+    assert report.label_errors == ["block 3: label out of range 0..96", "block 8: repeated label"]
+    assert report.part_errors == []
+    assert report == certify(cert)
 
 
 def test_certificate_round_trip(tmp_path):
@@ -300,11 +288,38 @@ def test_label_too_large_for_int32_is_a_parse_error_on_its_line():
     assert "32 bits" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    ("old", "new", "line"),
+    [("shrikhande 97", "shrikhande 9_7", 1), ("blocks 97", "blocks \u0669\u0667", 2),
+     ("\n0 ", "\n+0 ", 3), ("\n0 ", "\n\u0660 ", 3)],
+    ids=["order with an underscore", "arabic-indic block count", "label with a plus sign",
+         "arabic-indic label"],
+)
+def test_integers_other_than_ascii_decimal_are_parse_errors_on_their_line(old, new, line):
+    text = format_certificate(Certificate.from_design(_d97()))
+    assert old in text
+    with pytest.raises(CertificateParseError) as err:
+        parse_certificate(text.replace(old, new, 1))
+    assert err.value.line == line
+
+
+def test_labels_parse_alike_beside_a_comment_with_other_characters():
+    # '+', '_' or non-ASCII text anywhere sends every label line through
+    # the per-line check
+    cert = Certificate.from_design(_d97())
+    lines = format_certificate(cert).splitlines()
+    lines.insert(2, "# n = 96t + 1, built_by design-forge \u2014 ok")
+    assert parse_certificate("\n".join(lines) + "\n") == cert
+    lines[5] = "+" + lines[5]
+    with pytest.raises(CertificateParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert err.value.line == 6
+
+
 # --- the pair counter against the parent's pair counting -------------------
 #
-# _pair_from_index, _count_pair_coverage, the pair part of certify and the
-# counting loop of certify_raw_edges as they were before PairCounter, kept
-# verbatim as references.
+# _pair_from_index, _count_pair_coverage and the pair part of certify as
+# they were before PairCounter, kept verbatim as references.
 
 
 def _pair_from_index(i: int) -> tuple[int, int]:
@@ -343,22 +358,6 @@ def _reference_certify_pair_errors(cert):
     return pair_errors
 
 
-def _reference_raw_pair_errors(n, edge_partition):
-    counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    for part in edge_partition:
-        edges = []
-        for u, v in part:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                continue
-            edges.append((u, v) if u < v else (v, u))
-        for u, v in edges:
-            counts[v * (v - 1) // 2 + u] += 1  # pair {u, v} with u < v
-    pair_errors = []
-    for i in np.nonzero(counts != 1)[0]:
-        pair_errors.append((_pair_from_index(int(i)), int(counts[i])))
-    return pair_errors
-
-
 def _corrupt(blocks, n, rng):
     """A few seeded edits: labels moved (out of range too) or repeated
     inside their block, which repeats raw edges, and blocks repeated,
@@ -393,10 +392,7 @@ def test_pair_errors_match_the_parent_counting(seed):
     rows = _corrupt(develop(paper_base_blocks(target, n)).blocks, n, rng)
     cert = Certificate(target, n, CertMode.COMPLETE, rows)
     assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
-    edges = target_graph(target).edges
-    parts = [[(row[u - 1], row[v - 1]) for u, v in edges] for row in rows]
-    report = certify_raw_edges(n, parts, target)
-    assert report.pair_errors == _capped(_reference_raw_pair_errors(n, parts))
+    assert certify_raw_edges(cert).pair_errors == certify(cert).pair_errors
 
     pieces = np.array(k4444_decomposition(target))
     four = Certificate(target, 16, CertMode.FOUR_PARTITE, _corrupt(pieces, 16, rng))
@@ -405,15 +401,12 @@ def test_pair_errors_match_the_parent_counting(seed):
 
 def test_a_pair_covered_300_times_reads_255_in_every_report():
     design = _d97()
-    report = certify(Certificate(design.target, 97, CertMode.COMPLETE,
-                                 np.vstack([design.blocks] + [design.blocks[:1]] * 299)))
+    cert = Certificate(design.target, 97, CertMode.COMPLETE,
+                       np.vstack([design.blocks] + [design.blocks[:1]] * 299))
     pair = tuple(sorted(design.blocks[0, :2].tolist()))  # canonical vertices 1 and 2 are adjacent
-    assert (pair, 255) in report.pair_errors
-    assert max(count for _, count in report.pair_errors) == 255
-
-    parts = _d97_parts() + [[pair]] * 299
-    report = certify_raw_edges(97, parts, TargetId.SHRIKHANDE)
-    assert report.pair_errors == [(pair, 255)]
+    for report in (certify(cert), certify_raw_edges(cert)):
+        assert (pair, 255) in report.pair_errors
+        assert max(count for _, count in report.pair_errors) == 255
 
     td = td_from_mols(4, 3, mols_for_order(3))
     report = verify_gdd(replace(td, blocks=np.vstack([td.blocks] + [td.blocks[:1]] * 299)))
@@ -426,13 +419,15 @@ def test_order_two_without_blocks_fails_on_its_uncovered_pair():
     report = certify(Certificate(TargetId.SHRIKHANDE, 2, CertMode.COMPLETE, ()))
     assert (report.count_expected, report.count_actual) == (0, 0)
     assert report.pair_errors == [((0, 1), 0)]
-    assert certify_raw_edges(2, [], TargetId.SHRIKHANDE).pair_errors == [((0, 1), 0)]
+    assert certify_raw_edges(
+        Certificate(TargetId.SHRIKHANDE, 2, CertMode.COMPLETE, ())
+    ).pair_errors == [((0, 1), 0)]
 
 
 def test_a_header_the_blocks_cannot_bear_out_fails_on_the_count_alone():
     n = 1_000_000_001
-    for report in (certify(Certificate(TargetId.SHRIKHANDE, n, CertMode.COMPLETE, ())),
-                   certify_raw_edges(n, [], TargetId.SHRIKHANDE)):
+    cert = Certificate(TargetId.SHRIKHANDE, n, CertMode.COMPLETE, ())
+    for report in (certify(cert), certify_raw_edges(cert)):
         assert not report.passed
         assert (report.count_expected, report.count_actual) == (n * (n - 1) // 96, 0)
         assert (report.label_errors, report.pair_errors, report.part_errors) == ([], [], [])
@@ -478,3 +473,34 @@ def test_pair_counter_matches_a_python_loop(data):
     counter = PairCounter(n)
     counter.add(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
     assert counter.errors(groups) == _loop_pair_errors(n, pairs, groups)
+
+
+@st.composite
+def _corrupted_d97(draw):
+    """A certificate of order 97 with labels moved (in or out of range) or
+    repeated inside their block, and blocks dropped or duplicated."""
+    target = draw(st.sampled_from(list(TargetId)))
+    rows = _d97(target).blocks.tolist()
+    position = st.integers(0, 15)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("move", "repeat", "drop", "duplicate")))
+        if kind == "move":
+            rows[i][draw(position)] = draw(st.integers(-2, 98))
+        elif kind == "repeat":
+            rows[i][draw(position)] = rows[i][draw(position)]
+        elif kind == "drop" and len(rows) > 1:
+            rows.pop(i)
+        else:
+            rows.insert(i, list(rows[i]))
+    return Certificate(target, 97, CertMode.COMPLETE, rows)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_corrupted_d97())
+def test_raw_reports_what_certify_reports_on_a_corrupted_certificate(cert):
+    raw, plain = certify_raw_edges(cert), certify(cert)
+    assert (raw.count_expected, raw.count_actual) == (plain.count_expected, plain.count_actual)
+    assert raw.label_errors == plain.label_errors
+    assert raw.pair_errors == plain.pair_errors
+    assert raw.part_errors == []

@@ -3,7 +3,10 @@ from __future__ import annotations
 import tracemalloc
 from pathlib import Path
 
+from design_forge.blocks import k4444_decomposition
+from design_forge.certify import Certificate, CertMode, write_certificate
 from design_forge.cli import main
+from design_forge.targets import TargetId
 
 
 def test_construct_and_verify_round_trip(tmp_path, capsys):
@@ -166,3 +169,17 @@ def test_verify_a_label_too_large_for_int32_exits_1(tmp_path, capsys):
     assert main(["verify", str(out)]) == 1
     captured = capsys.readouterr()
     assert "parse error: line 5:" in captured.err
+
+
+def test_verify_raw_of_a_4partite_certificate_exits_2(tmp_path, capsys):
+    path = tmp_path / "k4444.cert"
+    write_certificate(Certificate(TargetId.SHRIKHANDE, 16, CertMode.FOUR_PARTITE,
+                                  k4444_decomposition(TargetId.SHRIKHANDE)), path)
+    assert main(["verify", str(path)]) == 0
+    assert main(["verify", "--raw", str(path)]) == 2
+    assert "complete-mode certificates only" in capsys.readouterr().err
+
+
+def test_gdd_type_with_a_superscript_exponent_exits_2(capsys):
+    assert main(["gdd", "--type", "3^\u00b2"]) == 2
+    assert "bad type token '3^\u00b2', want g^u" in capsys.readouterr().err

@@ -46,6 +46,28 @@ def test_gdd_type_parsing_and_printing():
         GddType.parse("0^4")
 
 
+@pytest.mark.parametrize("text", ["3^\u00b2", "\u0663^5", "+3^5", "3^5_0", "-3^5"])
+def test_gdd_type_tokens_are_ascii_decimal(text):
+    with pytest.raises(GddError, match=f"^{re.escape(f'bad type token {text!r}, want g^u')}$"):
+        GddType.parse(text)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [("gdd 4 3^4", "gdd 4 3^\u00b2", "td43.txt: bad type token '3^\u00b2', want g^u"),
+     ("gdd 4 ", "gdd \u0664 ", "td43.txt line 1: block size '\u0664' is not an integer >= 2"),
+     ("group 3 4 5", "group 3 +4 5", "td43.txt line 3: non-integer point"),
+     ("block 0 ", "block \u0660 ", "td43.txt line 6: non-integer point")],
+    ids=["superscript exponent", "arabic-indic k", "point with a plus sign",
+         "arabic-indic point"],
+)
+def test_gdd_file_integers_are_ascii_decimal(old, new, message):
+    text = format_gdd_file(td_from_mols(4, 3, mols_for_order(3)))
+    assert old in text
+    with pytest.raises(IngredientFileError, match=f"^{re.escape(message)}$"):
+        parse_gdd_file(text.replace(old, new, 1), what="td43.txt")
+
+
 def test_mols_prime_power_counts():
     assert len(mols_for_order(2).squares) == 1
     assert len(mols_for_order(3).squares) == 2

@@ -9,10 +9,12 @@ GDDs) and the written file must leave these digests unchanged.
 from __future__ import annotations
 
 import hashlib
+import shutil
 
 import pytest
 
 from design_forge.cli import main
+from design_forge.gdd import IngredientStore
 
 GOLDEN = {
     ("shrikhande", 1, "stored"):
@@ -57,6 +59,21 @@ def test_construct_certificate_digest(tmp_path, capsys, graph, order, store):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(graph, order, store)]
+
+
+def test_an_undecodable_txt_in_the_store_is_skipped(tmp_path, capsys):
+    # junk.txt sorts before the ingredient, so the store reads it first
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "junk.txt").write_bytes(b"\xff\xfe\x00 not text\n")
+    shutil.copyfile(IngredientStore.default().directory / "gdd4_6pow5.txt",
+                    store / "stored_6pow5.txt")
+    out = tmp_path / "design.cert"
+    argv = ["construct", "--graph", "shrikhande", "--order", "481", "--out", str(out),
+            "--ingredients", str(store)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("shrikhande", 481, "stored")]
 
 
 GDD_GOLDEN = {
