@@ -96,13 +96,13 @@ def construct_design(
     if not admissible(n):
         raise ValueError(f"no design of order {n}: orders must satisfy n ≡ 1 (mod 96)")
     if n == 1:
-        return Design(order=1, target=target, blocks=())
-    if n in (97, 193, 289):
+        design = Design(order=1, target=target, blocks=())
+    elif n in (97, 193, 289):
         design = develop(paper_base_blocks(target, n))
-        return _certified(design)
-    t = (n - 1) // 96
-    base = gdd_24_t(t, store)
-    design = Design(order=n, target=target, blocks=_assembled_blocks(target, base, t))
+    else:
+        t = (n - 1) // 96
+        design = Design(order=n, target=target,
+                        blocks=_assembled_blocks(target, gdd_24_t(t, store), t))
     return _certified(design)
 
 

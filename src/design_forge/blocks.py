@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .algebra import Ring, signed_power_subgroup, unit_group_coset_partition
+from .certify import _ascii_ints, _content_lines
 from .targets import TargetId, as_block_array, target_graph
 
 
@@ -115,15 +116,10 @@ def k4444_decomposition(target: TargetId) -> list[tuple[int, ...]]:
 def _load_catalog() -> dict[tuple[TargetId, int], BaseBlock]:
     catalog: dict[tuple[TargetId, int], BaseBlock] = {}
     text = resources.files("design_forge").joinpath("data/base_blocks.txt").read_text()
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for _, tokens in _content_lines(text):
         target = TargetId(tokens[0])
-        n = int(tokens[1])
-        omega = int(tokens[2])
-        labels = tuple(int(t) for t in tokens[3:])
-        catalog[(target, n)] = BaseBlock(labels, target, Ring.field(n), omega)
+        n, omega, *labels = _ascii_ints(tokens[1:])
+        catalog[(target, n)] = BaseBlock(tuple(labels), target, Ring.field(n), omega)
     return catalog
 
 

@@ -208,7 +208,10 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 #
 # Text, UTF-8, LF.  Line 1: `design <shrikhande|lk44> <n> <complete|4partite>`;
 # line 2: `blocks <count>`; then one line of 16 decimal labels per block.
-# Every integer is ASCII decimal (_ascii_ints, shared with ingredient files).
+# Every integer is ASCII decimal (_ascii_ints).  Ingredient and base-block
+# files share that rule and read their lines through _content_lines;
+# parse_certificate keeps its own line loop, since a token list held for
+# every line would raise its peak memory.
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
 
@@ -221,11 +224,19 @@ def _beyond_ascii_decimal(text: str) -> bool:
 
 def _ascii_ints(tokens: Sequence[str]) -> list[int]:
     """The integers of tokens spelled -?[0-9]+ in ASCII, the one integer
-    syntax of certificate and ingredient files; ValueError for any other
-    token."""
+    syntax of certificate, ingredient and base-block files; ValueError for
+    any other token."""
     if _beyond_ascii_decimal("".join(tokens)):
         raise ValueError(f"not ASCII decimal integers: {' '.join(tokens)!r}")
     return list(map(int, tokens))
+
+
+def _content_lines(text: str):
+    """(line number, tokens) of each line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()
 
 
 def format_certificate(cert: Certificate) -> str:

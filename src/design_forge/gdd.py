@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import Ring, RingError
-from .certify import PairCounter, _ascii_ints
+from .certify import PairCounter, _ascii_ints, _content_lines
 from .targets import as_block_array
 
 
@@ -326,7 +326,7 @@ def td_for_weight(k: int, w: int) -> Gdd:
     return td_from_mols(k, w, mols_for_order(w))
 
 
-def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
+def inflate(design: Gdd, weight: int) -> Gdd:
     """Wilson's fundamental construction with constant weight.
 
     Every point p becomes the w points {w*p, ..., w*p + w - 1}, so group i
@@ -340,10 +340,7 @@ def inflate(design: Gdd, weight: int, td: Gdd | None = None) -> Gdd:
     w = weight
     if w < 1:
         raise GddError("weight must be positive")
-    if td is None:
-        td = td_for_weight(design.k, w)
-    if td.k != design.k or td.gdd_type != GddType.of(w, design.k):
-        raise GddError(f"replacement design is not a TD({design.k},{w})")
+    td = td_for_weight(design.k, w)
     # TD point t = w * i + r, of rank r in TD group i, becomes w * block[i] + r
     group, rank = np.divmod(td.blocks, w)
     blocks = w * design.blocks[:, group] + rank
@@ -474,14 +471,6 @@ def format_gdd_file(design: Gdd) -> str:
     lines.extend("group " + " ".join(map(str, g)) for g in design.gdd_type.group_ranges())
     lines.extend("block " + " ".join(map(str, b)) for b in design.blocks.tolist())
     return "\n".join(lines) + "\n"
-
-
-def _content_lines(text: str):
-    """(line number, tokens) of each line that is neither blank nor a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line.split()
 
 
 def _read_header(lines, what: str) -> tuple[int, int, str]:

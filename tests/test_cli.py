@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import os
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from design_forge import assemble, cli
 from design_forge.blocks import k4444_decomposition
 from design_forge.certify import Certificate, CertMode, write_certificate
 from design_forge.cli import main
@@ -16,6 +22,50 @@ def test_construct_and_verify_round_trip(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
     captured = capsys.readouterr()
     assert "PASS" in captured.out
+
+
+def test_construct_to_devnull_exits_0(capsys):
+    assert main(["construct", "--graph", "lk44", "--order", "97", "--out", os.devnull]) == 0
+    assert "PASS (97 blocks" in capsys.readouterr().out
+
+
+def test_construct_of_a_corrupted_assembly_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    assembled = assemble._assembled_blocks
+
+    def one_label_moved(*args):
+        blocks = assembled(*args).copy()
+        blocks[0, 0] = (blocks[0, 0] + 1) % 385
+        return blocks
+
+    monkeypatch.setattr(assemble, "_assembled_blocks", one_label_moved)
+    out = tmp_path / "d385.cert"
+    assert main(["construct", "--graph", "shrikhande", "--order", "385", "--out", str(out)]) == 1
+    assert "failed certification" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", [1, 97, 385])
+def test_construct_certifies_once_and_reads_no_certificate(tmp_path, capsys, monkeypatch, order):
+    certify_mod = importlib.import_module("design_forge.certify")
+    calls: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("certify", "read_certificate", "parse_certificate"):
+        wrapper = counted(name, getattr(certify_mod, name))
+        monkeypatch.setattr(certify_mod, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+    out = tmp_path / "d.cert"
+    assert main(["construct", "--graph", "shrikhande", "--order", str(order), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == {"certify": 1}
 
 
 def test_verify_raw_mode(tmp_path):

@@ -3,7 +3,9 @@ the GDD files `gdd --out` writes.
 
 Construction is deterministic, so every output is pinned byte for byte: a
 refactor of any layer between the base blocks (or the MOLS and ingredient
-GDDs) and the written file must leave these digests unchanged.
+GDDs) and the written file must leave these digests unchanged.  Each
+pinned certificate must also pass `verify`: `construct` certifies its
+design in memory and does not read back the file it writes.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def test_construct_certificate_digest(tmp_path, capsys, graph, order, store):
         empty.mkdir()
         argv += ["--ingredients", str(empty)]
     assert main(argv) == 0
-    capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(graph, order, store)]
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_an_undecodable_txt_in_the_store_is_skipped(tmp_path, capsys):
