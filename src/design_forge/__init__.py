@@ -11,7 +11,6 @@ from .algebra import NotASubgroupError, Ring, signed_power_subgroup, unit_group_
 from .assemble import ConstructionError, admissible, construct_design
 from .blocks import (
     BaseBlock,
-    Design,
     DevelopmentError,
     NotInCatalogError,
     catalog,
@@ -53,7 +52,6 @@ __all__ = [
     "Certificate",
     "CertificateParseError",
     "ConstructionError",
-    "Design",
     "DevelopmentError",
     "Gdd",
     "GddType",

@@ -10,6 +10,10 @@ group plus that point with a design of order 97.
 Point naming is fixed so outputs are reproducible: GDD point p becomes
 the four points 4p..4p+3, the new point is 96t, and each group overlay
 uses the sorted-order bijection onto 0..96.
+
+construct_design returns the design as a complete-mode certify.Certificate
+and certifies it exactly once, as the last step: the intermediate GDDs
+are checked at their own boundaries in gdd, never re-checked here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import certify as certify_mod
-from .blocks import Design, develop, k4444_decomposition, paper_base_blocks
+from .blocks import develop, k4444_decomposition, paper_base_blocks
+from .certify import Certificate, CertMode
 from .gdd import Gdd, IngredientStore, gdd_24_t
 from .targets import TargetId
 
@@ -67,7 +72,7 @@ def inflate_block_to_k4444(
     return 4 * p[..., dec % 4] + dec // 4
 
 
-def overlay_group(group: Sequence[int], d97: Design, infinity: int) -> np.ndarray:
+def overlay_group(group: Sequence[int], d97: Certificate, infinity: int) -> np.ndarray:
     """Push an order-97 design onto a group's inflated points plus infinity.
 
     The k-th smallest inflated point of the group (k = 0..95) plays design
@@ -84,7 +89,7 @@ def overlay_group(group: Sequence[int], d97: Design, infinity: int) -> np.ndarra
 
 def construct_design(
     target: TargetId, n: int, store: IngredientStore | None = None
-) -> Design:
+) -> Certificate:
     """Build and certify a design of any admissible order.
 
     Orders 1, 97, 193 and 289 are direct; n = 96t + 1 with t >= 4 runs the
@@ -96,14 +101,19 @@ def construct_design(
     if not admissible(n):
         raise ValueError(f"no design of order {n}: orders must satisfy n ≡ 1 (mod 96)")
     if n == 1:
-        design = Design(order=1, target=target, blocks=())
+        design = Certificate(target, 1, CertMode.COMPLETE, ())
     elif n in (97, 193, 289):
         design = develop(paper_base_blocks(target, n))
     else:
+        # built from the temporary, so the int64 assembly array is freed
+        # before certification rather than held by a local
         t = (n - 1) // 96
-        design = Design(order=n, target=target,
-                        blocks=_assembled_blocks(target, gdd_24_t(t, store), t))
-    return _certified(design)
+        design = Certificate(target, n, CertMode.COMPLETE,
+                             _assembled_blocks(target, gdd_24_t(t, store), t))
+    report = certify_mod.certify(design)
+    if not report.passed:
+        raise ConstructionError(f"constructed design failed certification: {report.summary()}")
+    return design
 
 
 def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
@@ -111,10 +121,3 @@ def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
     d97 = develop(paper_base_blocks(target, 97))
     pieces.extend(overlay_group(group, d97, 96 * t) for group in base.gdd_type.group_ranges())
     return np.concatenate(pieces)
-
-
-def _certified(design: Design) -> Design:
-    report = certify_mod.certify(certify_mod.Certificate.from_design(design))
-    if not report.passed:
-        raise ConstructionError(f"constructed design failed certification: {report.summary()}")
-    return design

@@ -5,7 +5,9 @@ vertices of a target graph.  Developing it through the affine maps
 x -> omega^e * x + d for 0 <= e < (n-1)/96 and 0 <= d < n yields
 n(n-1)/96 labelled copies of the target; when the block's 48 edge
 differences form an exact transversal of the cosets of H = {+-omega^e}
-in the unit group, those copies partition the edges of K_n.
+in the unit group, those copies partition the edges of K_n.  develop
+returns them as a complete-mode certify.Certificate, the package's one
+design type: a claim, checked by certify and not on construction.
 
 The catalogued blocks for orders 97, 193 and 289 (both targets) live in
 data/base_blocks.txt and are loaded verbatim.
@@ -19,8 +21,8 @@ from importlib import resources
 import numpy as np
 
 from .algebra import Ring, signed_power_subgroup, unit_group_coset_partition
-from .certify import _ascii_ints, _content_lines
-from .targets import TargetId, as_block_array, target_graph
+from .certify import Certificate, CertMode, _ascii_ints, _content_lines
+from .targets import TargetId, target_graph
 
 
 class NotInCatalogError(LookupError):
@@ -66,32 +68,6 @@ class BaseBlock:
         if (n - 1) % 96:
             raise DevelopmentError(f"order {n} is not 1 mod 96")
         return (n - 1) // 96
-
-
-@dataclass(frozen=True, eq=False)
-class Design:
-    """A claimed decomposition of K_n into labelled copies of the target.
-
-    Point set is 0..order-1; row i of ``blocks``, a read-only (B, 16)
-    int32 array (see targets.as_block_array), is one block whose position
-    j is the point placed at canonical vertex j+1.  The block count
-    identity |blocks| = n(n-1)/96 is enforced here; edgewise exactness is
-    the certify module's job.
-    """
-
-    order: int
-    target: TargetId
-    blocks: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", as_block_array(self.blocks))
-        n = self.order
-        if n < 1:
-            raise ValueError("order must be positive")
-        if len(self.blocks) * 96 != n * (n - 1):
-            raise ValueError(
-                f"{len(self.blocks)} blocks, want n(n-1)/96 = {n * (n - 1) // 96}"
-            )
 
 
 # The two-block decompositions of the complete 4-partite graph K_{4,4,4,4}
@@ -142,8 +118,9 @@ def paper_base_blocks(target: TargetId, n: int) -> BaseBlock:
         raise NotInCatalogError(f"no base block for {target} of order {n}") from None
 
 
-def develop(block: BaseBlock) -> Design:
-    """Generate the full design from a base block.
+def develop(block: BaseBlock) -> Certificate:
+    """Generate the full design from a base block, as a complete-mode
+    Certificate of n(n-1)/96 blocks.
 
     Blocks are emitted in (e, d) order: exponent e outermost, translation
     d innermost, so the output is deterministic.  Raises
@@ -166,7 +143,7 @@ def develop(block: BaseBlock) -> Design:
         raise DuplicateLabelError(f"developed tuple at e={e}, d={d} repeats a label")
     if len(np.unique(blocks, axis=0)) != len(blocks):
         raise DuplicateBlockError("development produced duplicate blocks")
-    return Design(order=n, target=block.target, blocks=blocks)
+    return Certificate(block.target, n, CertMode.COMPLETE, blocks)
 
 
 def difference_transversal_check(block: BaseBlock) -> bool:

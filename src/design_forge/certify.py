@@ -31,14 +31,11 @@ import enum
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .targets import TargetId, as_block_array, graph_from_edges, is_isomorphic, target_graph
-
-if TYPE_CHECKING:
-    from .blocks import Design
 
 
 class CertMode(str, enum.Enum):
@@ -56,7 +53,9 @@ class CertificateParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A syntactically well-formed decomposition claim, not yet verified.
+    """A decomposition claim, not yet verified: the package's one design
+    type, whether parsed from a file or built by blocks.develop or
+    assemble.construct_design.
 
     ``blocks`` is a read-only (B, 16) int32 array (see
     targets.as_block_array); any sequence of 16-label rows is accepted.
@@ -77,17 +76,14 @@ class Certificate:
             other.target, other.order, other.mode
         ) and bool(np.array_equal(self.blocks, other.blocks))
 
-    @staticmethod
-    def from_design(design: "Design") -> "Certificate":
-        return Certificate(design.target, design.order, CertMode.COMPLETE, design.blocks)
-
 
 @dataclass
 class CertReport:
-    """Outcome of a certification run; passed iff every error list is empty
-    and the block counts match."""
+    """Outcome of certify, certify_raw_edges or gdd.verify_gdd; passed iff
+    every error list is empty and the block counts match.  A GDD type with
+    no whole number of blocks expects None."""
 
-    count_expected: int
+    count_expected: int | None
     count_actual: int
     label_errors: list[str] = field(default_factory=list)
     pair_errors: list[tuple[tuple[int, int], int]] = field(default_factory=list)
@@ -208,10 +204,9 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 #
 # Text, UTF-8, LF.  Line 1: `design <shrikhande|lk44> <n> <complete|4partite>`;
 # line 2: `blocks <count>`; then one line of 16 decimal labels per block.
-# Every integer is ASCII decimal (_ascii_ints).  Ingredient and base-block
-# files share that rule and read their lines through _content_lines;
-# parse_certificate keeps its own line loop, since a token list held for
-# every line would raise its peak memory.
+# Every integer is ASCII decimal (_ascii_ints).  Certificate, ingredient and
+# base-block files share that rule and read their lines through
+# _content_lines, a generator that holds one line's tokens at a time.
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
 
@@ -251,21 +246,18 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    stripped = ((i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1))
-    numbered = [(i, ln) for i, ln in stripped if ln and not ln.startswith("#")]
-    pos = 0
+    lines = _content_lines(text)
+    lineno = 1  # the last content line read
 
-    def next_line(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(numbered):
-            last = numbered[-1][0] if numbered else 1
-            raise CertificateParseError(last, f"file ends before {what}")
-        entry = numbered[pos]
-        pos += 1
-        return entry
+    def next_tokens(what: str) -> list[str]:
+        nonlocal lineno
+        try:
+            lineno, tokens = next(lines)
+        except StopIteration:
+            raise CertificateParseError(lineno, f"file ends before {what}") from None
+        return tokens
 
-    lineno, header = next_line("the design header")
-    tokens = header.split()
+    tokens = next_tokens("the design header")
     if tokens[0] != "design":
         raise CertificateParseError(
             lineno, f"unsupported format: expected 'design', got {tokens[0]!r}"
@@ -285,8 +277,7 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise CertificateParseError(lineno, f"unknown mode {tokens[3]!r}") from None
 
-    lineno, counts = next_line("the blocks line")
-    tokens = counts.split()
+    tokens = next_tokens("the blocks line")
     if len(tokens) != 2 or tokens[0] != "blocks":
         raise CertificateParseError(lineno, "expected 'blocks <count>'")
     try:
@@ -299,27 +290,26 @@ def parse_certificate(text: str) -> Certificate:
     # where the whole text passes, int() alone keeps to _ascii_ints' rule,
     # so label lines, the bulk of the file, skip the check per line
     ints = _ascii_ints if _beyond_ascii_decimal(text) else lambda t: list(map(int, t))
-    first = pos
-    blocks = []
+    blocks, linenos = [], []
     for _ in range(count):
-        lineno, line = next_line(f"block {len(blocks)}")
-        tokens = line.split()
+        tokens = next_tokens(f"block {len(blocks)}")
         if len(tokens) != 16:
             raise CertificateParseError(lineno, f"{len(tokens)} labels, want 16")
         try:
             blocks.append(ints(tokens))
         except ValueError:
             raise CertificateParseError(lineno, "labels must be decimal integers") from None
-    if pos < len(numbered):
-        raise CertificateParseError(numbered[pos][0], "trailing content after last block")
+        linenos.append(lineno)
+    extra = next(lines, None)
+    if extra is not None:
+        raise CertificateParseError(extra[0], "trailing content after last block")
     try:
         return Certificate(target=target, order=order, mode=mode, blocks=blocks)
     except ValueError:
         # every row is 16 integers, so some label does not fit in int32
         top = np.iinfo(np.int32)
         i = next(i for i, row in enumerate(blocks) if min(row) < top.min or max(row) > top.max)
-        lineno = numbered[first + i][0]
-        raise CertificateParseError(lineno, "label does not fit in 32 bits") from None
+        raise CertificateParseError(linenos[i], "label does not fit in 32 bits") from None
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

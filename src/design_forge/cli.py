@@ -125,7 +125,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # is not read back, so --out may be a pipe or /dev/null; the golden
     # digests and verify runs in the tests pin what it holds.
     design = construct_design(TargetId(args.graph), args.order, _store(args))
-    write_certificate(Certificate.from_design(design), args.out)
+    write_certificate(design, args.out)
     print(f"{args.out}: {args.graph} order {args.order}, "
           f"PASS ({len(design.blocks)} blocks, all pairs covered exactly once)")
     return 0
@@ -195,7 +195,7 @@ def _develop_certifies(block: BaseBlock) -> bool:
         design = develop(block)
     except DevelopmentError:
         return False
-    return certify(Certificate.from_design(design)).passed
+    return certify(design).passed
 
 
 def _gdd_verifies(build: Callable[..., Gdd], *args) -> bool:

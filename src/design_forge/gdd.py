@@ -4,11 +4,12 @@ A k-GDD of type g^u has gu points split into u groups of size g; its
 blocks are k-subsets meeting every group at most once, such that each
 pair of points from distinct groups lies in exactly one block and no
 same-group pair lies in any block.  A Gdd is its type and its blocks, a
-read-only (B, k) int32 array as for Design: group i is the i-th
-consecutive range of points in GddType.group_sizes() order.
+read-only (B, k) int32 array as for certify.Certificate: group i is the
+i-th consecutive range of points in GddType.group_sizes() order.
 
 verify_gdd checks the blocks by exhaustive pair counting, through
-certify.PairCounter, the package's one pair counter, at the trust
+certify.PairCounter, the package's one pair counter, into the
+certify.CertReport that every check of the package returns, at the trust
 boundaries only: ingredient files on load (where parse_gdd_file checks
 first that group line i is range i and that the block lines number
 GddType.block_count), exact-cover search results, and the 24^t design
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
@@ -43,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import Ring, RingError
-from .certify import PairCounter, _ascii_ints, _content_lines
+from .certify import CertReport, PairCounter, _ascii_ints, _content_lines
 from .targets import as_block_array
 
 
@@ -150,38 +151,19 @@ class Gdd:
         return self.gdd_type.point_count()
 
 
-@dataclass
-class GddReport:
-    """Findings of verify_gdd; passed iff every list is empty and the
-    independently recomputed block count matches."""
-
-    block_count_expected: int | None
-    block_count_actual: int
-    block_errors: list[str] = field(default_factory=list)
-    pair_errors: list[tuple[tuple[int, int], int]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.block_count_expected == self.block_count_actual
-            and not self.block_errors
-            and not self.pair_errors
-        )
-
-
-def verify_gdd(design: Gdd) -> GddReport:
+def verify_gdd(design: Gdd) -> CertReport:
     """Check the block clauses of the GDD definition by exhaustive pair
-    counting, with the groups read off the type.
+    counting, with the groups read off the type, into a certify.CertReport.
 
-    Violations are report content, never exceptions: every cross-group
-    pair covered other than once and every covered same-group pair is
-    listed, by certify.PairCounter.  The expected block count
-    (GddType.block_count) is recomputed from the type alone as an
-    independent cross-check.
+    Violations are report content, never exceptions: each bad block is a
+    label error, and every cross-group pair covered other than once and
+    every covered same-group pair is listed, by certify.PairCounter.  The
+    expected block count (GddType.block_count) is recomputed from the type
+    alone as an independent cross-check.
     """
     n = design.point_count()
     k = design.k
-    report = GddReport(design.gdd_type.block_count(k), len(design.blocks))
+    report = CertReport(design.gdd_type.block_count(k), len(design.blocks))
 
     group_of = design.gdd_type.group_of()
     blocks = np.sort(design.blocks, axis=1)
@@ -192,11 +174,11 @@ def verify_gdd(design: Gdd) -> GddReport:
     shared = counted & (block_groups[:, 1:] == block_groups[:, :-1]).any(axis=1)
     for idx in np.flatnonzero(~counted | shared).tolist():
         if repeated[idx]:
-            report.block_errors.append(f"block {idx}: not {k} distinct points")
+            report.label_errors.append(f"block {idx}: not {k} distinct points")
         elif outside[idx]:
-            report.block_errors.append(f"block {idx}: point out of range")
+            report.label_errors.append(f"block {idx}: point out of range")
         else:
-            report.block_errors.append(f"block {idx}: two points share a group")
+            report.label_errors.append(f"block {idx}: two points share a group")
 
     counter = PairCounter(n)
     counter.add(blocks[counted].T[np.array(np.triu_indices(k, 1))])
@@ -207,7 +189,7 @@ def verify_gdd(design: Gdd) -> GddReport:
 def _require_valid(design: Gdd, what: str) -> Gdd:
     report = verify_gdd(design)
     if not report.passed:
-        raise GddError(f"internal: {what} failed verification: {report}")
+        raise GddError(f"internal: {what} failed verification: {report.summary()}")
     return design
 
 
@@ -553,7 +535,7 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
     if not report.passed:
         raise IngredientFileError(
             f"{what}: fails verification "
-            f"({len(report.block_errors)} block, {len(report.pair_errors)} pair errors)"
+            f"({len(report.label_errors)} block, {len(report.pair_errors)} pair errors)"
         )
     return design
 

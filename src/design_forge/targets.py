@@ -81,8 +81,9 @@ def as_block_array(blocks, width: int = 16) -> np.ndarray:
 class SmallGraph:
     """An undirected simple graph on vertices 1..vertex_count (at most 64).
 
-    Stored both as a sorted edge tuple and as per-vertex adjacency bitmasks;
-    the two representations are cross-checked at construction.  Bit v of
+    Stored both as a sorted edge tuple and as per-vertex adjacency bitmasks,
+    the masks built from the checked edges: loops, vertices outside
+    1..vertex_count and repeated edges are rejected.  Bit v of
     ``adjacency[u]`` is set iff {u, v} is an edge.
     """
 
@@ -107,14 +108,6 @@ class SmallGraph:
         for u, v in canon:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        rebuilt = sorted(
-            (u, v)
-            for u in range(1, vertex_count + 1)
-            for v in range(u + 1, vertex_count + 1)
-            if masks[u] >> v & 1
-        )
-        if rebuilt != canon:
-            raise GraphError("edge list and adjacency masks disagree")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "adjacency", tuple(masks))

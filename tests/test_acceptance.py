@@ -49,7 +49,7 @@ def test_criterion_1_catalog_designs_reproduce_exactly():
         for n in (97, 193, 289):
             t0 = time.perf_counter()
             design = develop(paper_base_blocks(target, n))
-            report = certify(Certificate.from_design(design))
+            report = certify(design)
             elapsed = time.perf_counter() - t0
             worst = max(worst, elapsed)
             ok = ok and report.passed and len(design.blocks) == EXPECTED_BLOCK_COUNT[n]
@@ -74,7 +74,7 @@ def test_criterion_3_order_385_end_to_end():
     ok = True
     for target in TargetId:
         design = construct_design(target, 385)
-        report = certify(Certificate.from_design(design))
+        report = certify(design)
         ok = ok and report.passed and len(design.blocks) == 1540
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
@@ -107,7 +107,7 @@ def test_criterion_5_td_4_24_from_kronecker_mols():
         report.passed
         and len(td.blocks) == 576
         and cross_pairs == 3456
-        and report.block_count_expected == cross_pairs // 6
+        and report.count_expected == cross_pairs // 6
         and elapsed < 5.0
     )
     _line(5, ok, f"TD(4,24): 576 blocks, 3456 cross pairs once, {elapsed:.2f}s < 5s")
@@ -135,7 +135,7 @@ def _develop_certifies(block: BaseBlock) -> bool:
         design = develop(block)
     except DevelopmentError:
         return False
-    return certify(Certificate.from_design(design)).passed
+    return certify(design).passed
 
 
 def test_criterion_7_transversal_criterion_equals_develop_and_certify():
@@ -162,7 +162,7 @@ def test_criterion_8_certifier_rejects_every_single_label_mutation():
     ok = True
     rejected = 0
     for n in (97, 385):
-        cert = Certificate.from_design(construct_design(TargetId.SHRIKHANDE, n))
+        cert = construct_design(TargetId.SHRIKHANDE, n)
         assert certify(cert).passed
         for _ in range(100):
             blocks = list(cert.blocks)

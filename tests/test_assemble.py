@@ -10,7 +10,7 @@ from design_forge.assemble import (
     overlay_group,
 )
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
-from design_forge.certify import Certificate, certify
+from design_forge.certify import certify
 from design_forge.gdd import IngredientStore
 from design_forge.targets import TargetId
 
@@ -54,7 +54,7 @@ def test_overlay_group_uses_all_96_points_plus_infinity():
 def test_construct_order_one_is_empty():
     d = construct_design(TargetId.SHRIKHANDE, 1)
     assert d.blocks.shape == (0, 16)
-    assert certify(Certificate.from_design(d)).passed
+    assert certify(d).passed
 
 
 def test_construct_direct_orders():
@@ -73,7 +73,7 @@ def test_construct_order_385_both_targets():
     for target in TargetId:
         d = construct_design(target, 385)
         assert len(d.blocks) == 1540
-        assert certify(Certificate.from_design(d)).passed
+        assert certify(d).passed
 
 
 def test_construct_order_481_uses_the_ingredient_store():

@@ -17,7 +17,7 @@ from design_forge.blocks import (
     k4444_decomposition,
     paper_base_blocks,
 )
-from design_forge.certify import Certificate, certify
+from design_forge.certify import certify
 from design_forge.targets import TargetId
 
 ALL_CATALOG = sorted(catalog().items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
@@ -60,7 +60,7 @@ def test_develop_block_counts():
 
 def test_developed_designs_certify():
     for (_, n), block in ALL_CATALOG:
-        report = certify(Certificate.from_design(develop(block)))
+        report = certify(develop(block))
         assert report.passed, f"order {n}: {report.summary()}"
 
 
@@ -145,7 +145,7 @@ def test_random_label_mutations_agree_with_develop_and_certify():
             mutated = BaseBlock(tuple(labels), block.target, block.ring, block.omega)
             fast = difference_transversal_check(mutated)
             try:
-                slow = certify(Certificate.from_design(develop(mutated))).passed
+                slow = certify(develop(mutated)).passed
             except DevelopmentError:
                 slow = False
             assert fast == slow

@@ -40,7 +40,7 @@ def test_empty_design_of_order_one_passes():
 
 
 def test_complete_mode_pass_and_counts():
-    report = certify(Certificate.from_design(_d97()))
+    report = certify(_d97())
     assert report.passed
     assert report.count_expected == report.count_actual == 97
 
@@ -100,7 +100,7 @@ def test_four_partite_rejects_intra_part_pairs():
 
 def test_certify_raw_edges_agrees_with_tuple_mode():
     for target in TargetId:
-        cert = Certificate.from_design(_d97(target))
+        cert = _d97(target)
         report = certify_raw_edges(cert)
         assert report.passed
         assert report == certify(cert)
@@ -131,7 +131,7 @@ def _rewire_part(monkeypatch, cert, idx, rewire):
 def test_certify_raw_edges_flags_a_part_of_the_wrong_target(monkeypatch):
     # the line graph over block 0's points is a perfectly good 6-regular
     # srg, but not this target
-    cert = Certificate.from_design(_d97(TargetId.SHRIKHANDE))
+    cert = _d97(TargetId.SHRIKHANDE)
     row = cert.blocks[0].tolist()
     wrong = [(row[u - 1], row[v - 1]) for u, v in target_graph(TargetId.LINE_K44).edges]
     _rewire_part(monkeypatch, cert, 0, lambda edges: wrong)
@@ -143,7 +143,7 @@ def test_certify_raw_edges_flags_a_part_of_the_wrong_target(monkeypatch):
 def test_certify_raw_edges_rejects_a_non_target_part(monkeypatch):
     # drop one edge and add a non-edge at one of its ends: still 48 edges
     # over the same 16 points, no longer regular
-    cert = Certificate.from_design(_d97(TargetId.LINE_K44))
+    cert = _d97(TargetId.LINE_K44)
     row = cert.blocks[5].tolist()
 
     def rewire(edges):
@@ -179,8 +179,7 @@ def test_blocks_with_a_label_error_get_no_isomorphism_search(monkeypatch):
 
 
 def test_certificate_round_trip(tmp_path):
-    design = _d97(TargetId.LINE_K44)
-    cert = Certificate.from_design(design)
+    cert = _d97(TargetId.LINE_K44)
     path = tmp_path / "d97.cert"
     write_certificate(cert, path)
     again = read_certificate(path)
@@ -188,13 +187,13 @@ def test_certificate_round_trip(tmp_path):
 
 
 def test_format_starts_with_design_header():
-    cert = Certificate.from_design(_d97())
+    cert = _d97()
     text = format_certificate(cert)
     assert text.startswith("design shrikhande 97 complete\nblocks 97\n")
 
 
 def test_parse_skips_comments_and_blank_lines():
-    cert = Certificate.from_design(_d97())
+    cert = _d97()
     lines = format_certificate(cert).splitlines()
     lines.insert(1, "# a comment")
     lines.insert(0, "")
@@ -216,7 +215,7 @@ def test_unknown_header_keyword_rejected():
 def test_wrong_order_in_header_is_a_failing_report_not_a_parse_error():
     # syntax and semantics stay separate: a well-formed file claiming the
     # wrong order parses fine and fails certification
-    text = format_certificate(Certificate.from_design(_d97()))
+    text = format_certificate(_d97())
     text = text.replace("design shrikhande 97", "design shrikhande 193", 1)
     report = certify(parse_certificate(text))
     assert not report.passed
@@ -224,17 +223,33 @@ def test_wrong_order_in_header_is_a_failing_report_not_a_parse_error():
 
 
 def test_blocks_line_mismatch_is_a_parse_error():
-    text = format_certificate(Certificate.from_design(_d97()))
+    text = format_certificate(_d97())
     with pytest.raises(CertificateParseError):
         parse_certificate(text.replace("blocks 97", "blocks 96", 1))
     with pytest.raises(CertificateParseError):
         parse_certificate(text.replace("blocks 97", "blocks 98", 1))
 
 
+@pytest.mark.parametrize(
+    ("lines", "line", "message"),
+    [([], 1, "file ends before the design header"),
+     (["# only a comment", ""], 1, "file ends before the design header"),
+     (["design shrikhande 97 complete", "", "blocks 2", "# b0", "0 " * 15 + "0",
+       "# cut here", "", "# more"], 5, "file ends before block 1"),
+     (["design shrikhande 97 complete", "blocks 1", "0 " * 15 + "0", "# after",
+       "1 " * 15 + "1", "# end"], 5, "trailing content after last block")],
+    ids=["empty", "comments only", "cut after block 0", "extra label line"],
+)
+def test_a_short_or_long_file_errs_at_its_pinned_line(lines, line, message):
+    with pytest.raises(CertificateParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 def test_soundness_random_single_label_mutations_all_fail():
     rng = random.Random(424242)
-    design = _d97()
-    cert = Certificate.from_design(design)
+    cert = _d97()
     for _ in range(60):
         blocks = list(cert.blocks)
         i = rng.randrange(len(blocks))
@@ -253,7 +268,7 @@ def test_certificate_blocks_are_a_read_only_int32_array_from_any_rows():
     assert cert.blocks.shape == (97, 16) and cert.blocks.dtype == np.int32
     with pytest.raises(ValueError):
         cert.blocks[0, 0] = 1
-    assert cert == Certificate.from_design(design)
+    assert cert == design
     assert certify(cert).passed
     parsed = parse_certificate(format_certificate(cert))
     assert parsed.blocks.dtype == np.int32 and not parsed.blocks.flags.writeable
@@ -278,7 +293,7 @@ def test_label_errors_are_listed_by_block_index():
 
 
 def test_label_too_large_for_int32_is_a_parse_error_on_its_line():
-    text = format_certificate(Certificate.from_design(_d97()))
+    text = format_certificate(_d97())
     lines = text.splitlines()
     lines.insert(1, "# a comment")
     lines[6] = str(2**31) + lines[6][lines[6].index(" "):]
@@ -296,7 +311,7 @@ def test_label_too_large_for_int32_is_a_parse_error_on_its_line():
          "arabic-indic label"],
 )
 def test_integers_other_than_ascii_decimal_are_parse_errors_on_their_line(old, new, line):
-    text = format_certificate(Certificate.from_design(_d97()))
+    text = format_certificate(_d97())
     assert old in text
     with pytest.raises(CertificateParseError) as err:
         parse_certificate(text.replace(old, new, 1))
@@ -306,7 +321,7 @@ def test_integers_other_than_ascii_decimal_are_parse_errors_on_their_line(old, n
 def test_labels_parse_alike_beside_a_comment_with_other_characters():
     # '+', '_' or non-ASCII text anywhere sends every label line through
     # the per-line check
-    cert = Certificate.from_design(_d97())
+    cert = _d97()
     lines = format_certificate(cert).splitlines()
     lines.insert(2, "# n = 96t + 1, built_by design-forge \u2014 ok")
     assert parse_certificate("\n".join(lines) + "\n") == cert

@@ -84,7 +84,7 @@ def test_trivial_two_gdd_of_type_1_2_passes():
     )
     report = verify_gdd(g)
     assert report.passed
-    assert report.block_count_expected == 1
+    assert report.count_expected == 1
 
 
 def test_kronecker_product_order_24():
@@ -106,7 +106,7 @@ def test_td_4_24_has_576_blocks():
     assert len(td.blocks) == 576
     report = verify_gdd(td)
     assert report.passed
-    assert report.block_count_expected == 576
+    assert report.count_expected == 576
 
 
 def test_td_4_2_is_unavailable():
@@ -124,7 +124,7 @@ def test_verify_gdd_catches_an_intra_group_block():
     )
     report = verify_gdd(tampered)
     assert not report.passed
-    assert report.block_errors or report.pair_errors
+    assert report.label_errors or report.pair_errors
 
 
 def test_verify_gdd_catches_a_dropped_block():
@@ -133,7 +133,7 @@ def test_verify_gdd_catches_a_dropped_block():
         Gdd(gdd_type=td.gdd_type, k=td.k, blocks=td.blocks[:-1])
     )
     assert not report.passed
-    assert report.block_count_actual == 8
+    assert report.count_actual == 8
     # each block covers 6 cross pairs, so exactly 6 go uncovered
     assert len(report.pair_errors) == 6
     assert all(count == 0 for _, count in report.pair_errors)
@@ -435,16 +435,16 @@ def test_verify_gdd_reports_each_violation_verbatim(case):
     blocks, block_errors, pair_errors = VERIFY_GDD_CASES[case]
     report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, blocks=blocks))
     assert not report.passed
-    assert report.block_count_expected == 9
-    assert report.block_count_actual == len(blocks)
-    assert report.block_errors == block_errors
+    assert report.count_expected == 9
+    assert report.count_actual == len(blocks)
+    assert report.label_errors == block_errors
     assert report.pair_errors == pair_errors
 
 
 def test_verify_gdd_passes_td_4_3():
     report = verify_gdd(Gdd(gdd_type=GddType.of(3, 4), k=4, blocks=TD43_BLOCKS))
     assert report.passed
-    assert (report.block_errors, report.pair_errors) == ([], [])
+    assert (report.label_errors, report.pair_errors) == ([], [])
 
 
 # (edit of the TD(4,3) file's lines, message): group line i must be exactly
@@ -571,9 +571,9 @@ def test_verify_gdd_matches_the_loop_reference_on_random_corruptions(seed):
             blocks.extend([list(rng.choice(blocks))] * rng.randrange(250, 260))
     design = replace(base, blocks=blocks)
     report = verify_gdd(design)
-    assert (report.block_errors, report.pair_errors) == _reference_verify_gdd_blocks(design)
-    assert report.passed == (not report.block_errors and not report.pair_errors
-                             and len(blocks) == report.block_count_expected)
+    assert (report.label_errors, report.pair_errors) == _reference_verify_gdd_blocks(design)
+    assert report.passed == (not report.label_errors and not report.pair_errors
+                             and len(blocks) == report.count_expected)
 
 
 def _move_one_point(design):
@@ -607,9 +607,11 @@ def test_a_corrupted_intermediate_is_caught_at_a_boundary(monkeypatch, tmp_path,
 
     monkeypatch.setattr(gdd_mod, stage, corrupted)
     store = IngredientStore(tmp_path) if route == "searched" else None
-    with pytest.raises(GddError):
+    with pytest.raises(GddError) as err:
         gdd_24_t(t, store)
     assert calls
+    message = str(err.value)
+    assert "FAIL (" in message and "\n" not in message and len(message) < 200
 
 
 # --- MOLS: the loop constructions that MolsSet arrays must reproduce ---------

@@ -281,6 +281,20 @@ def test_small_graph_rejects_bad_edges():
         SmallGraph(3, [(1, 2), (2, 1)])
 
 
+def test_adjacency_and_edges_agree_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 64)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        chosen = rng.sample(pairs, rng.randint(0, min(len(pairs), 200)))
+        g = SmallGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen])
+        assert g.edges == tuple(sorted(chosen))
+        from_masks = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                      if g.adjacency[u] >> v & 1]
+        assert from_masks == list(g.edges)
+        assert g.adjacency[0] == 0 and all(m >> (n + 1) == 0 and not m & 1 for m in g.adjacency)
+
+
 def test_graph_from_edges_relabels_support():
     g = graph_from_edges([(10, 20), (20, 30)])
     assert g.vertex_count == 3
