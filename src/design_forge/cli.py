@@ -49,10 +49,12 @@ from .gdd import (
     write_gdd_file,
 )
 from .targets import (
+    DEFINITIONS,
     TargetId,
     format_edge_list,
     is_isomorphic,
     line_k44,
+    matches_definition,
     shrikhande,
     srg_parameters,
     target_graph,
@@ -78,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a certificate file")
     p.add_argument("path", type=Path)
     p.add_argument("--raw", action="store_true",
-                   help="re-check each block as a raw edge set by isomorphism search")
+                   help="also check the target's edge table against its definition")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gdd", help="build and verify a 4-GDD")
@@ -216,6 +218,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     for target in (shrikhande(), line_k44()):
         check(f"{target.id.value} is srg(16,6,2,2)",
               srg_parameters(target.graph) == (16, 6, 2, 2))
+        check(f"{target.id.value} edge table is {DEFINITIONS[target.id][0]}",
+              matches_definition(target.id))
     check("the two targets are non-isomorphic",
           is_isomorphic(shrikhande().graph, line_k44().graph) is None)
 

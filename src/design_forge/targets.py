@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -120,16 +119,6 @@ class SmallGraph:
 
     def neighbors(self, v: int) -> list[int]:
         return [u for u in range(1, self.vertex_count + 1) if self.adjacency[v] >> u & 1]
-
-    @cached_property
-    def _signature_classes(self) -> dict[tuple, list[int]]:
-        # vertices grouped by is_isomorphic's signature, each group ascending;
-        # kept on the graph, so a target is read once however many parts
-        # are matched against it
-        classes: dict[tuple, list[int]] = {}
-        for w, sig in enumerate(_signatures(_neighbour_lists(self))[1:], start=1):
-            classes.setdefault(sig, []).append(w)
-        return classes
 
 
 @dataclass(frozen=True)
@@ -234,7 +223,9 @@ def is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
     if n != h.vertex_count or len(g.edges) != len(h.edges):
         return None
 
-    sig_h = h._signature_classes
+    sig_h: dict[tuple, list[int]] = {}  # h's vertices by signature, each list ascending
+    for w, sig in enumerate(_signatures(_neighbour_lists(h))[1:], start=1):
+        sig_h.setdefault(sig, []).append(w)
     g_nb = _neighbour_lists(g)
     candidates = [sig_h.get(sig, []) for sig in _signatures(g_nb)]
     if not all(candidates[1:]):
@@ -285,15 +276,23 @@ def is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
     return None
 
 
-def graph_from_edges(edges: Iterable[tuple[int, int]]) -> SmallGraph:
-    """Build a SmallGraph from edges over arbitrary integer points.
+# Each target by its definition, as a Cayley graph on Z_4^2 with (a, b) as
+# vertex 4a + b + 1: two vertices are adjacent iff they differ by a step
+DEFINITIONS: dict[TargetId, tuple[str, set[tuple[int, int]]]] = {
+    TargetId.SHRIKHANDE: ("Cay(Z_4^2, ±(1,0), ±(0,1), ±(1,1))",
+                          {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}),
+    # the 4x4 rook's graph: a move along a row or a column
+    TargetId.LINE_K44: ("K_4 □ K_4", {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)}),
+}
 
-    The support is relabelled 1..k in sorted point order.
-    """
-    es = [(u, v) if u < v else (v, u) for u, v in edges]
-    support = sorted({p for e in es for p in e})
-    index = {p: i + 1 for i, p in enumerate(support)}
-    return SmallGraph(len(support), [(index[u], index[v]) for u, v in es])
+
+def matches_definition(target: TargetId) -> bool:
+    """Whether the target's edge table is isomorphic to the graph of its
+    definition (DEFINITIONS), built at each call: one is_isomorphic."""
+    steps = DEFINITIONS[TargetId(target)][1]
+    edges = [(u + 1, v + 1) for u in range(16) for v in range(u)
+             if ((u // 4 - v // 4) % 4, (u - v) % 4) in steps]
+    return is_isomorphic(SmallGraph(16, edges), target_graph(target).graph) is not None
 
 
 def format_edge_list(g: SmallGraph) -> str:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import random
 from dataclasses import replace
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import design_forge.targets as targets_module
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
 from design_forge.certify import (
     Certificate,
@@ -22,11 +22,10 @@ from design_forge.certify import (
     read_certificate,
     write_certificate,
 )
+from design_forge import cli
+from design_forge.cli import main
 from design_forge.gdd import mols_for_order, td_from_mols, verify_gdd
-from design_forge.targets import TargetId, target_graph
-
-# the package attribute `certify` is the function, so import the module by name
-certify_module = importlib.import_module("design_forge.certify")
+from design_forge.targets import SmallGraph, TargetGraph, TargetId, target_graph
 
 
 def _d97(target=TargetId.SHRIKHANDE):
@@ -112,70 +111,89 @@ def test_certify_raw_edges_empty_partition_of_order_one_passes():
     assert report.count_expected == 0
 
 
-def _rewire_part(monkeypatch, cert, idx, rewire):
-    """Make certify_raw_edges search rewire(edges) in place of block idx's
-    48 edges.  A certificate cannot spell such a part: every row of 16
-    distinct labels reads, through the target's edge table, as a copy of
-    the target."""
-    row = cert.blocks[idx].tolist()
-    mine = sorted((row[u - 1], row[v - 1]) for u, v in target_graph(cert.target).edges)
-    build = certify_module.graph_from_edges
-
-    def patched(edges):
-        edges = [tuple(e) for e in edges]
-        return build(rewire(edges) if sorted(edges) == mine else edges)
-
-    monkeypatch.setattr(certify_module, "graph_from_edges", patched)
+@pytest.fixture
+def d97_file(tmp_path):
+    """A valid shrikhande certificate of order 97, written before any table is altered."""
+    path = tmp_path / "d97.cert"
+    write_certificate(_d97(), path)
+    return path
 
 
-def test_certify_raw_edges_flags_a_part_of_the_wrong_target(monkeypatch):
-    # the line graph over block 0's points is a perfectly good 6-regular
-    # srg, but not this target
-    cert = _d97(TargetId.SHRIKHANDE)
-    row = cert.blocks[0].tolist()
-    wrong = [(row[u - 1], row[v - 1]) for u, v in target_graph(TargetId.LINE_K44).edges]
-    _rewire_part(monkeypatch, cert, 0, lambda edges: wrong)
+@pytest.fixture(params=["swapped", "moved"])
+def wrong_shrikhande_table(request, monkeypatch, d97_file):
+    """The package's shrikhande edge table made wrong for one test: the two
+    targets' tables swapped, or one edge {1, 2} moved to the non-edge {1, 3}."""
+    tables = targets_module._TARGETS
+    sh, lk = tables[TargetId.SHRIKHANDE], tables[TargetId.LINE_K44]
+    if request.param == "swapped":
+        monkeypatch.setitem(tables, TargetId.SHRIKHANDE, lk)
+        monkeypatch.setitem(tables, TargetId.LINE_K44, sh)
+    else:
+        moved = [e for e in sh.edges if e != (1, 2)] + [(1, 3)]
+        # the moved table is not srg(16, 6, 2, 2), which TargetGraph refuses
+        monkeypatch.setattr(TargetGraph, "__post_init__", lambda self: None)
+        monkeypatch.setitem(tables, TargetId.SHRIKHANDE,
+                            TargetGraph(TargetId.SHRIKHANDE, SmallGraph(16, moved)))
+    return d97_file
+
+
+def test_certify_raw_edges_flags_a_wrong_edge_table(wrong_shrikhande_table):
+    cert = read_certificate(wrong_shrikhande_table)
     report = certify_raw_edges(cert)
-    assert report.part_errors == ["part 0: not isomorphic to shrikhande"]
+    assert report.part_errors == ["edge table is not the shrikhande graph"]
     assert replace(report, part_errors=[]) == certify(cert)
 
 
-def test_certify_raw_edges_rejects_a_non_target_part(monkeypatch):
-    # drop one edge and add a non-edge at one of its ends: still 48 edges
-    # over the same 16 points, no longer regular
-    cert = _d97(TargetId.LINE_K44)
-    row = cert.blocks[5].tolist()
+def test_verify_raw_of_a_valid_file_under_a_wrong_edge_table_exits_1(
+        wrong_shrikhande_table, capsys):
+    assert main(["verify", "--raw", str(wrong_shrikhande_table)]) == 1
+    assert "  part: edge table is not the shrikhande graph\n" in capsys.readouterr().out
 
-    def rewire(edges):
-        a, rest = edges[0][0], edges[1:]
-        c = next(p for p in row if p != a and (a, p) not in edges and (p, a) not in edges)
-        return rest + [(a, c)]
 
-    _rewire_part(monkeypatch, cert, 5, rewire)
+def test_swapped_tables_fool_pair_counting_but_not_raw(monkeypatch):
+    # lk44's design, claimed as shrikhande: under swapped tables every pair is
+    # covered once, and only the definitional check sees the wrong graph
+    cert = replace(_d97(TargetId.LINE_K44), target=TargetId.SHRIKHANDE)
+    tables = targets_module._TARGETS
+    monkeypatch.setitem(tables, TargetId.SHRIKHANDE, tables[TargetId.LINE_K44])
+    assert certify(cert).passed
     report = certify_raw_edges(cert)
-    assert report.part_errors == ["part 5: not isomorphic to lk44"]
+    assert report.part_errors == ["edge table is not the shrikhande graph"]
     assert replace(report, part_errors=[]) == certify(cert)
 
 
-def test_blocks_with_a_label_error_get_no_isomorphism_search(monkeypatch):
-    design = _d97()
-    blocks = design.blocks.copy()
-    blocks[3, 0] = 97
-    blocks[8, 2] = blocks[8, 7]
-    cert = Certificate(design.target, 97, CertMode.COMPLETE, blocks)
-    searched = []
-    build = certify_module.graph_from_edges
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(list(TargetId)),
+       st.lists(st.integers(0, 2**31 - 1), min_size=16, max_size=16, unique=True))
+def test_a_row_of_distinct_labels_reads_as_a_copy_of_its_table(target, row):
+    """Why certify_raw_edges searches no block.  For any row of 16 distinct
+    labels and either edge table, v -> row[v-1] is itself an isomorphism from
+    the table onto the row's edge set {row[u-1], row[v-1]}, (u, v) over the
+    table's edges.  An isomorphism search on that edge set could only
+    succeed, so what is left to check is the table against its definition."""
+    table = target_graph(target).graph
+    read = {frozenset((row[u - 1], row[v - 1])) for u, v in table.edges}
+    assert len(read) == len(table.edges)
+    for u in range(1, 17):
+        for v in range(u + 1, 17):
+            assert table.has_edge(u, v) == (frozenset((row[u - 1], row[v - 1])) in read)
 
-    def recording(edges):
-        searched.append(sorted({p for e in edges for p in e}))
-        return build(edges)
 
-    monkeypatch.setattr(certify_module, "graph_from_edges", recording)
-    report = certify_raw_edges(cert)
-    assert searched == [sorted(row) for i, row in enumerate(blocks.tolist()) if i not in (3, 8)]
-    assert report.label_errors == ["block 3: label out of range 0..96", "block 8: repeated label"]
-    assert report.part_errors == []
-    assert report == certify(cert)
+def test_verify_raw_of_289_runs_one_isomorphism_search(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d289.cert"
+    assert main(["construct", "--graph", "lk44", "--order", "289", "--out", str(path)]) == 0
+    calls = []
+    search = targets_module.is_isomorphic
+
+    def counted(g, h):
+        calls.append((g, h))
+        return search(g, h)
+
+    for module in (targets_module, cli):
+        monkeypatch.setattr(module, "is_isomorphic", counted)
+    assert main(["verify", "--raw", str(path)]) == 0
+    assert len(calls) == 1
+    assert "PASS (867 blocks" in capsys.readouterr().out
 
 
 def test_certificate_round_trip(tmp_path):

@@ -11,9 +11,9 @@ from design_forge.targets import (
     TargetGraph,
     TargetId,
     format_edge_list,
-    graph_from_edges,
     is_isomorphic,
     line_k44,
+    matches_definition,
     shrikhande,
     srg_parameters,
     target_graph,
@@ -42,6 +42,15 @@ def test_target_graph_lookup_by_id():
     assert target_graph("shrikhande") is shrikhande()
 
 
+def _graph_from_edges(edges) -> SmallGraph:
+    """A SmallGraph from edges over arbitrary integer points, the support
+    relabelled 1..k in sorted point order."""
+    es = [(u, v) if u < v else (v, u) for u, v in edges]
+    support = sorted({p for e in es for p in e})
+    index = {p: i + 1 for i, p in enumerate(support)}
+    return SmallGraph(len(support), [(index[u], index[v]) for u, v in es])
+
+
 def _components(g: SmallGraph) -> list[set[int]]:
     seen: set[int] = set()
     comps = []
@@ -67,7 +76,7 @@ def test_neighborhoods_distinguish_the_targets():
     for target, expected_components in ((shrikhande(), 1), (line_k44(), 2)):
         for v in range(1, 17):
             nb = set(target.graph.neighbors(v))
-            nbhd = graph_from_edges(e for e in target.graph.edges if set(e) <= nb)
+            nbhd = _graph_from_edges(e for e in target.graph.edges if set(e) <= nb)
             assert nbhd.vertex_count == 6
             assert all(nbhd.degree(u) == 2 for u in range(1, 7))
             assert len(_components(nbhd)) == expected_components
@@ -75,6 +84,10 @@ def test_neighborhoods_distinguish_the_targets():
 
 def test_targets_are_not_isomorphic():
     assert is_isomorphic(shrikhande().graph, line_k44().graph) is None
+
+
+def test_each_edge_table_matches_its_definition():
+    assert all(matches_definition(target) for target in TargetId)
 
 
 def test_isomorphism_found_under_random_relabelling():
@@ -182,7 +195,7 @@ def _assert_same_as_reference(g: SmallGraph, h: SmallGraph) -> dict[int, int] | 
 def _design_parts(target: TargetId, n: int) -> list[SmallGraph]:
     edges = target_graph(target).edges
     return [
-        graph_from_edges((row[u - 1], row[v - 1]) for u, v in edges)
+        _graph_from_edges((row[u - 1], row[v - 1]) for u, v in edges)
         for row in develop(paper_base_blocks(target, n)).blocks.tolist()
     ]
 
@@ -254,7 +267,7 @@ def test_isomorphism_matches_reference_on_small_graphs():
         SmallGraph(3, [(1, 2)]),
         SmallGraph(3, [(2, 3)]),
         SmallGraph(1, []),
-        graph_from_edges([(10, 20), (20, 30)]),
+        _graph_from_edges([(10, 20), (20, 30)]),
         cycle5,
         SmallGraph(5, [(3, 1), (1, 4), (4, 2), (2, 5), (5, 3)]),
         star5,
@@ -296,7 +309,7 @@ def test_adjacency_and_edges_agree_on_random_graphs():
 
 
 def test_graph_from_edges_relabels_support():
-    g = graph_from_edges([(10, 20), (20, 30)])
+    g = _graph_from_edges([(10, 20), (20, 30)])
     assert g.vertex_count == 3
     assert g.has_edge(1, 2) and g.has_edge(2, 3) and not g.has_edge(1, 3)
 
