@@ -29,6 +29,7 @@ every report caps its pair counts at 255.
 from __future__ import annotations
 
 import enum
+import io
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -205,6 +206,15 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 # _content_lines, a generator that holds one line's tokens at a time.
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
+#
+# Two readers, and the input picks one.  _parse_bulk takes an ASCII file
+# whose header is lines 1 and 2 and whose body starts with a digit and holds
+# only digits, spaces and LFs: one np.loadtxt pass reads the body, kept only
+# if it is exactly (count, 16) rows that fit in int32, and then it is what
+# the line parser would read.  Every other file (a comment, a leading blank
+# line, another line break, a doubled space, a sign, a wrong count or width,
+# an overflow) goes to _parse_lines, the one source of every parse message
+# and line number.
 
 
 def _beyond_ascii_decimal(text: str) -> bool:
@@ -231,29 +241,30 @@ def _content_lines(text: str):
 
 
 def format_certificate(cert: Certificate) -> str:
-    if (cert.blocks < 0).any():
+    """The certificate's text, its labels gathered from one byte table of
+    the names of the labels it uses."""
+    blocks = cert.blocks
+    if (blocks < 0).any():
         raise ValueError("certificate labels must be nonnegative")
-    lines = [
-        f"design {cert.target.value} {cert.order} {cert.mode.value}",
-        f"blocks {len(cert.blocks)}",
-    ]
-    lines.extend(" ".join(map(str, block)) for block in cert.blocks.tolist())
-    return "\n".join(lines) + "\n"
+    header = f"design {cert.target.value} {cert.order} {cert.mode.value}\nblocks {len(blocks)}\n"
+    if not blocks.size:
+        return header
+    labels, index = np.unique(blocks, return_inverse=True)
+    width = len(str(labels[-1]))
+    # row i: the name of labels[i], NUL-padded to width, then a space
+    table = np.full((len(labels), width + 1), ord(" "), dtype=np.uint8)
+    table[:, :width] = labels.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    cells = table[index.reshape(blocks.shape)]
+    cells[:, -1, -1] = ord("\n")
+    return header + cells[cells != 0].tobytes().decode("ascii")
 
 
-def parse_certificate(text: str) -> Certificate:
-    lines = _content_lines(text)
-    lineno = 1  # the last content line read
-
-    def next_tokens(what: str) -> list[str]:
-        nonlocal lineno
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise CertificateParseError(lineno, f"file ends before {what}") from None
-        return tokens
-
-    tokens = next_tokens("the design header")
+def _read_header(lines) -> tuple[int, TargetId, int, CertMode, int]:
+    """Consume the design and blocks lines from _content_lines;
+    (blocks line number, target, order, mode, block count)."""
+    lineno, tokens = next(lines, (1, None))
+    if tokens is None:
+        raise CertificateParseError(lineno, "file ends before the design header")
     if tokens[0] != "design":
         raise CertificateParseError(
             lineno, f"unsupported format: expected 'design', got {tokens[0]!r}"
@@ -273,7 +284,9 @@ def parse_certificate(text: str) -> Certificate:
     except ValueError:
         raise CertificateParseError(lineno, f"unknown mode {tokens[3]!r}") from None
 
-    tokens = next_tokens("the blocks line")
+    lineno, tokens = next(lines, (lineno, None))
+    if tokens is None:
+        raise CertificateParseError(lineno, "file ends before the blocks line")
     if len(tokens) != 2 or tokens[0] != "blocks":
         raise CertificateParseError(lineno, "expected 'blocks <count>'")
     try:
@@ -282,13 +295,23 @@ def parse_certificate(text: str) -> Certificate:
         raise CertificateParseError(lineno, f"bad block count {tokens[1]!r}") from None
     if count < 0:
         raise CertificateParseError(lineno, "block count must be nonnegative")
+    return lineno, target, order, mode, count
+
+
+def _parse_lines(text: str) -> Certificate:
+    """The line parser: every file, one content line at a time."""
+    lines = _content_lines(text)
+    lineno, target, order, mode, count = _read_header(lines)
 
     # where the whole text passes, int() alone keeps to _ascii_ints' rule,
     # so label lines, the bulk of the file, skip the check per line
     ints = _ascii_ints if _beyond_ascii_decimal(text) else lambda t: list(map(int, t))
     blocks, linenos = [], []
     for _ in range(count):
-        tokens = next_tokens(f"block {len(blocks)}")
+        try:
+            lineno, tokens = next(lines)
+        except StopIteration:
+            raise CertificateParseError(lineno, f"file ends before block {len(blocks)}") from None
         if len(tokens) != 16:
             raise CertificateParseError(lineno, f"{len(tokens)} labels, want 16")
         try:
@@ -306,6 +329,35 @@ def parse_certificate(text: str) -> Certificate:
         top = np.iinfo(np.int32)
         i = next(i for i, row in enumerate(blocks) if min(row) < top.min or max(row) > top.max)
         raise CertificateParseError(linenos[i], "label does not fit in 32 bits") from None
+
+
+def _parse_bulk(text: str) -> Certificate | None:
+    """What _parse_lines reads from text, in one numpy pass over the body,
+    for the files described above; None for every other file."""
+    parts = text.encode("ascii").split(b"\n", 2) if text.isascii() else []
+    if len(parts) < 3 or not parts[2][:1].isdigit() or parts[2].translate(None, b"0123456789 \n"):
+        return None
+    lines = _content_lines(text[: len(parts[0]) + 1 + len(parts[1])])
+    try:
+        _, target, order, mode, count = _read_header(lines)
+    except CertificateParseError:
+        return None
+    if next(lines, None) is not None:  # a line break other than LF in the header
+        return None
+    try:
+        blocks = np.loadtxt(io.BytesIO(parts[2]), dtype=np.int64, delimiter=" ",
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if blocks.shape != (count, 16) or blocks.max() > np.iinfo(np.int32).max:
+        return None
+    return Certificate(target, order, mode, blocks.astype(np.int32))
+
+
+def parse_certificate(text: str) -> Certificate:
+    """Parse a certificate; CertificateParseError names the line at fault."""
+    cert = _parse_bulk(text)
+    return cert if cert is not None else _parse_lines(text)
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:

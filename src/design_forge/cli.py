@@ -61,6 +61,16 @@ from .targets import (
 )
 
 
+def _node_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return budget
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="design-forge",
@@ -88,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="group type, e.g. 24^5 or 3^5")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--ingredients", type=Path, default=None)
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_node_budget, default=1_000_000,
                    help="node budget for the exact-cover search fallback")
     p.set_defaults(func=_cmd_gdd)
 

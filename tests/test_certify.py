@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,8 @@ from design_forge.certify import (
     CertificateParseError,
     CertMode,
     PairCounter,
+    _parse_bulk,
+    _parse_lines,
     certify,
     certify_raw_edges,
     format_certificate,
@@ -347,6 +351,138 @@ def test_labels_parse_alike_beside_a_comment_with_other_characters():
     with pytest.raises(CertificateParseError) as err:
         parse_certificate("\n".join(lines) + "\n")
     assert err.value.line == 6
+
+
+# --- the bulk reader against the line parser --------------------------------
+#
+# parse_certificate reads a well-formed body in one np.loadtxt pass
+# (_parse_bulk) and sends every other file to the line parser
+# (_parse_lines); either way the outcome must be the line parser's.
+
+
+@functools.cache
+def _d97_lines(target: TargetId) -> tuple[str, ...]:
+    return tuple(format_certificate(_d97(target)).split("\n"))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except CertificateParseError as err:
+        return err.line, str(err)
+
+
+def test_a_formatted_certificate_takes_the_bulk_reader():
+    d289 = develop(paper_base_blocks(TargetId.LINE_K44, 289))
+    for cert in (_d97(), _d97(TargetId.LINE_K44), d289):
+        text = format_certificate(cert)
+        assert _parse_bulk(text) == cert == _parse_lines(text)
+        bulk = parse_certificate(text).blocks
+        assert bulk.dtype == np.int32 and not bulk.flags.writeable
+
+
+# characters that str.splitlines breaks a line at and "\n".split does not
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TOKENS = ("+1", "1_0", "1.0", "\u0661\u0660", "-1", str(2**31 - 1), str(2**31), str(2**63),
+           "007", "96", "97")
+
+
+@st.composite
+def _mutated_d97_text(draw):
+    """A formatted order-97 certificate with up to four line edits: comments,
+    blank lines, CRLF, tabs, doubled, leading or trailing spaces, odd
+    integer spellings, dropped, extra or cut lines, 15 or 17 labels, and
+    every other line break str.splitlines knows."""
+    lines = list(_d97_lines(draw(st.sampled_from(list(TargetId)))))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from((
+            "comment", "blank", "crlf", "tab", "double", "lead", "trail", "token", "drop",
+            "extra", "cut", "15", "17", "break")))
+        if kind == "comment":
+            lines.insert(i, "# a comment 1 2 3")
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(("", " ", "  "))))
+        elif kind == "crlf":
+            lines[i] = line + "\r"
+        elif kind in ("tab", "double"):
+            lines[i] = line.replace(" ", "\t" if kind == "tab" else "  ", 1)
+        elif kind == "lead":
+            lines[i] = " " + line
+        elif kind == "trail":
+            lines[i] = line + " "
+        elif kind == "token":
+            tokens = line.split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "extra":
+            lines.insert(i, line)
+        elif kind == "cut":
+            lines[i] = line[:at]
+        elif kind == "15":
+            lines[i] = line.rsplit(" ", 1)[0]
+        elif kind == "17":
+            lines[i] = line + " 5"
+        else:
+            lines[i] = line[:at] + draw(st.sampled_from(_OTHER_BREAKS)) + line[at:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_mutated_d97_text())
+def test_parse_certificate_reads_what_the_line_parser_reads(text):
+    assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("token", _TOKENS)
+def test_each_label_spelling_reads_as_the_line_parser_reads_it(token):
+    lines = list(_d97_lines(TargetId.SHRIKHANDE))
+    for i in (2, 50, len(lines) - 2):
+        edited = lines[:i] + [token + lines[i][lines[i].index(" "):]] + lines[i + 1:]
+        text = "\n".join(edited)
+        assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("brk", _OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in _OTHER_BREAKS])
+def test_a_header_split_by_another_line_break_reads_as_the_line_parser_reads_it(brk):
+    # one line of the file by LF, two by str.splitlines: the blocks line
+    # claims 96, and the 96 label lines after the first bear it out
+    design, _, *labels = _d97_lines(TargetId.SHRIKHANDE)
+    text = "\n".join([design + brk + "blocks 96", *labels])
+    assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
+    assert _outcome(parse_certificate, text) == (99, "line 99: trailing content after last block")
+
+
+def test_a_hostile_block_count_errs_at_its_line_in_little_memory():
+    text = "design shrikhande 97 complete\nblocks 99999999999\n" + " ".join(map(str, range(16)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateParseError) as err:
+            parse_certificate(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.line, str(err.value)) == (3, "line 3: file ends before block 1")
+    assert peak < 2**20
+
+
+def test_a_huge_order_and_label_format_in_little_memory():
+    row = [2**31 - 1] + list(range(15))
+    cert = Certificate(TargetId.LINE_K44, 10**9, CertMode.COMPLETE, [row])
+    tracemalloc.start()
+    try:
+        text = format_certificate(cert)
+        again = parse_certificate(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"design lk44 1000000000 complete\nblocks 1\n{' '.join(map(str, row))}\n"
+    assert again == cert
+    assert peak < 2**20
 
 
 # --- the pair counter against the parent's pair counting -------------------

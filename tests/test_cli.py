@@ -233,3 +233,11 @@ def test_verify_raw_of_a_4partite_certificate_exits_2(tmp_path, capsys):
 def test_gdd_type_with_a_superscript_exponent_exits_2(capsys):
     assert main(["gdd", "--type", "3^\u00b2"]) == 2
     assert "bad type token '3^\u00b2', want g^u" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", "ten"])
+def test_gdd_budget_below_one_is_a_usage_error(budget, capsys):
+    assert main(["gdd", "--type", "6^5", "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --budget: want an integer >= 1, got '{budget}'" in err
+    assert "exhausted" not in err
