@@ -2,9 +2,11 @@
 
 Subcommands: construct (build a design of an admissible order, certified
 once in memory, and write its certificate), verify (check a certificate
-file), gdd (build and verify a group divisible design), catalog (print
-the shipped base blocks and target graphs), selftest (run the internal
-cross-checks).
+file), gdd (build a group divisible design and verify it once, before
+printing or writing it), catalog (print the shipped base blocks and
+target graphs), selftest (run the internal cross-checks).  construct's
+certify and gdd's verify_gdd are the construction pipeline's own
+checks; besides them only ingredient files are verified, on load.
 
 Exit status: 0 success or pass, 1 verification failure, 2 usage error or
 missing ingredient.
@@ -84,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--ingredients", type=Path, default=None,
-                   help="directory of ingredient GDD files (overrides the environment)")
+                   help="directory of ingredient GDD files (default: the packaged store)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="certify a certificate file")
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _store(args: argparse.Namespace) -> IngredientStore | None:
     if getattr(args, "ingredients", None) is not None:
         return IngredientStore(args.ingredients)
-    return None  # construct/gdd fall back to the env var, then package data
+    return None  # construct/gdd fall back to the packaged store
 
 
 def _print_report(report) -> None:
@@ -163,13 +165,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gdd(args: argparse.Namespace) -> int:
     gdd_type = GddType.parse(args.gdd_type)
     if {g for g, _ in gdd_type.parts} == {24}:
-        design = gdd_24_t(gdd_type.group_count(), _store(args))
+        design = gdd_24_t(gdd_type.group_count(), _store(args), node_budget=args.budget)
     else:
         design = exact_cover_search(gdd_type, 4, node_budget=args.budget)
         if design is None:
             print(f"no 4-GDD of type {gdd_type} exists (search tree exhausted)",
                   file=sys.stderr)
             return 1
+    # the one check of the design handed out: nothing is written unless it passes
+    report = verify_gdd(design)
+    if not report.passed:
+        print(f"error: 4-GDD of type {gdd_type} failed verification: {report.summary()}",
+              file=sys.stderr)
+        return 1
     if args.out is not None:
         write_gdd_file(design, args.out)
         print(f"{args.out}: 4-GDD of type {gdd_type}, {len(design.blocks)} blocks, verified")
@@ -213,7 +221,7 @@ def _develop_certifies(block: BaseBlock) -> bool:
 def _gdd_verifies(build: Callable[..., Gdd], *args) -> bool:
     try:
         return verify_gdd(build(*args)).passed
-    except GddError:  # a file that fails to load, or a failed internal check
+    except GddError:  # a file that fails to load, or a missing ingredient
         return False
 
 

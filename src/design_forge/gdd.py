@@ -9,18 +9,19 @@ i-th consecutive range of points in GddType.group_sizes() order.
 
 verify_gdd checks the blocks by exhaustive pair counting, through
 certify.PairCounter, the package's one pair counter, into the
-certify.CertReport that every check of the package returns, at the trust
-boundaries only: ingredient files on load (where parse_gdd_file checks
-first that group line i is range i and that the block lines number
-GddType.block_count), exact-cover search results, and the 24^t design
-gdd_24_t returns.  The steps between (TD from MOLS, inflation)
-need no check of their own: MolsSet checks its squares exhaustively, and
-the final check catches any defect a later step introduces.
+certify.CertReport that every check of the package returns.  It runs at
+the trust boundaries only: on every ingredient file loaded (where
+parse_gdd_file checks first that group line i is range i and that the
+block lines number GddType.block_count), on the design the gdd command
+hands out, and in selftest.  Everything built here (MOLS, TD, inflation,
+exact-cover search, gdd_24_t) returns an unverified claim; a defect in
+any of those steps fails the check at the boundary it reaches, or
+construct_design's certify of the design assembled from it.
 
-MOLS live here as MolsSet, whose squares are one read-only (s, m, m) int32
-array.  mols_for_order reads field MOLS L_a(x, y) = a*x + y off the
-add/mul tables of algebra.Ring.field(m), the package's one home of field
-arithmetic, and forms MOLS(24) as their Kronecker (MacNeish) product.
+MOLS are one read-only (s, m, m) int32 array.  mols_for_order reads field
+MOLS L_a(x, y) = a*x + y off the add/mul tables of algebra.Ring.field(m),
+the package's one home of field arithmetic, and forms MOLS(24) as their
+Kronecker (MacNeish) product.
 
 Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 
@@ -33,7 +34,6 @@ Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import Ring, RingError
+from .algebra import Ring, RingError, _read_only
 from .certify import CertReport, PairCounter, _ascii_ints, _content_lines
 from .targets import as_block_array
 
@@ -186,113 +186,61 @@ def verify_gdd(design: Gdd) -> CertReport:
     return report
 
 
-def _require_valid(design: Gdd, what: str) -> Gdd:
-    report = verify_gdd(design)
-    if not report.passed:
-        raise GddError(f"internal: {what} failed verification: {report.summary()}")
-    return design
-
-
 # --- mutually orthogonal Latin squares -------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MolsSet:
-    """Latin squares of one order, pairwise orthogonal.
-
-    ``squares`` is one read-only (s, order, order) int32 array; an array
-    or a nested sequence of that shape is accepted and converted once.  Both
-    properties are verified exhaustively at construction: each row and
-    column must be a permutation, and superimposing any two squares must
-    produce all order^2 ordered symbol pairs.  The first failure, in the
-    order square, row before column, then pair, is the one reported.
-    """
-
-    order: int
-    squares: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.order
-        try:
-            squares = np.ascontiguousarray(self.squares, dtype=np.int32)
-        except ValueError:  # ragged nesting
-            squares = None
-        if squares is None or squares.shape[1:] != (m, m):
-            raise GddError(f"squares are not all {m}x{m}")
-        squares.flags.writeable = False
-        object.__setattr__(self, "squares", squares)
-        symbols = np.arange(m)
-        # bad[s, x] = (row x of square s, column x of square s) not a permutation
-        bad = np.stack(
-            [
-                (np.sort(squares, axis=2) != symbols).any(axis=2),
-                (np.sort(squares, axis=1) != symbols[:, None]).any(axis=1),
-            ],
-            axis=2,
-        )
-        if bad.any():
-            s, x, column = np.unravel_index(bad.argmax(), bad.shape)
-            line = "column" if column else "row"
-            raise GddError(f"square {s}: {line} {x} is not a permutation")
-        # squares s < t are orthogonal iff the pairs s*m + t take m^2 values
-        for s in range(len(squares) - 1):
-            pairs = np.sort((m * squares[s] + squares[s + 1 :]).reshape(-1, m * m), axis=1)
-            clash = (pairs[:, 1:] == pairs[:, :-1]).any(axis=1)
-            if clash.any():
-                raise GddError(f"squares {s} and {s + 1 + clash.argmax()} are not orthogonal")
-
-    def __len__(self) -> int:
-        return len(self.squares)
-
-
-def kronecker_mols(a: MolsSet, b: MolsSet) -> MolsSet:
-    """MacNeish product: min(|a|, |b|) MOLS of order |a|*|b|.
+def kronecker_mols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MacNeish product: min(|a|, |b|) MOLS of order m*n from MOLS arrays
+    of orders m and n.
 
     Cell ((x1, x2), (y1, y2)) of product square i holds the flattened pair
     (a_i(x1, y1), b_i(x2, y2)); rows, columns and symbols flatten as
-    first*n + second with n = b.order.
+    first*n + second.
     """
-    m, n = a.order, b.order
     count = min(len(a), len(b))
-    first, second = a.squares[:count], b.squares[:count]
+    m, n = a.shape[1], b.shape[1]
     # axes (i, x1, x2, y1, y2)
-    squares = first[:, :, None, :, None] * n + second[:, None, :, None, :]
-    return MolsSet(order=m * n, squares=squares.reshape(count, m * n, m * n))
+    squares = a[:count, :, None, :, None] * n + b[:count, None, :, None, :]
+    return _read_only(squares.reshape(count, m * n, m * n))
 
 
-def mols_for_order(m: int) -> MolsSet:
+def mols_for_order(m: int) -> np.ndarray:
     """The m - 1 MOLS L_a(x, y) = a*x + y, a != 0, over the field
-    Ring.field(m) (m prime, 4, 8 or 289), or MOLS(8) x MOLS(3) for m = 24."""
+    Ring.field(m) (m prime, 4, 8 or 289), or MOLS(8) x MOLS(3) for m = 24,
+    as one read-only (s, m, m) int32 array."""
     if m == 24:
         return kronecker_mols(mols_for_order(8), mols_for_order(3))
     try:
         f = Ring.field(m)
     except RingError:
         raise UnsupportedOrderError(f"no MOLS construction for order {m}") from None
-    return MolsSet(order=m, squares=f.add_table[f.mul_table[1:, :, None], np.arange(m)])
+    return _read_only(f.add_table[f.mul_table[1:, :, None], np.arange(m)])
 
 
 # --- transversal designs and inflation --------------------------------------
 
 
-def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
-    """TD(k, m) from k-2 MOLS of order m: a k-GDD of type m^k.
+def td_from_mols(k: int, m: int, mols: np.ndarray) -> Gdd:
+    """TD(k, m) from k-2 MOLS of order m, an (s, m, m) array: a k-GDD of
+    type m^k.
 
     Group i is {i*m, ..., i*m + m - 1}; the block for cell (x, y) takes
     symbol x from group 0, y from group 1, and square i-2's entry at
-    (x, y) from group i.  Not re-verified: MolsSet checked the squares
-    exhaustively, and k-2 MOLS of order m are exactly a TD(k, m).
+    (x, y) from group i.  The squares are not checked here, only their
+    shape and count: the result is an unverified claim, like inflate's,
+    and a square that is not Latin or a pair that is not orthogonal shows
+    as a failed check wherever the design crosses a boundary.
     """
     if k < 2:
         raise GddError("block size must be at least 2")
-    if mols.order != m:
-        raise GddError(f"MOLS order {mols.order} != {m}")
+    if mols.shape[1:] != (m, m):
+        raise GddError(f"MOLS of shape {mols.shape} are not squares of order {m}")
     if len(mols) < k - 2:
         raise IngredientUnavailableError(
             f"TD({k},{m}) needs {k - 2} MOLS of order {m}, have {len(mols)}"
         )
     x, y = np.divmod(np.arange(m * m), m)
-    squares = mols.squares[: k - 2].reshape(k - 2, m * m)
+    squares = mols[: k - 2].reshape(k - 2, m * m)
     return Gdd(
         gdd_type=GddType.of(m, k),
         k=k,
@@ -304,7 +252,7 @@ def td_from_mols(k: int, m: int, mols: MolsSet) -> Gdd:
 def td_for_weight(k: int, w: int) -> Gdd:
     """The TD(k, w) used to replace blocks during inflation."""
     if w == 1:  # k-2 copies of the 1x1 square are trivially orthogonal
-        return td_from_mols(k, 1, MolsSet(1, np.zeros((k - 2, 1, 1))))
+        return td_from_mols(k, 1, np.zeros((k - 2, 1, 1), dtype=np.int32))
     return td_from_mols(k, w, mols_for_order(w))
 
 
@@ -317,7 +265,8 @@ def inflate(design: Gdd, weight: int) -> Gdd:
     pairs inside a replaced block are covered exactly once by the TD;
     pairs over two different blocks are covered by the copies for the
     unique block containing the original pair, so the GDD property is
-    preserved.  Not re-verified here: gdd_24_t verifies what it returns.
+    preserved.  Not verified here: the result is a claim, checked where it
+    crosses a boundary (the gdd command, or construct's certify).
     """
     w = weight
     if w < 1:
@@ -354,9 +303,11 @@ def exact_cover_search(
     at the first pair with at most one; its rows are tried in shuffled
     order, and a pair with none ends the branch.
 
-    Returns a verified Gdd, or None when the exhausted search tree proves
-    nonexistence.  Raises BudgetExhaustedError when the node budget runs
-    out first: that outcome is deliberately distinct from nonexistence.
+    Returns an unverified Gdd claim, or None when the exhausted search
+    tree proves nonexistence; the gdd command verifies what it hands out,
+    and a regenerated ingredient is checked with the design built on it.
+    Raises BudgetExhaustedError when the node budget runs out first: that
+    outcome is deliberately distinct from nonexistence.
     Deterministic for a fixed seed.
     """
     n = gdd_type.point_count()
@@ -429,13 +380,12 @@ def exact_cover_search(
 
     if not search():
         return None
-    design = Gdd(
+    return Gdd(
         gdd_type=gdd_type,
         k=k,
         blocks=sorted(rows[r] for r in chosen_rows),
         provenance=f"exact cover search (seed {seed})",
     )
-    return _require_valid(design, f"search result for {gdd_type}")
 
 
 # --- ingredient store --------------------------------------------------------
@@ -444,8 +394,6 @@ def exact_cover_search(
 # line per group, line i listing the i-th consecutive range of the type,
 # and one `block <points...>` line per block.  Lines starting with `#` are
 # comments.  Every loaded file is re-verified.
-
-ENV_INGREDIENTS = "DESIGN_FORGE_INGREDIENTS"
 
 
 def format_gdd_file(design: Gdd) -> str:
@@ -556,9 +504,7 @@ class IngredientStore:
 
     @staticmethod
     def default() -> "IngredientStore":
-        env = os.environ.get(ENV_INGREDIENTS)
-        if env:
-            return IngredientStore(env)
+        """The store packaged with design_forge."""
         return IngredientStore(resources.files("design_forge").joinpath("data/ingredients"))
 
     def find(self, k: int, gdd_type: GddType) -> Gdd | None:
@@ -579,39 +525,40 @@ class IngredientStore:
 # --- the 4-GDDs of type 24^t -------------------------------------------------
 
 
-def gdd_24_t(t: int, store: IngredientStore | None = None) -> Gdd:
-    """A verified 4-GDD of type 24^t, with group i = {24i, ..., 24i+23}.
+def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = 1_000_000) -> Gdd:
+    """A 4-GDD of type 24^t, with group i = {24i, ..., 24i+23}.
 
     t = 4 is the transversal design TD(4,24).  For t >= 5 an ingredient
     4-GDD of type 6^t (inflated by weight 4) or 3^t (inflated by weight 8)
-    is taken from the store; a missing 3^t ingredient is regenerated by
-    exact_cover_search when the point count is desk-scale.  The route
-    taken is recorded in the provenance field.
+    is taken from the store, where it is verified on load; a missing 3^t
+    ingredient is regenerated by exact_cover_search within node_budget
+    nodes when the point count is desk-scale.  The route taken is recorded
+    in the provenance field.  The result is an unverified claim: the gdd
+    command verifies it before handing it out, and construct_design
+    certifies the design assembled from it.
     """
     if t < 4:
         raise GddError(f"4-GDDs of type 24^t exist for t >= 4, got t = {t}")
     if t == 4:
         td = td_from_mols(4, 24, mols_for_order(24))
-        design = replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
-    else:
-        how, ingredient = _ingredient(t, store or IngredientStore.default())
-        g = ingredient.gdd_type.parts[0][0]
-        blocks = inflate(ingredient, 24 // g).blocks
-        provenance = f"inflate {how} 4-gdd {g}^{t} by weight {24 // g}"
-        design = Gdd(GddType.of(24, t), 4, blocks[np.lexsort(blocks.T[::-1])], provenance)
-    # no step above is verified on its own: this one check covers them all
-    return _require_valid(design, f"4-GDD of type 24^{t}")
+        return replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
+    how, ingredient = _ingredient(t, store or IngredientStore.default(), node_budget)
+    g = ingredient.gdd_type.parts[0][0]
+    blocks = inflate(ingredient, 24 // g).blocks
+    provenance = f"inflate {how} 4-gdd {g}^{t} by weight {24 // g}"
+    return Gdd(GddType.of(24, t), 4, blocks[np.lexsort(blocks.T[::-1])], provenance)
 
 
-def _ingredient(t: int, store: IngredientStore) -> tuple[str, Gdd]:
-    """A verified 4-GDD of type 6^t or 3^t: stored, else regenerated by search."""
+def _ingredient(t: int, store: IngredientStore, node_budget: int) -> tuple[str, Gdd]:
+    """A 4-GDD of type 6^t or 3^t: stored (verified on load), else
+    regenerated by search."""
     for size in (6, 3):
         found = store.find(4, GddType.of(size, t))
         if found is not None:
             return "stored", found
     if 3 * t <= 40:
         try:
-            found = exact_cover_search(GddType.of(3, t), 4)
+            found = exact_cover_search(GddType.of(3, t), 4, node_budget=node_budget)
         except BudgetExhaustedError:
             found = None
         if found is not None:

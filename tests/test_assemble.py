@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from design_forge import assemble
 from design_forge.assemble import (
     admissible,
     construct_design,
@@ -23,12 +22,6 @@ def test_admissible_matches_the_arithmetic_form():
 def test_admissible_rejects_nonpositive():
     with pytest.raises(ValueError):
         admissible(0)
-
-
-def test_admissible_raises_a_defect_when_its_clauses_disagree(monkeypatch):
-    monkeypatch.setattr(assemble, "_necessary_conditions", lambda n: n == 2)
-    with pytest.raises(RuntimeError, match="admissibility clauses split at 97"):
-        admissible(97)
 
 
 def test_inflate_block_covers_cross_pairs_of_the_right_points():

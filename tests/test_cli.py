@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from design_forge import assemble, cli
+from design_forge import gdd as gdd_mod
 from design_forge.blocks import k4444_decomposition
 from design_forge.certify import Certificate, CertMode, write_certificate
 from design_forge.cli import main
@@ -201,13 +202,22 @@ def test_ingredients_flag_overrides_the_store(tmp_path, capsys, monkeypatch):
     assert "3^5" in captured.out
 
 
-def test_env_var_sets_the_store(tmp_path, monkeypatch, capsys):
+def test_gdd_budget_reaches_the_24_t_search_fallback(tmp_path, monkeypatch, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
-    monkeypatch.setenv("DESIGN_FORGE_INGREDIENTS", str(empty))
-    assert main(["gdd", "--type", "24^5"]) == 0
-    captured = capsys.readouterr()
-    assert "3^5" in captured.out
+    search = gdd_mod.exact_cover_search
+    budgets = []
+
+    def spy(gdd_type, k, node_budget=1_000_000, seed=0):
+        budgets.append(node_budget)
+        # searched with at most 1000 nodes either way, so a lost budget fails fast
+        return search(gdd_type, k, min(node_budget, 1000), seed)
+
+    monkeypatch.setattr(gdd_mod, "exact_cover_search", spy)
+    argv = ["gdd", "--type", "24^8", "--budget", "1000", "--ingredients", str(empty)]
+    assert main(argv) == 2
+    assert budgets == [1000]
+    assert "no ingredient 4-GDD of type 6^8 or 3^8" in capsys.readouterr().err
 
 
 def test_verify_a_label_too_large_for_int32_exits_1(tmp_path, capsys):

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from design_forge import gdd as gdd_mod
+from design_forge.assemble import ConstructionError, construct_design
+from design_forge.cli import main
 
 from design_forge.gdd import (
     BudgetExhaustedError,
@@ -19,7 +21,6 @@ from design_forge.gdd import (
     IngredientFileError,
     IngredientStore,
     IngredientUnavailableError,
-    MolsSet,
     UnsupportedOrderError,
     exact_cover_search,
     format_gdd_file,
@@ -33,6 +34,7 @@ from design_forge.gdd import (
     verify_gdd,
     write_gdd_file,
 )
+from design_forge.targets import TargetId
 
 
 def test_gdd_type_parsing_and_printing():
@@ -69,11 +71,19 @@ def test_gdd_file_integers_are_ascii_decimal(old, new, message):
 
 
 def test_mols_prime_power_counts():
-    assert len(mols_for_order(2).squares) == 1
-    assert len(mols_for_order(3).squares) == 2
-    assert len(mols_for_order(5).squares) == 4
-    assert len(mols_for_order(4).squares) == 3
-    assert len(mols_for_order(8).squares) == 7
+    assert len(mols_for_order(2)) == 1
+    assert len(mols_for_order(3)) == 2
+    assert len(mols_for_order(5)) == 4
+    assert len(mols_for_order(4)) == 3
+    assert len(mols_for_order(8)) == 7
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 24])
+def test_mols_make_a_transversal_design_that_verifies(m):
+    # a TD(s + 2, m) from s squares is a GDD exactly when every square is
+    # Latin and every pair orthogonal, so verify_gdd checks both
+    mols = mols_for_order(m)
+    assert verify_gdd(td_from_mols(len(mols) + 2, m, mols)).passed
 
 
 def test_trivial_two_gdd_of_type_1_2_passes():
@@ -89,9 +99,8 @@ def test_trivial_two_gdd_of_type_1_2_passes():
 
 def test_kronecker_product_order_24():
     m = kronecker_mols(mols_for_order(8), mols_for_order(3))
-    assert m.order == 24
-    assert len(m.squares) == 2
-    assert mols_for_order(24).order == 24
+    assert m.shape == (2, 24, 24)
+    assert np.array_equal(mols_for_order(24), m)
 
 
 def test_td_4_3_has_nine_blocks():
@@ -587,6 +596,14 @@ def _move_one_point(design):
     return replace(design, blocks=tuple(map(tuple, blocks)))
 
 
+def _swap_two_cells(mols):
+    """The MOLS with two cells of row 0 of square 0 swapped: every row is
+    still a permutation, but two columns of that square are not."""
+    squares = mols.copy()
+    squares[0, 0, [0, 1]] = squares[0, 0, [1, 0]]
+    return squares
+
+
 @pytest.mark.parametrize(
     ("stage", "t", "route"),
     [
@@ -595,26 +612,56 @@ def _move_one_point(design):
         ("td_from_mols", 5, "searched"),
         ("inflate", 5, "stored"),
         ("inflate", 5, "searched"),
+        ("mols_for_order", 4, "stored"),
     ],
 )
-def test_a_corrupted_intermediate_is_caught_at_a_boundary(monkeypatch, tmp_path, stage, t, route):
+def test_a_corrupted_intermediate_is_caught_at_a_boundary(
+    monkeypatch, tmp_path, capsys, stage, t, route
+):
     original = getattr(gdd_mod, stage)
+    corrupt = _swap_two_cells if stage == "mols_for_order" else _move_one_point
     calls = []
 
     def corrupted(*args, **kwargs):
         calls.append(stage)
-        return _move_one_point(original(*args, **kwargs))
+        return corrupt(original(*args, **kwargs))
 
     monkeypatch.setattr(gdd_mod, stage, corrupted)
-    store = IngredientStore(tmp_path) if route == "searched" else None
-    with pytest.raises(GddError) as err:
-        gdd_24_t(t, store)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    store = IngredientStore(empty) if route == "searched" else None
+
+    with pytest.raises(ConstructionError) as err:
+        construct_design(TargetId.SHRIKHANDE, 96 * t + 1, store)
     assert calls
     message = str(err.value)
     assert "FAIL (" in message and "\n" not in message and len(message) < 200
 
+    calls.clear()
+    out = tmp_path / "g.txt"
+    argv = ["gdd", "--type", f"24^{t}", "--out", str(out)]
+    if route == "searched":
+        argv += ["--ingredients", str(empty)]
+    assert main(argv) == 1
+    assert calls
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FAIL (" in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
 
-# --- MOLS: the loop constructions that MolsSet arrays must reproduce ---------
+
+def test_gdd_command_checks_a_searched_design_before_writing_it(monkeypatch, tmp_path, capsys):
+    search = gdd_mod.exact_cover_search
+    monkeypatch.setattr("design_forge.cli.exact_cover_search",
+                        lambda *args, **kwargs: _move_one_point(search(*args, **kwargs)))
+    out = tmp_path / "g.txt"
+    assert main(["gdd", "--type", "3^5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "4-GDD of type 3^5 failed verification: FAIL (" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# --- MOLS: the loop constructions that the MOLS arrays must reproduce -------
 
 
 def _gf2_mul(x: int, y: int, poly: int, degree: int) -> int:
@@ -658,12 +705,12 @@ def _reference_mols(q: int) -> list:
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 24])
 def test_mols_for_order_matches_the_loop_reference(q):
-    assert np.asarray(mols_for_order(q).squares).tolist() == _reference_mols(q)
+    assert mols_for_order(q).tolist() == _reference_mols(q)
 
 
 @pytest.mark.parametrize("q", [3, 8, 24])
 def test_mols_squares_are_one_read_only_int32_array(q):
-    squares = mols_for_order(q).squares
+    squares = mols_for_order(q)
     assert isinstance(squares, np.ndarray) and squares.dtype == np.int32
     assert squares.shape == (len(_reference_mols(q)), q, q)
     with pytest.raises(ValueError):
@@ -674,32 +721,6 @@ def test_mols_for_an_order_without_a_field_is_unsupported():
     for m in (6, 9, 12):
         with pytest.raises(UnsupportedOrderError):
             mols_for_order(m)
-
-
-_Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]  # x + y over Z_3
-_Z3_2X = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]  # 2x + y over Z_3
-_Z5 = [[[(a * x + y) % 5 for y in range(5)] for x in range(5)] for a in range(1, 5)]
-
-
-@pytest.mark.parametrize(
-    "order, squares, message",
-    [
-        (3, [[[0, 1, 2], [1, 1, 0], [2, 0, 1]], _Z3_2X], "square 0: row 1 is not a permutation"),
-        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]]], "square 1: column 0 is not a permutation"),
-        (5, _Z5 + [_Z5[1]], "squares 1 and 4 are not orthogonal"),
-        (3, [_Z3, _Z3], "squares 0 and 1 are not orthogonal"),
-        # two defects: the first in (square, line, row before column) order wins
-        (3, [[[0, 1, 2], [1, 2, 0], [2, 0, 0]], [[1, 1, 2], _Z3[1], _Z3[2]]],
-         "square 0: row 2 is not a permutation"),
-        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]], _Z3], "square 1: column 0 is not a permutation"),
-        (3, [[[0, 1], [1, 0]]], "squares are not all 3x3"),
-        (3, _Z3, "squares are not all 3x3"),
-        (3, [_Z3, [[0, 1], [1, 0]]], "squares are not all 3x3"),
-    ],
-)
-def test_mols_set_rejects_each_defect_with_its_message(order, squares, message):
-    with pytest.raises(GddError, match=f"^{message}$"):
-        MolsSet(order, squares)
 
 
 # --- ingredient file headers -------------------------------------------------
