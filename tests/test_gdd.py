@@ -723,6 +723,49 @@ def test_mols_for_an_order_without_a_field_is_unsupported():
             mols_for_order(m)
 
 
+_Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]  # x + y over Z_3
+_Z3_2X = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]  # 2x + y over Z_3
+_Z5 = [[[(a * x + y) % 5 for y in range(5)] for x in range(5)] for a in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "order, squares, first_pair_error",
+    [
+        # square 0, row 1 holds symbol 1 twice: row point 1 meets symbol point 6 + 1 twice
+        (3, [[[0, 1, 2], [1, 1, 0], [2, 0, 1]], _Z3_2X], ((1, 7), 2)),
+        # square 1, column 0 holds symbol 0 twice: column point 3 meets symbol point 9 twice
+        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]]], ((3, 9), 2)),
+        # squares 1 and 4 are the same: their symbol-0 points 15 and 30 meet 5 times
+        (5, _Z5 + [_Z5[1]], ((15, 30), 5)),
+        (3, [_Z3, _Z3], ((6, 9), 3)),
+        # two defects: the least pair, square 0's row 2, is listed first
+        (3, [[[0, 1, 2], [1, 2, 0], [2, 0, 0]], [[1, 1, 2], _Z3[1], _Z3[2]]], ((2, 6), 2)),
+        (3, [_Z3, [[0, 1, 2], [0, 1, 2], [1, 2, 0]], _Z3], ((3, 9), 2)),
+    ],
+)
+def test_defective_mols_make_a_td_that_fails_verification(order, squares, first_pair_error):
+    # the MOLS are not checked when built: verify_gdd on the TD is their check
+    mols = np.array(squares, dtype=np.int32)
+    report = verify_gdd(td_from_mols(len(mols) + 2, order, mols))
+    assert not report.passed
+    assert report.label_errors == []
+    assert report.pair_errors[0] == first_pair_error
+
+
+@pytest.mark.parametrize(
+    "order, squares",
+    [
+        (3, [[[0, 1], [1, 0]]]),
+        (3, _Z3),
+        (3, [[row[:2] for row in _Z3]] * 2),
+    ],
+)
+def test_td_from_mols_rejects_squares_of_the_wrong_shape(order, squares):
+    mols = np.array(squares, dtype=np.int32)
+    with pytest.raises(GddError, match=rf"^MOLS of shape \(.*\) are not squares of order {order}$"):
+        td_from_mols(3, order, mols)
+
+
 # --- ingredient file headers -------------------------------------------------
 
 
