@@ -23,7 +23,10 @@ through the table as a copy of it, v -> row[v-1] being the isomorphism.
 
 PairCounter is the package's one pair counter: certify and
 gdd.verify_gdd each choose which blocks count and pass their groups, and
-every report caps its pair counts at 255.
+every report caps its pair counts at 255.  Its memory follows the
+n(n-1)/2 pairs: one count per pair in the narrowest unsigned dtype that
+holds the number of blocks counted (uint16 for every shipped order), plus
+the pair hits of one chunk of blocks at a time.
 """
 
 from __future__ import annotations
@@ -119,15 +122,27 @@ def _pair_index(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.multiply(hi, hi - 1, dtype=np.int64) // 2 + np.minimum(u, v)
 
 
+# Rows per np.add.at: 128 certificate rows are 6144 pair hits, about
+# 0.2 MiB of index temporaries; 256 rows took twice that and ran no faster.
+_CHUNK_ROWS = 128
+
+
 class PairCounter:
-    """Exact coverage counts of the pairs of 0..n-1; each caller chooses which blocks count."""
+    """Exact coverage counts of the pairs of 0..n-1 under the rows each
+    caller counts: one narrow count per pair, and one chunk of rows at a time."""
 
-    def __init__(self, n: int):
-        self.counts = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-
-    def add(self, ends: np.ndarray) -> None:
-        """Count each pair {ends[0][i], ends[1][i]} of distinct points, repeats included."""
-        np.add.at(self.counts, _pair_index(ends[0], ends[1]), 1)
+    def __init__(self, n: int, rows: np.ndarray, counted: np.ndarray, ends: Sequence[np.ndarray]):
+        """Count the pair {row[ends[0][j]], row[ends[1][j]]} for every j and
+        every row i with counted[i].  Counted rows hold distinct points and
+        ends distinct position pairs, so a row covers a pair at most once:
+        no count exceeds the number of rows counted, and the counts take the
+        narrowest unsigned dtype that holds it."""
+        kept = np.flatnonzero(counted)
+        self.counts = np.zeros(n * (n - 1) // 2, np.min_scalar_type(len(kept)))
+        one = self.counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
+        for start in range(0, len(kept), _CHUNK_ROWS):
+            chunk = rows[kept[start : start + _CHUNK_ROWS]]
+            np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]]), one)
 
     def errors(self, groups: Iterable[Iterable[int]] = ()) -> list[tuple[tuple[int, int], int]]:
         """((u, v), count capped at 255) of each pair covered other than once
@@ -180,8 +195,7 @@ def certify(cert: Certificate) -> CertReport:
         problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
         report.label_errors.append(f"block {idx}: {problem}")
 
-    counter = PairCounter(n)
-    counter.add(blocks[~bad].T[np.array(target_graph(cert.target).edges).T - 1])
+    counter = PairCounter(n, blocks, ~bad, np.array(target_graph(cert.target).edges).T - 1)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors = counter.errors(residues)
     return report

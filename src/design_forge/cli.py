@@ -15,6 +15,7 @@ missing ingredient.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -73,6 +74,7 @@ def _node_budget(text: str) -> int:
     return budget
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="design-forge",

@@ -180,8 +180,7 @@ def verify_gdd(design: Gdd) -> CertReport:
         else:
             report.label_errors.append(f"block {idx}: two points share a group")
 
-    counter = PairCounter(n)
-    counter.add(blocks[counted].T[np.array(np.triu_indices(k, 1))])
+    counter = PairCounter(n, blocks, counted, np.triu_indices(k, 1))
     report.pair_errors = counter.errors(design.gdd_type.group_ranges())
     return report
 
@@ -532,7 +531,8 @@ def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = 1_
     4-GDD of type 6^t (inflated by weight 4) or 3^t (inflated by weight 8)
     is taken from the store, where it is verified on load; a missing 3^t
     ingredient is regenerated by exact_cover_search within node_budget
-    nodes when the point count is desk-scale.  The route taken is recorded
+    nodes when the point count is desk-scale (BudgetExhaustedError if the
+    search runs out of nodes first).  The route taken is recorded
     in the provenance field.  The result is an unverified claim: the gdd
     command verifies it before handing it out, and construct_design
     certifies the design assembled from it.
@@ -551,16 +551,13 @@ def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = 1_
 
 def _ingredient(t: int, store: IngredientStore, node_budget: int) -> tuple[str, Gdd]:
     """A 4-GDD of type 6^t or 3^t: stored (verified on load), else
-    regenerated by search."""
+    regenerated by search, whose BudgetExhaustedError says why it stopped."""
     for size in (6, 3):
         found = store.find(4, GddType.of(size, t))
         if found is not None:
             return "stored", found
     if 3 * t <= 40:
-        try:
-            found = exact_cover_search(GddType.of(3, t), 4, node_budget=node_budget)
-        except BudgetExhaustedError:
-            found = None
+        found = exact_cover_search(GddType.of(3, t), 4, node_budget=node_budget)
         if found is not None:
             return "regenerated", found
     raise IngredientUnavailableError(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import random
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import design_forge.targets as targets_module
+from design_forge.assemble import construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
 from design_forge.certify import (
     Certificate,
@@ -639,9 +641,61 @@ def test_pair_counter_matches_a_python_loop(data):
     # like certify, count only rows of distinct points in range
     kept = [row for row in rows if len(set(row)) == len(row) and all(0 <= p < n for p in row)]
     pairs = [(row[i], row[j]) for row in kept for i in range(len(row)) for j in range(i)]
-    counter = PairCounter(n)
-    counter.add(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    counter = PairCounter(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                          np.ones(len(pairs), dtype=bool), ([0], [1]))
     assert counter.errors(groups) == _loop_pair_errors(n, pairs, groups)
+
+
+# --- the counter's dtype boundaries and memory -------------------------------
+#
+# A counted row covers a pair at most once, so PairCounter keeps its counts
+# in the narrowest unsigned dtype that holds the number of rows counted.
+# Rows of one repeated block drive one pair's count to exactly that number.
+
+
+def _counter_of(cert):
+    ends = np.array(target_graph(cert.target).edges).T - 1
+    return PairCounter(cert.order, cert.blocks, np.ones(len(cert.blocks), dtype=bool), ends)
+
+
+@pytest.mark.parametrize(("rows", "dtype"), [(254, np.uint8), (255, np.uint8), (256, np.uint16)])
+def test_counts_across_the_uint8_boundary_match_the_reference(rows, dtype):
+    design = _d97()
+    edges = target_graph(design.target).edges
+    for blocks in (np.vstack([design.blocks] + [design.blocks[:1]] * (rows - 97)),
+                   np.repeat(design.blocks[:1], rows, axis=0)):
+        cert = Certificate(design.target, 97, CertMode.COMPLETE, blocks)
+        counts = _counter_of(cert).counts
+        assert counts.dtype == dtype
+        assert np.array_equal(counts, _count_pair_coverage(97, cert.blocks, edges))
+        assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
+
+
+@pytest.mark.parametrize(("rows", "dtype"), [(65_535, np.uint16), (65_536, np.uint32)])
+def test_counts_across_the_uint16_boundary_match_the_reference(rows, dtype):
+    # the first K_{4,4,4,4} piece, repeated: each of its pairs is covered rows times
+    piece = np.array(k4444_decomposition(TargetId.LINE_K44))[:1]
+    cert = Certificate(TargetId.LINE_K44, 16, CertMode.FOUR_PARTITE, np.repeat(piece, rows, axis=0))
+    counts = _counter_of(cert).counts
+    assert counts.dtype == dtype
+    assert counts.max() == rows
+    assert np.array_equal(counts, _count_pair_coverage(16, cert.blocks, target_graph(cert.target).edges))
+    assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
+
+
+def test_certify_of_481_peaks_under_one_mib():
+    # 115,440 uint16 counts and one chunk of rows; int64 counts over all
+    # 2405 blocks at once peaked at 3.66 MiB
+    design = construct_design(TargetId.LINE_K44, 481)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = certify(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2**20
 
 
 @st.composite

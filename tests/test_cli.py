@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import importlib
 import os
 import tracemalloc
@@ -217,7 +218,15 @@ def test_gdd_budget_reaches_the_24_t_search_fallback(tmp_path, monkeypatch, caps
     argv = ["gdd", "--type", "24^8", "--budget", "1000", "--ingredients", str(empty)]
     assert main(argv) == 2
     assert budgets == [1000]
-    assert "no ingredient 4-GDD of type 6^8 or 3^8" in capsys.readouterr().err
+    assert "search budget exhausted after 1001 nodes" in capsys.readouterr().err
+
+
+def test_gdd_24_t_says_its_search_ran_out_of_budget(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["gdd", "--type", "24^8", "--budget", "1000", "--ingredients", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: search budget exhausted after 1001 nodes\n"
 
 
 def test_verify_a_label_too_large_for_int32_exits_1(tmp_path, capsys):
@@ -251,3 +260,27 @@ def test_gdd_budget_below_one_is_a_usage_error(budget, capsys):
     err = capsys.readouterr().err
     assert f"argument --budget: want an integer >= 1, got '{budget}'" in err
     assert "exhausted" not in err
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["catalog"]) == 0
+        assert main(["catalog"]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert builds.count("design-forge") == 1
+
+
+def test_a_usage_error_reaches_stderr_on_every_call(capsys):
+    for _ in range(2):
+        assert main(["verify"]) == 2
+        assert "the following arguments are required: path" in capsys.readouterr().err

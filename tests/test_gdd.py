@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 import tracemalloc
@@ -448,6 +449,21 @@ def test_verify_gdd_reports_each_violation_verbatim(case):
     assert report.count_actual == len(blocks)
     assert report.label_errors == block_errors
     assert report.pair_errors == pair_errors
+
+
+def test_verify_gdd_of_24_5_peaks_under_160_kib():
+    # uint16 pair counts and one chunk of blocks; int64 counts over all 960
+    # blocks at once peaked at 0.327 MiB
+    design = gdd_24_t(5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_gdd(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 160 * 2**10
 
 
 def test_verify_gdd_passes_td_4_3():
