@@ -7,9 +7,13 @@ inflate its points by a factor of 4, replace each block by the two-block
 decomposition of K_{4,4,4,4}, then adjoin one new point and overlay every
 group plus that point with a design of order 97.
 
-Point naming is fixed so outputs are reproducible: GDD point p becomes
-the four points 4p..4p+3, the new point is 96t, and each group overlay
-uses the sorted-order bijection onto 0..96.
+Point naming is fixed so outputs are reproducible.  GDD point p becomes
+the four points 4p..4p+3: with dec the (2, 16) K_{4,4,4,4} decomposition
+and p a GDD block's ascending points, the block's two pieces are
+4 * p[dec % 4] + dec // 4.  Group i, the GDD points 24i..24i+23, thus
+inflates to 96i..96i+95 in order, and its overlay is the order-97 design
+d97 with label x < 96 sent to 96i + x and label 96 sent to the new point
+96t: np.where(d97 == 96, 96t, d97 + 96i).
 
 construct_design returns the design as a complete-mode certify.Certificate
 and certifies it exactly once, as the last step.  That one check is the
@@ -19,8 +23,6 @@ an ingredient read from a file is verified on its own, on load.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -42,39 +44,6 @@ def admissible(n: int) -> bool:
     return n == 1 or n % 96 == 1
 
 
-def inflate_block_to_k4444(
-    block: Sequence[int] | np.ndarray, decomposition: Sequence[tuple[int, ...]]
-) -> np.ndarray:
-    """Map the K_{4,4,4,4} decomposition onto inflated GDD blocks.
-
-    The block's four points p_0 < p_1 < p_2 < p_3 each own the four
-    inflated points 4p_i..4p_i+3; decomposition label l (in Z_16, residue
-    class i mod 4) goes to inflated point 4*p_i + l div 4.  The two
-    returned rows cover exactly the 96 pairs of inflated points over
-    distinct p_i.  A (G, 4) array of blocks gives a (G, 2, 16) result.
-    """
-    p = np.sort(np.asarray(block), axis=-1)
-    if p.shape[-1] != 4:
-        raise ValueError("a GDD block has exactly 4 points")
-    dec = np.asarray(decomposition)
-    return 4 * p[..., dec % 4] + dec // 4
-
-
-def overlay_group(group: Sequence[int], d97: Certificate, infinity: int) -> np.ndarray:
-    """Push an order-97 design onto a group's inflated points plus infinity.
-
-    The k-th smallest inflated point of the group (k = 0..95) plays design
-    point k and the new point plays 96, so the 97 returned blocks cover
-    each pair inside (group's inflated points plus infinity) exactly once.
-    """
-    if d97.order != 97:
-        raise ValueError("overlay needs a design of order 97")
-    inflated = np.sort(4 * np.asarray(group)[:, None] + np.arange(4), axis=None)
-    if len(inflated) != 96:
-        raise ValueError("a group must inflate to 96 points")
-    return np.append(inflated, infinity)[d97.blocks]
-
-
 def construct_design(
     target: TargetId, n: int, store: IngredientStore | None = None
 ) -> Certificate:
@@ -93,8 +62,6 @@ def construct_design(
     elif n in (97, 193, 289):
         design = develop(paper_base_blocks(target, n))
     else:
-        # built from the temporary, so the int64 assembly array is freed
-        # before certification rather than held by a local
         t = (n - 1) // 96
         design = Certificate(target, n, CertMode.COMPLETE,
                              _assembled_blocks(target, gdd_24_t(t, store), t))
@@ -105,7 +72,12 @@ def construct_design(
 
 
 def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
-    pieces = [inflate_block_to_k4444(base.blocks, k4444_decomposition(target)).reshape(-1, 16)]
-    d97 = develop(paper_base_blocks(target, 97))
-    pieces.extend(overlay_group(group, d97, 96 * t) for group in base.gdd_type.group_ranges())
-    return np.concatenate(pieces)
+    """The int32 blocks of order 96t + 1 from a 4-GDD of type 24^t whose
+    rows ascend: the K_{4,4,4,4} pieces of every GDD block, then the
+    order-97 overlay of every group (see the module docstring)."""
+    dec = np.array(k4444_decomposition(target), dtype=np.int32)
+    pieces = 4 * base.blocks[:, dec % 4] + dec // 4
+    d97 = develop(paper_base_blocks(target, 97)).blocks
+    shift = 96 * np.arange(t, dtype=np.int32)[:, None, None]
+    overlays = np.where(d97 == 96, np.int32(96 * t), d97 + shift)
+    return np.concatenate((pieces.reshape(-1, 16), overlays.reshape(-1, 16)))

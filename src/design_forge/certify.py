@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import io
+import warnings
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -358,14 +359,16 @@ def _parse_bulk(text: str) -> Certificate | None:
         return None
     if next(lines, None) is not None:  # a line break other than LF in the header
         return None
-    try:
-        blocks = np.loadtxt(io.BytesIO(parts[2]), dtype=np.int64, delimiter=" ",
-                            comments=None, ndmin=2)
-    except ValueError:
+    try:  # older numpy casts a label beyond int32 via a float, with only a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            blocks = np.loadtxt(io.BytesIO(parts[2]), dtype=np.int32, delimiter=" ",
+                                comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):  # ragged rows, an empty field, a label beyond int32
         return None
-    if blocks.shape != (count, 16) or blocks.max() > np.iinfo(np.int32).max:
+    if blocks.shape != (count, 16):
         return None
-    return Certificate(target, order, mode, blocks.astype(np.int32))
+    return Certificate(target, order, mode, blocks)
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -510,7 +510,7 @@ class IngredientStore:
         """Load and verify the stored (k, type) ingredient, or None if absent."""
         if not self.directory.is_dir():
             return None
-        for path in sorted(self.directory.glob("*.txt")):
+        for path in sorted(p for p in self.directory.glob("*.txt") if p.is_file()):
             try:
                 text = path.read_text(encoding="utf-8")
                 header = _read_header(_content_lines(text), str(path))

@@ -1,16 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from design_forge.assemble import (
-    admissible,
-    construct_design,
-    inflate_block_to_k4444,
-    overlay_group,
-)
+from design_forge.assemble import _assembled_blocks, admissible, construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
 from design_forge.certify import certify
-from design_forge.gdd import IngredientStore
+from design_forge.gdd import IngredientStore, gdd_24_t
 from design_forge.targets import TargetId
 
 
@@ -24,24 +20,25 @@ def test_admissible_rejects_nonpositive():
         admissible(0)
 
 
-def test_inflate_block_covers_cross_pairs_of_the_right_points():
-    dec = k4444_decomposition(TargetId.SHRIKHANDE)
-    out = inflate_block_to_k4444((2, 0, 7, 5), dec)
-    assert len(out) == 2
-    points = sorted(set(out[0]) | set(out[1]))
-    want = sorted(4 * p + j for p in (0, 2, 5, 7) for j in range(4))
-    assert points == want
-
-
-def test_overlay_group_uses_all_96_points_plus_infinity():
-    d97 = develop(paper_base_blocks(TargetId.SHRIKHANDE, 97))
-    group = tuple(range(24))
-    out = overlay_group(group, d97, 500)
-    assert len(out) == 97
-    used = set()
-    for block in out:
-        used.update(block)
-    assert used == set(range(96)) | {500}
+@pytest.mark.parametrize("t", [4, 5])
+@pytest.mark.parametrize("target", list(TargetId))
+def test_assembly_follows_the_documented_point_naming(target, t):
+    base = gdd_24_t(t)
+    out = _assembled_blocks(target, base, t)
+    assert out.dtype == np.int32
+    g = len(base.blocks)
+    assert out.shape == (2 * g + 97 * t, 16)
+    # rows 2j and 2j+1: label l goes to 4 * p[l % 4] + l // 4, p block j ascending
+    dec = k4444_decomposition(target)
+    for j, block in enumerate(base.blocks.tolist()):
+        p = sorted(block)
+        assert out[2 * j:2 * j + 2].tolist() == [[4 * p[l % 4] + l // 4 for l in d] for d in dec]
+    # the 97 rows of overlay i: x < 96 goes to 96i + x, 96 to the new point 96t
+    d97 = develop(paper_base_blocks(target, 97)).blocks.tolist()
+    for i in range(t):
+        overlay = out[2 * g + 97 * i:2 * g + 97 * (i + 1)]
+        assert overlay.tolist() == [[96 * i + x if x < 96 else 96 * t for x in row]
+                                    for row in d97]
 
 
 def test_construct_order_one_is_empty():

@@ -4,6 +4,7 @@ import functools
 import gc
 import random
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -447,6 +448,28 @@ def test_each_label_spelling_reads_as_the_line_parser_reads_it(token):
         edited = lines[:i] + [token + lines[i][lines[i].index(" "):]] + lines[i + 1:]
         text = "\n".join(edited)
         assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
+
+
+def _loadtxt_via_float(real):
+    # numpy's loadtxt as older releases have it: a field that is no int32
+    # is read as a float, with a DeprecationWarning, and cast
+    def loadtxt(fname, dtype, **kwargs):
+        wide = real(fname, dtype=np.float64, **kwargs)
+        if (np.abs(wide) > np.iinfo(dtype).max).any():
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        return wide.astype(dtype)
+    return loadtxt
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("numpy_reads", ["installed", "via_float"])
+def test_a_label_beyond_int32_errs_at_its_line_whatever_the_warning_filter(numpy_reads, monkeypatch):
+    if numpy_reads == "via_float":
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_via_float(np.loadtxt))
+    lines = list(_d97_lines(TargetId.SHRIKHANDE))
+    lines[50] = str(2**31) + lines[50][lines[50].index(" "):]
+    assert _outcome(parse_certificate, "\n".join(lines)) == (51, "line 51: label does not fit in 32 bits")
 
 
 @pytest.mark.parametrize("brk", _OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in _OTHER_BREAKS])

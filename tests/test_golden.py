@@ -79,6 +79,19 @@ def test_an_undecodable_txt_in_the_store_is_skipped(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("shrikhande", 481, "stored")]
 
 
+def test_a_directory_named_txt_in_the_store_is_skipped(tmp_path, capsys):
+    # sub.txt sorts before the ingredient, so the store meets it first
+    store = tmp_path / "store"
+    (store / "sub.txt").mkdir(parents=True)
+    shutil.copyfile(IngredientStore.default().directory / "gdd4_6pow5.txt", store / "z.txt")
+    out = tmp_path / "design.cert"
+    argv = ["construct", "--graph", "lk44", "--order", "481", "--out", str(out),
+            "--ingredients", str(store)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("lk44", 481, "stored")]
+
+
 GDD_GOLDEN = {
     ("24^4", "stored"):
         "81b4924cc890f6e7ccaa57dc0680221efbe2a16937369114a3aa5607e388b3aa",
