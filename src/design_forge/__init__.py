@@ -2,9 +2,10 @@
 
 A design of order n partitions the edges of the complete graph K_n into
 copies of a fixed 16-vertex, 48-edge target graph; such designs exist
-exactly for n = 1 and n = 96t + 1.  This package builds them for every
-admissible order and independently verifies any claimed decomposition by
-exact pair counting.
+exactly for n = 1 and n = 96t + 1.  This package builds them for
+t <= 5 (n <= 481) from its own ingredients, for larger t from an
+ingredient GDD supplied in a store, and independently verifies any
+claimed decomposition by exact pair counting.
 """
 
 from .algebra import NotASubgroupError, Ring, signed_power_subgroup, unit_group_coset_partition
@@ -42,7 +43,7 @@ from .gdd import (
     td_from_mols,
     verify_gdd,
 )
-from .targets import SmallGraph, TargetGraph, TargetId, is_isomorphic, line_k44, shrikhande, srg_parameters
+from .targets import SmallGraph, TargetGraph, TargetId, line_k44, shrikhande, srg_parameters
 
 __all__ = [
     "BaseBlock",
@@ -73,7 +74,6 @@ __all__ = [
     "exact_cover_search",
     "gdd_24_t",
     "inflate",
-    "is_isomorphic",
     "k4444_decomposition",
     "line_k44",
     "mols_for_order",

@@ -1,4 +1,4 @@
-"""Top-level construction of designs for every admissible order.
+"""Top-level construction of designs of admissible order.
 
 A design of order n exists exactly for n = 1 and n = 96t + 1.  Orders 97,
 193 and 289 come straight from developed base blocks.  Every larger
@@ -20,6 +20,13 @@ and certifies it exactly once, as the last step.  That one check is the
 boundary of the whole pipeline: the 24^t GDD and every step below it
 (MOLS, TD, inflation, exact-cover search) are unverified claims, and only
 an ingredient read from a file is verified on its own, on load.
+
+With the packaged store, t <= 5 (n <= 481) constructs.  t = 6, 7, 10, 11
+and t >= 14 raise IngredientUnavailableError at once: no 6^t or 3^t file,
+and 3^t cannot be searched (cross pairs not divisible by 6, or over 40
+points).  t = 8, 9, 12, 13 raise BudgetExhaustedError after the 3^t search
+spends its 10^6 nodes, minutes (t = 8: about 110 s).  A store holding a
+6^t or 3^t file serves its t as the packaged one serves t = 5.
 """
 
 from __future__ import annotations
@@ -47,10 +54,13 @@ def admissible(n: int) -> bool:
 def construct_design(
     target: TargetId, n: int, store: IngredientStore | None = None
 ) -> Certificate:
-    """Build and certify a design of any admissible order.
+    """Build and certify a design of admissible order n = 1 or 96t + 1.
 
     Orders 1, 97, 193 and 289 are direct; n = 96t + 1 with t >= 4 runs the
-    inflation pipeline on a 4-GDD of type 24^t.  Output block order is
+    inflation pipeline on a 4-GDD of type 24^t.  With the packaged store
+    that is t <= 5 (n <= 481); t = 6, 7, 10, 11 and t >= 14 raise
+    IngredientUnavailableError at once, t = 8, 9, 12, 13 BudgetExhaustedError
+    after minutes (see the module docstring).  Output block order is
     canonical (K_{4,4,4,4} pieces by GDD block index, then overlays by
     group index) and the result is certified before it is returned.
     """

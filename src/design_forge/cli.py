@@ -55,7 +55,7 @@ from .targets import (
     DEFINITIONS,
     TargetId,
     format_edge_list,
-    is_isomorphic,
+    k4_count,
     line_k44,
     matches_definition,
     shrikhande,
@@ -171,8 +171,13 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
     else:
         design = exact_cover_search(gdd_type, 4, node_budget=args.budget)
         if design is None:
-            print(f"no 4-GDD of type {gdd_type} exists (search tree exhausted)",
-                  file=sys.stderr)
+            if gdd_type.block_count(4) is None:
+                reason = "cross pairs not a multiple of 6"
+            elif gdd_type.group_count() < 4:
+                reason = "fewer than 4 groups"
+            else:
+                reason = "search tree exhausted"
+            print(f"no 4-GDD of type {gdd_type} exists ({reason})", file=sys.stderr)
             return 1
     # the one check of the design handed out: nothing is written unless it passes
     report = verify_gdd(design)
@@ -241,7 +246,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         check(f"{target.id.value} edge table is {DEFINITIONS[target.id][0]}",
               matches_definition(target.id))
     check("the two targets are non-isomorphic",
-          is_isomorphic(shrikhande().graph, line_k44().graph) is None)
+          k4_count(shrikhande().graph) != k4_count(line_k44().graph))
 
     for target in TargetId:
         pieces = Certificate(target, 16, CertMode.FOUR_PARTITE, k4444_decomposition(target))

@@ -4,7 +4,10 @@ Two graphs are decomposed by this package: the Shrikhande graph and the
 line graph of K_{4,4}.  Both are 6-regular on 16 vertices with 48 edges
 and share the strong regularity parameters srg(16, 6, 2, 2), yet they are
 not isomorphic: the neighbourhood of a vertex induces a 6-cycle in one
-and two disjoint triangles in the other.
+and two disjoint triangles in the other (so L(K_{4,4}) has 8 K_4
+subgraphs and the Shrikhande graph none).  Each edge table is tied to the
+definition of its graph, a Cayley graph on Z_4^2, by a stored vertex map
+(DEFINITIONS), which matches_definition checks in one set comparison.
 
 Vertices are numbered 1..16 throughout, and every labelled 16-tuple used
 elsewhere in the package indexes this numbering: position i of a tuple is
@@ -165,134 +168,53 @@ def srg_parameters(g: SmallGraph) -> tuple[int, int, int, int] | None:
     of each kind so both counts are determined.
     """
     n = g.vertex_count
-    if n < 2:
-        return None
-    k = g.degree(1)
-    if any(g.degree(v) != k for v in range(2, n + 1)):
-        return None
-    lam: int | None = None
-    mu: int | None = None
+    degrees = {g.degree(v) for v in range(1, n + 1)}
+    lam: set[int] = set()
+    mu: set[int] = set()
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             common = (g.adjacency[u] & g.adjacency[v]).bit_count()
-            if g.has_edge(u, v):
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    if lam is None or mu is None:
+            (lam if g.has_edge(u, v) else mu).add(common)
+    if len(degrees) != 1 or len(lam) != 1 or len(mu) != 1:
         return None
-    return (n, k, lam, mu)
+    return (n, degrees.pop(), lam.pop(), mu.pop())
 
 
-def _neighbour_lists(g: SmallGraph) -> list[list[int]]:
-    # ascending, because g.edges is sorted with u < v; index 0 is unused
-    nb: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
+def k4_count(g: SmallGraph) -> int:
+    """The number of K_4 subgraphs of an srg(v, k, 2, mu), an isomorphism
+    invariant: each edge has two common neighbours and closes a K_4 iff
+    they are adjacent, and a K_4 has six edges."""
+    closing = 0
     for u, v in g.edges:
-        nb[u].append(v)
-        nb[v].append(u)
-    return nb
+        common = g.adjacency[u] & g.adjacency[v]
+        closing += bool(common & g.adjacency[common.bit_length() - 1])
+    return closing // 6
 
 
-def _signatures(nb: list[list[int]]) -> list[tuple]:
-    # (degree, sorted neighbour degrees) of each vertex; index 0 is unused
-    deg = [len(vs) for vs in nb]
-    return [(deg[v], tuple(sorted(deg[u] for u in nb[v]))) for v in range(len(nb))]
-
-
-def is_isomorphic(g: SmallGraph, h: SmallGraph) -> dict[int, int] | None:
-    """Find a vertex bijection f with {u,v} in E(g) iff {f(u),f(v)} in E(h).
-
-    Plain backtracking over candidate images, pruned by degree and by the
-    multiset of neighbour degrees, mapping next the vertex of g with the
-    most already-mapped neighbours (ties: fewest candidates, then lowest
-    number).  That choice depends only on which vertices are mapped, never
-    on their images, and backtracking restores the mapped set, so the
-    vertex mapped at depth k is the same in every branch.  The order and
-    each vertex's earlier-mapped neighbours are therefore fixed once per
-    call before the search, which visits the same nodes as choosing at
-    every node would.  Returns the bijection as a dict on vertices of g,
-    in the order they were mapped, or None when no isomorphism exists.
-    """
-    n = g.vertex_count
-    if n != h.vertex_count or len(g.edges) != len(h.edges):
-        return None
-
-    sig_h: dict[tuple, list[int]] = {}  # h's vertices by signature, each list ascending
-    for w, sig in enumerate(_signatures(_neighbour_lists(h))[1:], start=1):
-        sig_h.setdefault(sig, []).append(w)
-    g_nb = _neighbour_lists(g)
-    candidates = [sig_h.get(sig, []) for sig in _signatures(g_nb)]
-    if not all(candidates[1:]):
-        return None
-
-    # fix the order: keys[v] packs (-mapped neighbours, candidate count, v)
-    # into one int, so min(keys) is the next vertex; a mapped one holds done
-    big = (n + 1) ** 2
-    done = big * big
-    keys = [len(c) * (n + 1) + v for v, c in enumerate(candidates)]
-    keys[0] = done
-    order: list[int] = []
-    earlier: list[list[int]] = []  # earlier[k]: neighbours of order[k] in order[:k]
-    for _ in range(n):
-        v = keys.index(min(keys))
-        keys[v] = done
-        order.append(v)
-        prior = []
-        for u in g_nb[v]:
-            if keys[u] == done:
-                prior.append(u)
-            else:
-                keys[u] -= big
-        earlier.append(prior)
-    options = [candidates[v] for v in order]
-
-    h_adj = h.adjacency
-    image = [0] * (n + 1)
-
-    def extend(k: int, used_h: int) -> bool:
-        if k == n:
-            return True
-        # image of order[k] must be adjacent in h to exactly the images of
-        # its mapped neighbours, among all mapped images
-        need = 0
-        for u in earlier[k]:
-            need |= 1 << image[u]
-        for w in options[k]:
-            if used_h >> w & 1 or h_adj[w] & used_h != need:
-                continue
-            image[order[k]] = w
-            if extend(k + 1, used_h | 1 << w):
-                return True
-        return False
-
-    if extend(0, 0):
-        return {v: image[v] for v in order}
-    return None
-
-
-# Each target by its definition, as a Cayley graph on Z_4^2 with (a, b) as
-# vertex 4a + b + 1: two vertices are adjacent iff they differ by a step
-DEFINITIONS: dict[TargetId, tuple[str, set[tuple[int, int]]]] = {
+# Each target by its definition, a Cayley graph on Z_4^2 in which two
+# elements are adjacent iff they differ by a step, and its witness: for
+# table vertex v = 1..16, the code 4a + b of the element (a, b) v maps to
+DEFINITIONS: dict[TargetId, tuple[str, set[tuple[int, int]], tuple[int, ...]]] = {
     TargetId.SHRIKHANDE: ("Cay(Z_4^2, ±(1,0), ±(0,1), ±(1,1))",
-                          {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}),
+                          {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)},
+                          (0, 1, 2, 3, 5, 6, 7, 4, 10, 11, 8, 9, 15, 12, 13, 14)),
     # the 4x4 rook's graph: a move along a row or a column
-    TargetId.LINE_K44: ("K_4 □ K_4", {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)}),
+    TargetId.LINE_K44: ("K_4 □ K_4", {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)},
+                        (0, 1, 2, 3, 4, 8, 12, 5, 6, 7, 9, 13, 10, 11, 14, 15)),
 }
 
 
 def matches_definition(target: TargetId) -> bool:
-    """Whether the target's edge table is isomorphic to the graph of its
-    definition (DEFINITIONS), built at each call: one is_isomorphic."""
-    steps = DEFINITIONS[TargetId(target)][1]
-    edges = [(u + 1, v + 1) for u in range(16) for v in range(u)
-             if ((u // 4 - v // 4) % 4, (u - v) % 4) in steps]
-    return is_isomorphic(SmallGraph(16, edges), target_graph(target).graph) is not None
+    """Whether the target's edge table is the graph of its definition
+    (DEFINITIONS) under the stored witness: the codes are a permutation of
+    0..15, so vertex v -> codes[v-1] is a bijection onto Z_4^2, and the
+    table's edges are exactly the pairs whose codes differ by a step."""
+    _, steps, codes = DEFINITIONS[TargetId(target)]
+    if sorted(codes) != list(range(16)):
+        return False
+    step_pairs = {(u + 1, v + 1) for u in range(16) for v in range(u + 1, 16)
+                  if ((codes[u] // 4 - codes[v] // 4) % 4, (codes[u] - codes[v]) % 4) in steps}
+    return set(target_graph(target).edges) == step_pairs
 
 
 def format_edge_list(g: SmallGraph) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import gc
 import random
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -29,7 +30,6 @@ from design_forge.certify import (
     read_certificate,
     write_certificate,
 )
-from design_forge import cli
 from design_forge.cli import main
 from design_forge.gdd import mols_for_order, td_from_mols, verify_gdd
 from design_forge.targets import SmallGraph, TargetGraph, TargetId, target_graph
@@ -186,21 +186,23 @@ def test_a_row_of_distinct_labels_reads_as_a_copy_of_its_table(target, row):
             assert table.has_edge(u, v) == (frozenset((row[u - 1], row[v - 1])) in read)
 
 
-def test_verify_raw_of_289_runs_one_isomorphism_search(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "d289.cert"
-    assert main(["construct", "--graph", "lk44", "--order", "289", "--out", str(path)]) == 0
+def test_verify_raw_checks_the_definition_once_whatever_the_block_count(
+        tmp_path, monkeypatch, capsys):
     calls = []
-    search = targets_module.is_isomorphic
+    check = targets_module.matches_definition
 
-    def counted(g, h):
-        calls.append((g, h))
-        return search(g, h)
+    def counted(target):
+        calls.append(target)
+        return check(target)
 
-    for module in (targets_module, cli):
-        monkeypatch.setattr(module, "is_isomorphic", counted)
-    assert main(["verify", "--raw", str(path)]) == 0
-    assert len(calls) == 1
-    assert "PASS (867 blocks" in capsys.readouterr().out
+    monkeypatch.setattr(sys.modules["design_forge.certify"], "matches_definition", counted)
+    for n, blocks in ((97, 97), (289, 867)):
+        path = tmp_path / f"d{n}.cert"
+        assert main(["construct", "--graph", "lk44", "--order", str(n), "--out", str(path)]) == 0
+        calls.clear()
+        assert main(["verify", "--raw", str(path)]) == 0
+        assert calls == [TargetId.LINE_K44]
+        assert f"PASS ({blocks} blocks" in capsys.readouterr().out
 
 
 def test_certificate_round_trip(tmp_path):

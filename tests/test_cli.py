@@ -144,6 +144,26 @@ def test_gdd_subcommand_writes_a_verified_file(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("gdd_type, reason", [
+    ("3^3", "cross pairs not a multiple of 6"),  # 27 cross pairs
+    ("3^6", "cross pairs not a multiple of 6"),  # 135 cross pairs
+    ("2^3", "fewer than 4 groups"),
+    ("2^6", "search tree exhausted"),  # 60 cross pairs, yet no 10 blocks cover them
+])
+def test_gdd_that_does_not_exist_says_why(gdd_type, reason, capsys):
+    assert main(["gdd", "--type", gdd_type]) == 1
+    assert capsys.readouterr().err == f"no 4-GDD of type {gdd_type} exists ({reason})\n"
+
+
+@pytest.mark.parametrize("order", [577, 673, 1057, 1441])  # t = 6, 7, 11, 15
+def test_construct_without_an_ingredient_exits_2_at_once(tmp_path, capsys, order):
+    t = (order - 1) // 96
+    out = tmp_path / "d.cert"
+    assert main(["construct", "--graph", "lk44", "--order", str(order), "--out", str(out)]) == 2
+    assert f"no ingredient 4-GDD of type 6^{t} or 3^{t}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gdd_24_4_via_cli(tmp_path, capsys):
     assert main(["gdd", "--type", "24^4"]) == 0
     captured = capsys.readouterr()
