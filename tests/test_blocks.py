@@ -9,6 +9,7 @@ from design_forge.algebra import NotASubgroupError, Ring
 from design_forge.blocks import (
     BaseBlock,
     DevelopmentError,
+    DuplicateBlockError,
     DuplicateLabelError,
     NotInCatalogError,
     catalog,
@@ -171,6 +172,16 @@ def test_duplicate_label_error_names_the_first_bad_tuple():
     mutated = BaseBlock(tuple(labels), block.target, block.ring, block.omega)
     with pytest.raises(DuplicateLabelError, match=r"e=0, d=0 "):
         develop(mutated)
+
+
+def test_an_orbit_that_repeats_a_block_raises_duplicate_block_error():
+    # in Z_385 the powers of 232 agree mod 77 and the labels 5i agree mod 5,
+    # so 232^e * 5i = 5i: every exponent e gives the same blocks, and no
+    # block repeats a label
+    labels = tuple(5 * i for i in range(16))
+    block = BaseBlock(labels, TargetId.SHRIKHANDE, Ring(385, (0, 1)), 232)
+    with pytest.raises(DuplicateBlockError):
+        develop(block)
 
 
 def test_develop_rejects_an_omega_whose_signed_powers_are_no_subgroup():

@@ -21,6 +21,7 @@ from design_forge.certify import (
     CertificateParseError,
     CertMode,
     PairCounter,
+    _FORMAT_ROWS,
     _parse_bulk,
     _parse_lines,
     certify,
@@ -211,6 +212,31 @@ def test_certificate_round_trip(tmp_path):
     write_certificate(cert, path)
     again = read_certificate(path)
     assert again == cert
+
+
+@pytest.mark.parametrize("count", [0, 1, _FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1])
+def test_written_bytes_are_the_formatted_text_at_chunk_boundaries(tmp_path, count):
+    # early chunks hold only labels 0..9, the last row holds 2^31 - 1, so
+    # chunks format with tables of different widths
+    blocks = np.tile(np.arange(16) % 10, (count, 1))
+    blocks[-1:, 0] = 2**31 - 1
+    cert = Certificate(TargetId.SHRIKHANDE, 97, CertMode.COMPLETE, blocks)
+    path = tmp_path / "c.cert"
+    write_certificate(cert, path)
+    lines = "".join(" ".join(map(str, row)) + "\n" for row in blocks.tolist())
+    assert format_certificate(cert) == f"design shrikhande 97 complete\nblocks {count}\n{lines}"
+    assert path.read_bytes() == format_certificate(cert).encode("ascii")
+
+
+def test_a_negative_label_is_rejected_before_the_file_is_touched(tmp_path):
+    path = tmp_path / "keep.cert"
+    path.write_bytes(b"keep me\n")
+    cert = Certificate(TargetId.SHRIKHANDE, 97, CertMode.COMPLETE, [[-1] + list(range(15))])
+    with pytest.raises(ValueError, match="nonnegative"):
+        write_certificate(cert, path)
+    with pytest.raises(ValueError, match="nonnegative"):
+        format_certificate(cert)
+    assert path.read_bytes() == b"keep me\n"
 
 
 def test_format_starts_with_design_header():
@@ -509,6 +535,21 @@ def test_a_huge_order_and_label_format_in_little_memory():
         tracemalloc.stop()
     assert text == f"design lk44 1000000000 complete\nblocks 1\n{' '.join(map(str, row))}\n"
     assert again == cert
+    assert peak < 2**20
+
+
+def test_writing_a_large_certificate_takes_one_chunk_of_memory(tmp_path):
+    design = construct_design(TargetId.LINE_K44, 481)
+    cert = Certificate(design.target, design.order, design.mode, np.tile(design.blocks, (16, 1)))
+    path = tmp_path / "tiled.cert"
+    tracemalloc.start()
+    try:
+        write_certificate(cert, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.blocks) == 38480
+    assert path.read_bytes() == format_certificate(cert).encode("ascii")
     assert peak < 2**20
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -304,3 +306,30 @@ def test_a_usage_error_reaches_stderr_on_every_call(capsys):
     for _ in range(2):
         assert main(["verify"]) == 2
         assert "the following arguments are required: path" in capsys.readouterr().err
+
+
+_MA_MODULES_ADDED = """
+import sys
+import design_forge.cli
+
+def ma():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+before = ma()
+code = design_forge.cli.main(sys.argv[1:])
+print(code, sorted(ma() - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [["construct", "--graph", "lk44", "--order", "97"], ["selftest"]])
+def test_construct_and_selftest_import_no_numpy_ma(tmp_path, argv):
+    # numpy 1.x imports numpy.ma with numpy itself, so only modules added
+    # after the package's own import count
+    if argv[0] == "construct":
+        argv = [*argv, "--out", str(tmp_path / "d97.cert")]
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _MA_MODULES_ADDED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
