@@ -23,7 +23,8 @@ through the table as a copy of it, v -> row[v-1] being the isomorphism.
 
 PairCounter is the package's one pair counter: certify and
 gdd.verify_gdd each choose which blocks count and pass their groups, and
-every report caps its pair counts at 255.  Its memory follows the
+every report caps its pair counts at 255 and lists the first 1000 wrong
+pairs beside the exact number of them.  Its memory follows the
 n(n-1)/2 pairs: one count per pair in the narrowest unsigned dtype that
 holds the number of blocks counted (uint16 for every shipped order), plus
 the pair hits of one chunk of blocks at a time.
@@ -39,7 +40,6 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from math import isqrt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -91,13 +91,16 @@ class Certificate:
 class CertReport:
     """Outcome of certify, certify_raw_edges or gdd.verify_gdd; passed iff
     every error list is empty and the block counts match.  A GDD type with
-    no whole number of blocks expects None."""
+    no whole number of blocks expects None.  pair_error_count is the exact
+    number of wrong pairs, of which pair_errors lists the first (see
+    PairCounter.errors)."""
 
     count_expected: int | None
     count_actual: int
     label_errors: list[str] = field(default_factory=list)
     pair_errors: list[tuple[tuple[int, int], int]] = field(default_factory=list)
     part_errors: list[str] = field(default_factory=list)
+    pair_error_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -115,7 +118,7 @@ class CertReport:
         if self.label_errors:
             parts.append(f"{len(self.label_errors)} label errors")
         if self.pair_errors:
-            parts.append(f"{len(self.pair_errors)} pairs covered != once")
+            parts.append(f"{self.pair_error_count} pairs covered != once")
         if self.part_errors:
             parts.append(f"{len(self.part_errors)} bad parts")
         return ", ".join(parts)
@@ -130,6 +133,11 @@ def _pair_index(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Rows per np.add.at: 128 certificate rows are 6144 pair hits, about
 # 0.2 MiB of index temporaries; 256 rows took twice that and ran no faster.
 _CHUNK_ROWS = 128
+
+# Wrong pairs listed per report, far above the few dozen a corrupted block
+# makes: one block repeated to fill K_1153 makes 664,128, whose tuples
+# would take 136 MiB.  The count of wrong pairs stays exact.
+_LISTED_PAIRS = 1000
 
 
 class PairCounter:
@@ -149,18 +157,26 @@ class PairCounter:
             chunk = rows[kept[start : start + _CHUNK_ROWS]]
             np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]]), one)
 
-    def errors(self, groups: Iterable[Iterable[int]] = ()) -> list[tuple[tuple[int, int], int]]:
-        """((u, v), count capped at 255) of each pair covered other than once
-        across groups, or at all inside one group, in index order."""
+    def errors(
+        self, groups: Iterable[Iterable[int]] = ()
+    ) -> tuple[list[tuple[tuple[int, int], int]], int]:
+        """The wrong pairs: those covered other than once across groups, or
+        at all inside one group.  ((u, v), count capped at 255) of the first
+        _LISTED_PAIRS in index order, and how many there are."""
         wrong = self.counts != 1
         for group in groups:
             points = np.fromiter(group, dtype=np.int64)
             inside = _pair_index(points[:, None], points)[points[:, None] < points]
             wrong[inside] = self.counts[inside] != 0
         index = np.flatnonzero(wrong)
-        v = np.array([(1 + isqrt(8 * i + 1)) // 2 for i in index.tolist()], dtype=np.int64)
-        pairs = zip((index - _pair_index(0, v)).tolist(), v.tolist())
-        return list(zip(pairs, np.minimum(self.counts[index], 255).tolist()))
+        if not len(index):  # most reports pass: spare them the decoding's numpy calls
+            return [], 0
+        listed = index[:_LISTED_PAIRS]
+        # v = (1 + isqrt(8i + 1)) // 2: a float root is exact below n = 2^25,
+        # where the counts alone would take 2^49 bytes
+        v = ((1 + np.sqrt(8 * listed + 1)) // 2).astype(np.int64)
+        pairs = zip((listed - _pair_index(0, v)).tolist(), v.tolist())
+        return list(zip(pairs, np.minimum(self.counts[listed], 255).tolist())), len(index)
 
 
 def _header_outruns_blocks(report: CertReport, n: int) -> bool:
@@ -202,7 +218,7 @@ def certify(cert: Certificate) -> CertReport:
 
     counter = PairCounter(n, blocks, ~bad, np.array(target_graph(cert.target).edges).T - 1)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
-    report.pair_errors = counter.errors(residues)
+    report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report
 
 
@@ -259,30 +275,30 @@ def _content_lines(text: str):
             yield lineno, line.split()
 
 
-# Rows per chunk of label lines: write_certificate holds one chunk's text,
-# cell table and np.unique temporaries at a time, so writing 38,480 rows
-# peaks at 0.59 MiB (19.4 MiB for the whole text at once).
+# Rows per chunk of label lines: write_certificate holds one chunk's text
+# and digit cells at a time, so 38,480 rows write at a 0.59 MiB peak, for
+# 3-digit labels as for 2^31 - 1 (19.4 MiB for the whole text at once).
 _FORMAT_ROWS = 1024
 
 
 def _label_lines(blocks: np.ndarray) -> bytes:
-    """The label lines of rows of nonnegative labels, gathered from one byte
-    table of the names of the labels they use."""
-    labels, index = np.unique(blocks, return_inverse=True)
-    width = len(str(labels[-1]))
-    # row i: the name of labels[i], NUL-padded to width, then a space
-    table = np.full((len(labels), width + 1), ord(" "), dtype=np.uint8)
-    table[:, :width] = labels.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    cells = table[index.reshape(blocks.shape)]
+    """The label lines of rows of nonnegative labels: width + 1 byte cells per
+    label, its digits NUL-padded to the width of the largest, then a space."""
+    width = len(str(blocks.max()))
+    cells = np.full(blocks.shape + (width + 1,), ord(" "), dtype=np.uint8)
     cells[:, -1, -1] = ord("\n")
-    return cells[cells != 0].tobytes()
+    for j in range(width - 1, -1, -1):  # numpy divides by a scalar far faster than by powers
+        quot = blocks // 10
+        cells[..., j] = (blocks - quot * 10 + ord("0")) * (blocks > 0)
+        blocks = quot
+    cells[..., width - 1] |= ord("0")  # the one digit of a label 0
+    return cells.tobytes().replace(b"\0", b"")
 
 
 def _text_chunks(cert: Certificate) -> Iterator[bytes]:
     """The certificate's text as ASCII bytes: the header, then the label lines
-    of _FORMAT_ROWS rows at a time.  A negative label raises ValueError here,
-    before any chunk is taken.  The padding of each chunk's table is dropped,
-    so its width, set by the chunk's largest label, leaves no trace."""
+    of _FORMAT_ROWS rows at a time, each chunk padded to its own widest label.
+    A negative label raises ValueError here, before any chunk is taken."""
     blocks = cert.blocks
     if (blocks < 0).any():
         raise ValueError("certificate labels must be nonnegative")

@@ -130,7 +130,7 @@ def _print_report(report) -> None:
     for msg in report.part_errors[:20]:
         print(f"  part: {msg}")
     shown = min(len(report.label_errors), 20) + min(len(report.pair_errors), 20)
-    total = len(report.label_errors) + len(report.pair_errors) + len(report.part_errors)
+    total = len(report.label_errors) + report.pair_error_count + len(report.part_errors)
     if total > shown + min(len(report.part_errors), 20):
         print(f"  ... {total} problems in total")
 

@@ -181,7 +181,7 @@ def verify_gdd(design: Gdd) -> CertReport:
             report.label_errors.append(f"block {idx}: two points share a group")
 
     counter = PairCounter(n, blocks, counted, np.triu_indices(k, 1))
-    report.pair_errors = counter.errors(design.gdd_type.group_ranges())
+    report.pair_errors, report.pair_error_count = counter.errors(design.gdd_type.group_ranges())
     return report
 
 
@@ -482,7 +482,7 @@ def parse_gdd_file(text: str, what: str = "ingredient") -> Gdd:
     if not report.passed:
         raise IngredientFileError(
             f"{what}: fails verification "
-            f"({len(report.label_errors)} block, {len(report.pair_errors)} pair errors)"
+            f"({len(report.label_errors)} block, {report.pair_error_count} pair errors)"
         )
     return design
 

@@ -22,6 +22,7 @@ from design_forge.certify import (
     CertMode,
     PairCounter,
     _FORMAT_ROWS,
+    _LISTED_PAIRS,
     _parse_bulk,
     _parse_lines,
     certify,
@@ -226,6 +227,39 @@ def test_written_bytes_are_the_formatted_text_at_chunk_boundaries(tmp_path, coun
     lines = "".join(" ".join(map(str, row)) + "\n" for row in blocks.tolist())
     assert format_certificate(cert) == f"design shrikhande 97 complete\nblocks {count}\n{lines}"
     assert path.read_bytes() == format_certificate(cert).encode("ascii")
+
+
+_EDGE_LABELS = (0, 9, 10, 99, 100, 2**31 - 1)
+
+
+@st.composite
+def _label_arrays(draw):
+    """(R, 16) nonnegative int32 labels, R crossing chunk boundaries.  Each
+    chunk of _FORMAT_ROWS rows draws its own widest digit count, its cells
+    a digit count up to it, and some edge labels that fit it."""
+    full = draw(st.integers(0, 2))  # whole chunks before the rest: 1..2100 rows
+    rest = draw(st.integers(0 if full else 1, min(_FORMAT_ROWS, 2100 - full * _FORMAT_ROWS)))
+    rows = full * _FORMAT_ROWS + rest
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chunks = []
+    for start in range(0, rows, _FORMAT_ROWS):
+        widest = draw(st.integers(1, 10))
+        digits = rng.integers(1, widest + 1, (min(_FORMAT_ROWS, rows - start), 16))
+        low = np.where(digits == 1, 0, 10 ** (digits - 1))
+        chunk = rng.integers(low, np.minimum(10**digits, 2**31))
+        fits = [label for label in _EDGE_LABELS if len(str(label)) <= widest]
+        for label in draw(st.lists(st.sampled_from(fits), max_size=6)):
+            chunk.flat[draw(st.integers(0, chunk.size - 1))] = label
+        chunks.append(chunk)
+    return np.vstack(chunks)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_label_arrays())
+def test_format_matches_str_join_whatever_the_label_widths(blocks):
+    cert = Certificate(TargetId.LINE_K44, 97, CertMode.COMPLETE, blocks)
+    lines = "".join(" ".join(map(str, row)) + "\n" for row in blocks.tolist())
+    assert format_certificate(cert) == f"design lk44 97 complete\nblocks {len(blocks)}\n{lines}"
 
 
 def test_a_negative_label_is_rejected_before_the_file_is_touched(tmp_path):
@@ -553,6 +587,22 @@ def test_writing_a_large_certificate_takes_one_chunk_of_memory(tmp_path):
     assert peak < 2**20
 
 
+def test_writing_the_widest_labels_takes_one_chunk_of_memory(tmp_path):
+    cert = Certificate(TargetId.LINE_K44, 481, CertMode.COMPLETE,
+                       np.full((38480, 16), 2**31 - 1, dtype=np.int32))
+    path = tmp_path / "widest.cert"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_certificate(cert, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    line = " ".join(["2147483647"] * 16) + "\n"
+    assert path.read_text() == "design lk44 481 complete\nblocks 38480\n" + line * 38480
+    assert peak < 2**20
+
+
 # --- the pair counter against the parent's pair counting -------------------
 #
 # _pair_from_index, _count_pair_coverage and the pair part of certify as
@@ -617,8 +667,13 @@ def _corrupt(blocks, n, rng):
 
 
 def _capped(pair_errors):
-    """The one intended difference: reports cap counts at 255."""
-    return [(pair, min(count, 255)) for pair, count in pair_errors]
+    """The intended differences: reports cap counts at 255 and list only
+    the first _LISTED_PAIRS pairs, beside the count of them all."""
+    return [(pair, min(count, 255)) for pair, count in pair_errors[:_LISTED_PAIRS]], len(pair_errors)
+
+
+def _pairs_of(report):
+    return report.pair_errors, report.pair_error_count
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -628,12 +683,12 @@ def test_pair_errors_match_the_parent_counting(seed):
     target = (TargetId.SHRIKHANDE, TargetId.LINE_K44)[seed // 2 % 2]
     rows = _corrupt(develop(paper_base_blocks(target, n)).blocks, n, rng)
     cert = Certificate(target, n, CertMode.COMPLETE, rows)
-    assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
-    assert certify_raw_edges(cert).pair_errors == certify(cert).pair_errors
+    assert _pairs_of(certify(cert)) == _capped(_reference_certify_pair_errors(cert))
+    assert _pairs_of(certify_raw_edges(cert)) == _pairs_of(certify(cert))
 
     pieces = np.array(k4444_decomposition(target))
     four = Certificate(target, 16, CertMode.FOUR_PARTITE, _corrupt(pieces, 16, rng))
-    assert certify(four).pair_errors == _capped(_reference_certify_pair_errors(four))
+    assert _pairs_of(certify(four)) == _capped(_reference_certify_pair_errors(four))
 
 
 def test_a_pair_covered_300_times_reads_255_in_every_report():
@@ -709,7 +764,8 @@ def test_pair_counter_matches_a_python_loop(data):
     pairs = [(row[i], row[j]) for row in kept for i in range(len(row)) for j in range(i)]
     counter = PairCounter(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
                           np.ones(len(pairs), dtype=bool), ([0], [1]))
-    assert counter.errors(groups) == _loop_pair_errors(n, pairs, groups)
+    errors = _loop_pair_errors(n, pairs, groups)
+    assert counter.errors(groups) == (errors, len(errors))
 
 
 # --- the counter's dtype boundaries and memory -------------------------------
@@ -734,7 +790,7 @@ def test_counts_across_the_uint8_boundary_match_the_reference(rows, dtype):
         counts = _counter_of(cert).counts
         assert counts.dtype == dtype
         assert np.array_equal(counts, _count_pair_coverage(97, cert.blocks, edges))
-        assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
+        assert _pairs_of(certify(cert)) == _capped(_reference_certify_pair_errors(cert))
 
 
 @pytest.mark.parametrize(("rows", "dtype"), [(65_535, np.uint16), (65_536, np.uint32)])
@@ -746,7 +802,7 @@ def test_counts_across_the_uint16_boundary_match_the_reference(rows, dtype):
     assert counts.dtype == dtype
     assert counts.max() == rows
     assert np.array_equal(counts, _count_pair_coverage(16, cert.blocks, target_graph(cert.target).edges))
-    assert certify(cert).pair_errors == _capped(_reference_certify_pair_errors(cert))
+    assert _pairs_of(certify(cert)) == _capped(_reference_certify_pair_errors(cert))
 
 
 def test_certify_of_481_peaks_under_one_mib():

@@ -199,6 +199,28 @@ def test_verify_of_a_hostile_header_exits_1_in_little_memory(tmp_path, capsys):
         assert peak < 2**20
 
 
+def test_verify_of_one_block_repeated_to_fill_k1153_lists_few_pairs_in_little_memory(
+    tmp_path, capsys
+):
+    # 1153 * 1152 / 96 = 13,836 copies: the count is right, so every pair
+    # counts, and all 664,128 pairs are wrong (48 covered 255 times)
+    path = tmp_path / "k1153.cert"
+    row = " ".join(map(str, range(16))) + "\n"
+    path.write_text("design lk44 1153 complete\nblocks 13836\n" + row * 13836, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL (13836 blocks, expected 13836), 664128 pairs covered != once\n")
+    assert out.count("  pair (") == 20
+    assert out.endswith("  ... 664128 problems in total\n")
+    assert peak < 16 * 2**20
+
+
 def test_catalog_lists_all_base_blocks(capsys):
     assert main(["catalog"]) == 0
     captured = capsys.readouterr()
