@@ -139,6 +139,11 @@ _CHUNK_ROWS = 128
 # would take 136 MiB.  The count of wrong pairs stays exact.
 _LISTED_PAIRS = 1000
 
+# Pairs per slice in which PairCounter.errors seeks the listed ones, so
+# their int64 indices take at most 0.5 MiB however many pairs are wrong
+# (5.1 MiB for all 664,128 above).
+_SCAN_PAIRS = 1 << 16
+
 
 class PairCounter:
     """Exact coverage counts of the pairs of 0..n-1 under the rows each
@@ -168,15 +173,20 @@ class PairCounter:
             points = np.fromiter(group, dtype=np.int64)
             inside = _pair_index(points[:, None], points)[points[:, None] < points]
             wrong[inside] = self.counts[inside] != 0
-        index = np.flatnonzero(wrong)
-        if not len(index):  # most reports pass: spare them the decoding's numpy calls
+        total = int(np.count_nonzero(wrong))
+        if not total:  # most reports pass: spare them the search and decoding
             return [], 0
-        listed = index[:_LISTED_PAIRS]
+        want, listed = min(total, _LISTED_PAIRS), np.zeros(0, np.intp)
+        for start in range(0, len(wrong), _SCAN_PAIRS):
+            found = np.flatnonzero(wrong[start : start + _SCAN_PAIRS])
+            listed = np.concatenate((listed, found[: want - len(listed)] + start))
+            if len(listed) == want:
+                break
         # v = (1 + isqrt(8i + 1)) // 2: a float root is exact below n = 2^25,
         # where the counts alone would take 2^49 bytes
         v = ((1 + np.sqrt(8 * listed + 1)) // 2).astype(np.int64)
         pairs = zip((listed - _pair_index(0, v)).tolist(), v.tolist())
-        return list(zip(pairs, np.minimum(self.counts[listed], 255).tolist())), len(index)
+        return list(zip(pairs, np.minimum(self.counts[listed], 255).tolist())), total
 
 
 def _header_outruns_blocks(report: CertReport, n: int) -> bool:
@@ -242,14 +252,19 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
 #
-# Two readers, and the input picks one.  _parse_bulk takes an ASCII file
+# Two readers, the one resuming the other.  _parse_bulk takes an ASCII file
 # whose header is lines 1 and 2 and whose body starts with a digit and holds
-# only digits, spaces and LFs: one np.loadtxt pass reads the body, kept only
-# if it is exactly (count, 16) rows that fit in int32, and then it is what
-# the line parser would read.  Every other file (a comment, a leading blank
-# line, another line break, a doubled space, a sign, a wrong count or width,
-# an overflow) goes to _parse_lines, the one source of every parse message
-# and line number.
+# only digits, spaces and LFs.  One np.loadtxt pass reads the body's complete
+# rows, every line up to its last LF, kept only if they are rows of 16 labels
+# that fit in int32, no more of them than the header counts.  If they are all
+# of them and nothing follows the last LF, they are what the line parser
+# would read.  If not (a file cut short, a last line without its LF),
+# _parse_lines resumes with those rows in hand and reads only what follows
+# the last LF.  Every other file (a comment, a leading blank line, another
+# line break, a doubled space, a sign, a ragged line or an overflow before
+# the last LF, more rows than the count, a blank line in a file cut short)
+# goes to _parse_lines whole, so the line parser is the one source of every
+# parse message and line number.
 
 
 def _beyond_ascii_decimal(text: str) -> bool:
@@ -267,9 +282,10 @@ def _ascii_ints(tokens: Sequence[str]) -> list[int]:
     return list(map(int, tokens))
 
 
-def _content_lines(text: str):
-    """(line number, tokens) of each line that is neither blank nor a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(text: str, start: int = 1):
+    """(line number, tokens) of each line that is neither blank nor a comment,
+    text's first line being line start."""
+    for lineno, raw in enumerate(text.splitlines(), start=start):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line.split()
@@ -351,20 +367,31 @@ def _read_header(lines) -> tuple[int, TargetId, int, CertMode, int]:
     return lineno, target, order, mode, count
 
 
-def _parse_lines(text: str) -> Certificate:
-    """The line parser: every file, one content line at a time."""
-    lines = _content_lines(text)
+def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
+    """The line parser: every file, one content line at a time.  _parse_bulk
+    resumes it with head, the rows of text's lines from 3 to its last LF:
+    then it reads the header, lines 1 and 2, and only what follows that LF."""
+    if head is None:
+        lines = _content_lines(text)
+    else:
+        header_end = text.index("\n", text.index("\n") + 1)
+        lines = chain(_content_lines(text[:header_end]),
+                      _content_lines(text[text.rindex("\n") + 1 :], len(head) + 3))
     lineno, target, order, mode, count = _read_header(lines)
+    done = 0 if head is None else len(head)
+    lineno += done
 
     # where the whole text passes, int() alone keeps to _ascii_ints' rule,
     # so label lines, the bulk of the file, skip the check per line
     ints = _ascii_ints if _beyond_ascii_decimal(text) else lambda t: list(map(int, t))
     blocks, linenos = [], []
-    for _ in range(count):
+    for _ in range(count - done):
         try:
             lineno, tokens = next(lines)
         except StopIteration:
-            raise CertificateParseError(lineno, f"file ends before block {len(blocks)}") from None
+            raise CertificateParseError(
+                lineno, f"file ends before block {done + len(blocks)}"
+            ) from None
         if len(tokens) != 16:
             raise CertificateParseError(lineno, f"{len(tokens)} labels, want 16")
         try:
@@ -376,17 +403,22 @@ def _parse_lines(text: str) -> Certificate:
     if extra is not None:
         raise CertificateParseError(extra[0], "trailing content after last block")
     try:
-        return Certificate(target=target, order=order, mode=mode, blocks=blocks)
+        rows = as_block_array(blocks)
     except ValueError:
         # every row is 16 integers, so some label does not fit in int32
         top = np.iinfo(np.int32)
         i = next(i for i, row in enumerate(blocks) if min(row) < top.min or max(row) > top.max)
         raise CertificateParseError(linenos[i], "label does not fit in 32 bits") from None
+    if head is not None:
+        rows = np.concatenate((head, rows))
+    return Certificate(target=target, order=order, mode=mode, blocks=rows)
 
 
 def _parse_bulk(text: str) -> Certificate | None:
-    """What _parse_lines reads from text, in one numpy pass over the body,
-    for the files described above; None for every other file."""
+    """What _parse_lines reads from text, or raises, for the files described
+    above: one numpy pass over the body's LF-terminated lines, then the line
+    parser resumed after them where they hold fewer rows than the header's
+    count or text goes on past its last LF; None for every other file."""
     parts = text.encode("ascii").split(b"\n", 2) if text.isascii() else []
     if len(parts) < 3 or not parts[2][:1].isdigit() or parts[2].translate(None, b"0123456789 \n"):
         return None
@@ -397,16 +429,24 @@ def _parse_bulk(text: str) -> Certificate | None:
         return None
     if next(lines, None) is not None:  # a line break other than LF in the header
         return None
+    body = parts[2]
+    cut = body.rfind(b"\n") + 1  # the body's LF-terminated lines end at cut
+    if not cut:
+        return None
     try:  # older numpy casts a label beyond int32 via a float, with only a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            blocks = np.loadtxt(io.BytesIO(parts[2]), dtype=np.int32, delimiter=" ",
-                                comments=None, ndmin=2)
+            blocks = np.loadtxt(io.BytesIO(body[:cut] if cut < len(body) else body),
+                                dtype=np.int32, delimiter=" ", comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):  # ragged rows, an empty field, a label beyond int32
         return None
-    if blocks.shape != (count, 16):
+    if blocks.shape[1] != 16 or len(blocks) > count:
         return None
-    return Certificate(target, order, mode, blocks)
+    if len(blocks) == count and cut == len(body):
+        return Certificate(target, order, mode, blocks)
+    if body.count(b"\n", 0, cut) != len(blocks):  # a blank line: rows are not lines
+        return None
+    return _parse_lines(text, blocks)
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -420,9 +420,11 @@ def test_labels_parse_alike_beside_a_comment_with_other_characters():
 
 # --- the bulk reader against the line parser --------------------------------
 #
-# parse_certificate reads a well-formed body in one np.loadtxt pass
-# (_parse_bulk) and sends every other file to the line parser
-# (_parse_lines); either way the outcome must be the line parser's.
+# parse_certificate reads a body's complete rows, every line up to its last
+# LF, in one np.loadtxt pass (_parse_bulk); where they fall short of the
+# header's count or text follows the last LF, the line parser
+# (_parse_lines) resumes after them, and every other file goes to it whole.
+# Either way the outcome must be the line parser's.
 
 
 @functools.cache
@@ -542,6 +544,75 @@ def test_a_header_split_by_another_line_break_reads_as_the_line_parser_reads_it(
     text = "\n".join([design + brk + "blocks 96", *labels])
     assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
     assert _outcome(parse_certificate, text) == (99, "line 99: trailing content after last block")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(list(TargetId)), st.data())
+def test_a_certificate_cut_at_any_byte_reads_as_the_line_parser_reads_it(target, data):
+    text = "\n".join(_d97_lines(target))
+    text = text[: data.draw(st.integers(0, len(text)))] + data.draw(st.sampled_from(("", "\n")))
+    assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
+
+
+# what follows the rows of a cut file, given the next row of the certificate
+_TAILS = {
+    "nothing": lambda row: "",
+    "the row": lambda row: row,
+    "15 labels": lambda row: row.rsplit(" ", 1)[0],
+    "17 labels": lambda row: row + " 5",
+    "a label 2^31": lambda row: str(2**31) + row[row.index(" "):],
+}
+
+
+@pytest.mark.parametrize("numpy_reads", ["installed", "via_float"])
+@pytest.mark.parametrize(
+    ("rows", "tail", "outcome"),
+    [(50, "nothing", (52, "line 52: file ends before block 50")),
+     (96, "the row", None),
+     (58, "the row", (61, "line 61: file ends before block 59")),
+     (58, "15 labels", (61, "line 61: 15 labels, want 16")),
+     (58, "17 labels", (61, "line 61: 17 labels, want 16")),
+     (96, "a label 2^31", (99, "line 99: label does not fit in 32 bits"))],
+    ids=["fewer rows than the count", "no final LF", "cut after a whole row", "15 labels last",
+         "17 labels last", "a label 2^31 last"],
+)
+def test_a_file_cut_after_whole_rows_resumes_the_line_parser(rows, tail, outcome, numpy_reads,
+                                                             monkeypatch):
+    # the header and `rows` LF-terminated rows, then the tail with no LF
+    if numpy_reads == "via_float":
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_via_float(np.loadtxt))
+    lines = _d97_lines(TargetId.SHRIKHANDE)
+    text = "\n".join(lines[: rows + 2]) + "\n" + _TAILS[tail](lines[rows + 2])
+    expected = _d97() if outcome is None else outcome
+    assert _outcome(_parse_bulk, text) == expected  # resumed, not sent to the line parser whole
+    assert _outcome(parse_certificate, text) == expected == _outcome(_parse_lines, text)
+
+
+def test_a_blank_line_among_the_rows_of_a_cut_file_counts_in_its_line_numbers():
+    # np.loadtxt skips the blank line, so its rows are no longer the lines
+    lines = _d97_lines(TargetId.SHRIKHANDE)
+    rows = "\n".join(lines[:30] + ("",) + lines[30:60]) + "\n"
+    for text, line in ((rows, 61), (rows + lines[60][:9], 62)):
+        outcome = _outcome(parse_certificate, text)
+        assert outcome[0] == line and outcome == _outcome(_parse_lines, text)
+
+
+def test_a_481_certificate_cut_mid_block_line_parses_only_its_header_and_tail(monkeypatch):
+    lines = format_certificate(construct_design(TargetId.LINE_K44, 481)).split("\n")
+    middle = lines[1204]  # block 1202 of 2405, as the benchmark cuts it
+    text = "\n".join(lines[:1204]) + "\n" + middle[: len(middle) // 2]
+    module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
+    real, yielded = module._content_lines, []
+
+    def counted(*args):
+        for lineno, tokens in real(*args):
+            yielded.append(lineno)
+            yield lineno, tokens
+
+    monkeypatch.setattr(module, "_content_lines", counted)
+    err = _outcome(parse_certificate, text)
+    assert err[0] == 1205 and err[1].endswith("labels, want 16")
+    assert set(yielded) == {1, 2, 1205} and len(yielded) <= 6
 
 
 def test_a_hostile_block_count_errs_at_its_line_in_little_memory():
@@ -766,6 +837,18 @@ def test_pair_counter_matches_a_python_loop(data):
                           np.ones(len(pairs), dtype=bool), ([0], [1]))
     errors = _loop_pair_errors(n, pairs, groups)
     assert counter.errors(groups) == (errors, len(errors))
+
+
+@pytest.mark.parametrize("wrong", [np.s_[:], np.s_[::97], np.s_[::70_001], np.s_[-3:]],
+                         ids=["all", "every 97th", "every 70001st", "the last three"])
+def test_the_listed_pairs_are_the_first_wrong_ones_whatever_slice_they_lie_in(wrong):
+    # K_1153 has 664,128 pairs, more than ten slices of the search for listed pairs
+    counter = PairCounter(1153, np.empty((0, 2), np.int64), np.empty(0, bool), ([0], [1]))
+    counter.counts[:] = 1
+    counter.counts[wrong] = 2
+    index = np.flatnonzero(counter.counts != 1)
+    listed = [(_pair_from_index(i), 2) for i in index[:_LISTED_PAIRS].tolist()]
+    assert counter.errors() == (listed, len(index))
 
 
 # --- the counter's dtype boundaries and memory -------------------------------

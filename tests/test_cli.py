@@ -218,7 +218,7 @@ def test_verify_of_one_block_repeated_to_fill_k1153_lists_few_pairs_in_little_me
     assert out.startswith("FAIL (13836 blocks, expected 13836), 664128 pairs covered != once\n")
     assert out.count("  pair (") == 20
     assert out.endswith("  ... 664128 problems in total\n")
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_catalog_lists_all_base_blocks(capsys):
