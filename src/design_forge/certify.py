@@ -27,7 +27,7 @@ every report caps its pair counts at 255 and lists the first 1000 wrong
 pairs beside the exact number of them.  Its memory follows the
 n(n-1)/2 pairs: one count per pair in the narrowest unsigned dtype that
 holds the number of blocks counted (uint16 for every shipped order), plus
-the pair hits of one chunk of blocks at a time.
+the int32 pair indices (int64 past n = 46341) of one slice of rows at a time.
 
 write_certificate formats and writes 1024 rows at a time, so its memory
 follows one chunk, not the file; format_certificate joins the same chunks.
@@ -124,14 +124,20 @@ class CertReport:
         return ", ".join(parts)
 
 
-def _pair_index(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pair {u < v}, given in either order, has index v(v-1)/2 + u."""
-    hi = np.maximum(u, v)
-    return np.multiply(hi, hi - 1, dtype=np.int64) // 2 + np.minimum(u, v)
+def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Pair {u < v} of 0..n-1, given in either order, has index v(v-1)/2 + u,
+    computed in place in int32 where n(n-1) fits (n <= 46341), else int64."""
+    wide = np.int32 if n * (n - 1) < 2**31 else np.int64
+    hi = np.maximum(u, v, dtype=wide)
+    hi *= hi - 1
+    hi >>= 1
+    hi += np.minimum(u, v, dtype=wide)
+    return hi
 
 
-# Rows per np.add.at: 128 certificate rows are 6144 pair hits, about
-# 0.2 MiB of index temporaries; 256 rows took twice that and ran no faster.
+# Rows per np.add.at: 128 certificate rows are 6144 pair hits, whose int32
+# index temporaries take about 0.12 MiB.  256 rows counted the 481 design
+# about 8% faster but raised its peak from 0.34 to 0.42 MiB.
 _CHUNK_ROWS = 128
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
@@ -155,12 +161,14 @@ class PairCounter:
         ends distinct position pairs, so a row covers a pair at most once:
         no count exceeds the number of rows counted, and the counts take the
         narrowest unsigned dtype that holds it."""
-        kept = np.flatnonzero(counted)
-        self.counts = np.zeros(n * (n - 1) // 2, np.min_scalar_type(len(kept)))
+        self.n = n
+        self.counts = np.zeros(n * (n - 1) // 2, np.min_scalar_type(np.count_nonzero(counted)))
         one = self.counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
-        for start in range(0, len(kept), _CHUNK_ROWS):
-            chunk = rows[kept[start : start + _CHUNK_ROWS]]
-            np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]]), one)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk, keep = rows[start : start + _CHUNK_ROWS], counted[start : start + _CHUNK_ROWS]
+            if not keep.all():
+                chunk = chunk[keep]
+            np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
 
     def errors(
         self, groups: Iterable[Iterable[int]] = ()
@@ -171,7 +179,7 @@ class PairCounter:
         wrong = self.counts != 1
         for group in groups:
             points = np.fromiter(group, dtype=np.int64)
-            inside = _pair_index(points[:, None], points)[points[:, None] < points]
+            inside = _pair_index(points[:, None], points, self.n)[points[:, None] < points]
             wrong[inside] = self.counts[inside] != 0
         total = int(np.count_nonzero(wrong))
         if not total:  # most reports pass: spare them the search and decoding
@@ -185,7 +193,7 @@ class PairCounter:
         # v = (1 + isqrt(8i + 1)) // 2: a float root is exact below n = 2^25,
         # where the counts alone would take 2^49 bytes
         v = ((1 + np.sqrt(8 * listed + 1)) // 2).astype(np.int64)
-        pairs = zip((listed - _pair_index(0, v)).tolist(), v.tolist())
+        pairs = zip((listed - _pair_index(0, v, self.n)).tolist(), v.tolist())
         return list(zip(pairs, np.minimum(self.counts[listed], 255).tolist())), total
 
 
@@ -199,8 +207,8 @@ def _header_outruns_blocks(report: CertReport, n: int) -> bool:
 def _bad_rows(blocks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row: whether a label lies outside 0..n-1, and whether one does or
     two are equal (a label error).  Its sorted copy dies before the pair counts."""
-    out_of_range = ((blocks < 0) | (blocks >= n)).any(axis=1)
     ordered = np.sort(blocks, axis=1)
+    out_of_range = (ordered[:, 0] < 0) | (ordered[:, -1] >= n)
     return out_of_range, out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
 
