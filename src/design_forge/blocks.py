@@ -8,6 +8,9 @@ differences form an exact transversal of the cosets of H = {+-omega^e}
 in the unit group, those copies partition the edges of K_n.  develop
 returns them as a complete-mode certify.Certificate, the package's one
 design type: a claim, checked by certify and not on construction.
+develop itself only rejects repeated labels and repeated blocks, and
+decides both on the (n-1)/96 base rows, since every other row is one
+of them translated; that needs a Ring whose addition is a group.
 
 The catalogued blocks for orders 97, 193 and 289 (both targets) live in
 data/base_blocks.txt and are loaded verbatim.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 
 import numpy as np
 
@@ -126,30 +130,38 @@ def develop(block: BaseBlock) -> Certificate:
     d innermost, so the output is deterministic.  Raises
     DuplicateLabelError if any developed tuple repeats a label and
     DuplicateBlockError if the orbit produces the same tuple twice; either
-    signals an unusable base block rather than a recoverable state.  A
-    repeated label shows as equal neighbours once each row is sorted, a
-    duplicate block as equal neighbouring rows once the rows are sorted
-    (np.lexsort).
+    signals an unusable base block rather than a recoverable state.
+
+    Both are decided on the heads, the rows (e, 0): row (e, d) is row
+    (e, 0) translated by d, a bijection of the ring.  So row (e, d)
+    repeats a label iff its head does, and rows (e, d) and (f, d') coincide
+    iff head e equals row (f, d' - d), the one row of exponent f whose
+    first label is head e's; within one exponent the first labels differ.
+    This needs ring addition to be a group, which holds iff the order is
+    characteristic^degree (every Ring.field and every Z_n); develop raises
+    DevelopmentError for any other Ring.
     """
     ring = block.ring
     n = ring.order
+    if ring.characteristic ** (len(ring.polynomial) - 1) != n:
+        raise DevelopmentError(f"addition in {ring} is not a group")
     exponents = block.exponent_count
     signed_power_subgroup(ring, block.omega, exponents)  # omega sanity
     factors = [ring.pow(block.omega, e) for e in range(exponents)]
     scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
-    # [e, d, i] = omega^e * label_i + d, flattened with e outermost
-    blocks = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]].reshape(-1, 16)
-    ordered = np.sort(blocks, axis=1)
+    # [e, d, i] = omega^e * label_i + d
+    orbit = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]]
+    heads = orbit[:, 0]
+    ordered = np.sort(heads, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeats.any():
-        e, d = divmod(int(repeats.argmax()), n)
-        raise DuplicateLabelError(f"developed tuple at e={e}, d={d} repeats a label")
-    # not np.unique(blocks, axis=0): in numpy 2 it imports numpy.ma, about
-    # 1.1 MiB of heap and 15 ms in every process that constructs
-    ordered = blocks[np.lexsort(blocks.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-        raise DuplicateBlockError("development produced duplicate blocks")
-    return Certificate(block.target, n, CertMode.COMPLETE, blocks)
+        e = int(repeats.argmax())
+        raise DuplicateLabelError(f"developed tuple at e={e}, d=0 repeats a label")
+    for e, f in combinations(range(exponents), 2):
+        d = int((orbit[f, :, 0] == heads[e, 0]).argmax())
+        if (orbit[f, d] == heads[e]).all():
+            raise DuplicateBlockError("development produced duplicate blocks")
+    return Certificate(block.target, n, CertMode.COMPLETE, orbit.reshape(-1, 16))
 
 
 def difference_transversal_check(block: BaseBlock) -> bool:

@@ -40,7 +40,6 @@ from .certify import (
     write_certificate,
 )
 from .gdd import (
-    BudgetExhaustedError,
     Gdd,
     GddError,
     GddType,
@@ -285,11 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
-        # non-admissible orders, malformed types, missing ingredients, bad paths
+        # non-admissible orders, malformed types, missing ingredients, spent
+        # search budgets, bad paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

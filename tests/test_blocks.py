@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from design_forge.algebra import NotASubgroupError, Ring
+from design_forge.algebra import NotASubgroupError, Ring, signed_power_subgroup
 from design_forge.blocks import (
     BaseBlock,
     DevelopmentError,
@@ -189,3 +189,82 @@ def test_develop_rejects_an_omega_whose_signed_powers_are_no_subgroup():
     bad = BaseBlock(block.labels, block.target, block.ring, 2)  # 2^2 = 4 is not +-1 or +-2
     with pytest.raises(NotASubgroupError):
         develop(bad)
+
+
+def _develop_sorting_every_row(block: BaseBlock) -> np.ndarray:
+    """develop's blocks and errors as its whole-array checks gave them: every
+    row sorted for a repeated label, then all rows sorted (np.lexsort) for a
+    repeated block."""
+    ring = block.ring
+    n = ring.order
+    exponents = block.exponent_count
+    signed_power_subgroup(ring, block.omega, exponents)
+    factors = [ring.pow(block.omega, e) for e in range(exponents)]
+    scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
+    blocks = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]].reshape(-1, 16)
+    ordered = np.sort(blocks, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        e, d = divmod(int(repeats.argmax()), n)
+        raise DuplicateLabelError(f"developed tuple at e={e}, d={d} repeats a label")
+    ordered = blocks[np.lexsort(blocks.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise DuplicateBlockError("development produced duplicate blocks")
+    return blocks
+
+
+def _outcome(develop_blocks, block: BaseBlock):
+    try:
+        return develop_blocks(block).tolist()
+    except ValueError as exc:  # DevelopmentError and RingError alike
+        return type(exc), str(exc)
+
+
+def _z385_and_z481_blocks(rng: random.Random) -> list[BaseBlock]:
+    # no omega of Z_481 passes signed_power_subgroup for its 5 exponents, so
+    # Z_481 blocks only reach that error
+    z481 = Ring(481, (0, 1))
+    blocks = [BaseBlock(tuple(range(16)), TargetId.LINE_K44, z481, w) for w in (1, 2, 480)]
+    for n in (385, 481):
+        ring = Ring(n, (0, 1))
+        for omega in range(n):
+            try:
+                signed_power_subgroup(ring, omega, (n - 1) // 96)
+            except NotASubgroupError:
+                continue
+            # labels that are multiples of a divisor g of n are fixed by
+            # every omega^e that is 1 mod n/g: degenerate orbits
+            for g in (1, 5, 11, 35):
+                multiples = range(0, n, g)
+                if len(multiples) >= 16:
+                    labels = rng.sample(multiples, 16)
+                else:
+                    labels = rng.choices(multiples, k=16)
+                blocks.append(BaseBlock(tuple(labels), TargetId.SHRIKHANDE, ring, omega))
+    return blocks
+
+
+def test_develop_agrees_with_sorting_every_row():
+    rng = random.Random(21)
+    cases = [block for _, block in ALL_CATALOG]
+    for block in list(cases):
+        for _ in range(12):
+            labels = list(block.labels)
+            i, j = rng.sample(range(16), 2)
+            labels[i] = labels[j] if rng.random() < 0.5 else rng.randrange(block.ring.order)
+            cases.append(BaseBlock(tuple(labels), block.target, block.ring, block.omega))
+    cases += _z385_and_z481_blocks(rng)
+    kinds = set()
+    for block in cases:
+        want = _outcome(_develop_sorting_every_row, block)
+        assert _outcome(lambda b: develop(b).blocks, block) == want
+        kinds.add(want[0] if isinstance(want, tuple) else list)
+    assert kinds == {list, DuplicateLabelError, DuplicateBlockError, NotASubgroupError}
+
+
+def test_develop_needs_ring_addition_to_be_a_group():
+    # characteristic round(385 ** 0.5) = 20, and 20^2 != 385
+    ring = Ring(385, (1, 1, 1))
+    block = BaseBlock(tuple(range(16)), TargetId.SHRIKHANDE, ring, 1)
+    with pytest.raises(DevelopmentError, match="not a group"):
+        develop(block)
