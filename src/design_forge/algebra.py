@@ -157,11 +157,12 @@ class Ring:
 
 def signed_power_subgroup(ring: Ring, omega: int, exponents: int) -> frozenset[int]:
     """The set H = {omega^e, -omega^e : 0 <= e < exponents}, verified to be
-    a multiplicatively closed set of exactly 2*exponents nonzero elements.
+    a multiplicatively closed set of exactly 2*exponents units.
 
     A finite set closed under the group operation inside the unit group is
-    a subgroup, so closure plus the size check certifies H <= units.
-    Raises NotASubgroupError otherwise (an unusable omega).
+    a subgroup, so the size check, closure and an inverse among the members
+    for each member (so each is a unit) certify H <= units.  Raises
+    NotASubgroupError otherwise (an unusable omega).
     """
     if exponents < 1:
         raise ValueError("exponents must be at least 1")
@@ -175,10 +176,13 @@ def signed_power_subgroup(ring: Ring, omega: int, exponents: int) -> frozenset[i
         raise NotASubgroupError(
             f"signed powers of {omega} give {len(members)} elements, want {2 * exponents}"
         )
-    for x in members:
-        for y in members:
-            if ring.mul(x, y) not in members:
-                raise NotASubgroupError(f"signed powers of {omega} are not closed")
+    h = list(members)
+    products = ring.mul_table[h][:, h].tolist()  # one lookup, not (2e)^2 ring.mul calls
+    if not all(members.issuperset(row) for row in products):
+        raise NotASubgroupError(f"signed powers of {omega} are not closed")
+    # a finite closed set holds the inverse of each unit in it
+    if not all(1 in row for row in products):
+        raise NotASubgroupError(f"signed powers of {omega} are not all units")
     return frozenset(members)
 
 

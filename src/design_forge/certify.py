@@ -25,9 +25,9 @@ PairCounter is the package's one pair counter: certify and
 gdd.verify_gdd each choose which blocks count and pass their groups, and
 every report caps its pair counts at 255 and lists the first 1000 wrong
 pairs beside the exact number of them.  Its memory follows the
-n(n-1)/2 pairs: one count per pair in the narrowest unsigned dtype that
-holds the number of blocks counted (uint16 for every shipped order), plus
-the int32 pair indices (int64 past n = 46341) of one slice of rows at a time.
+n(n-1)/2 pairs: one uint8 count per pair (a wider one only where a count
+passes 255), plus one slice of rows or pairs at a time, never a
+whole-pair mask or a sorted copy of every block.
 
 write_certificate formats and writes 1024 rows at a time, so its memory
 follows one chunk, not the file; format_certificate joins the same chunks.
@@ -126,74 +126,100 @@ class CertReport:
 
 def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Pair {u < v} of 0..n-1, given in either order, has index v(v-1)/2 + u,
-    computed in place in int32 where n(n-1) fits (n <= 46341), else int64."""
+    in int32 where n(n-1) fits (n <= 46341), else int64.  It is computed in
+    place over u and v, which every caller passes fresh, wherever they
+    already hold that dtype: three arrays the size of u, no more."""
     wide = np.int32 if n * (n - 1) < 2**31 else np.int64
-    hi = np.maximum(u, v, dtype=wide)
-    hi *= hi - 1
-    hi >>= 1
-    hi += np.minimum(u, v, dtype=wide)
-    return hi
+    u, v = u.astype(wide, copy=False), v.astype(wide, copy=False)
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v, out=v)
+    index = np.subtract(hi, 1, out=u)
+    index *= hi
+    index >>= 1
+    index += lo
+    return index
 
 
-# Rows per np.add.at: 128 certificate rows are 6144 pair hits, whose int32
-# index temporaries take about 0.12 MiB.  256 rows counted the 481 design
-# about 8% faster but raised its peak from 0.34 to 0.42 MiB.
+# Rows per np.add.at: 128 certificate rows are 6144 pair hits, whose three
+# int32 index arrays take 72 KiB.  256 rows counted the 481 design about
+# 10% faster but raised the peak of certify of 289 from 0.13 to 0.18 MiB.
 _CHUNK_ROWS = 128
+
+# Rows per sorted copy in _counted_rows (256 KiB): the 481 design's 2405 take one.
+_SORT_ROWS = 4096
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
 # makes: one block repeated to fill K_1153 makes 664,128, whose tuples
 # would take 136 MiB.  The count of wrong pairs stays exact.
 _LISTED_PAIRS = 1000
 
-# Pairs per slice in which PairCounter.errors seeks the listed ones, so
-# their int64 indices take at most 0.5 MiB however many pairs are wrong
-# (5.1 MiB for all 664,128 above).
+# Pairs per slice of PairCounter.errors: the slice's wrong mask takes
+# 64 KiB and the int64 indices of its wrong pairs at most 0.5 MiB, however
+# many pairs there are and however many are wrong.
 _SCAN_PAIRS = 1 << 16
 
 
 class PairCounter:
     """Exact coverage counts of the pairs of 0..n-1 under the rows each
-    caller counts: one narrow count per pair, and one chunk of rows at a time."""
+    caller counts: one uint8 count per pair, and one chunk of rows at a time."""
 
     def __init__(self, n: int, rows: np.ndarray, counted: np.ndarray, ends: Sequence[np.ndarray]):
         """Count the pair {row[ends[0][j]], row[ends[1][j]]} for every j and
         every row i with counted[i].  Counted rows hold distinct points and
-        ends distinct position pairs, so a row covers a pair at most once:
-        no count exceeds the number of rows counted, and the counts take the
-        narrowest unsigned dtype that holds it."""
+        ends distinct position pairs, so a row covers a pair at most once,
+        and uint8 counts are exact where at most 255 rows count or where they
+        sum to the hits made (a wrapped count loses a multiple of 256); hits
+        as many as the pairs, with no count 0, are one per pair.  Otherwise
+        the rows are counted again in the narrowest dtype that holds their number."""
         self.n = n
-        self.counts = np.zeros(n * (n - 1) // 2, np.min_scalar_type(np.count_nonzero(counted)))
-        one = self.counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk, keep = rows[start : start + _CHUNK_ROWS], counted[start : start + _CHUNK_ROWS]
-            if not keep.all():
-                chunk = chunk[keep]
-            np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
+        rows_counted = int(np.count_nonzero(counted))
+        hits = rows_counted * len(ends[0])
+        for dtype in (np.uint8, np.min_scalar_type(rows_counted)):  # the second holds every count
+            self.counts = None  # free the uint8 counts before the wide ones exist
+            self.counts = np.zeros(n * (n - 1) // 2, dtype)
+            one = self.counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk, keep = rows[start : start + _CHUNK_ROWS], counted[start : start + _CHUNK_ROWS]
+                if not keep.all():
+                    chunk = chunk[keep]
+                np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
+            if (rows_counted <= 255 or hits == len(self.counts) and self.counts.min(initial=1) > 0
+                    or self.counts.sum(dtype=np.min_scalar_type(hits)) == hits):
+                break
 
     def errors(
         self, groups: Iterable[Iterable[int]] = ()
     ) -> tuple[list[tuple[tuple[int, int], int]], int]:
         """The wrong pairs: those covered other than once across groups, or
         at all inside one group.  ((u, v), count capped at 255) of the first
-        _LISTED_PAIRS in index order, and how many there are."""
-        wrong = self.counts != 1
+        _LISTED_PAIRS in index order, and how many there are; each slice of
+        pairs has the pairs inside groups that fall in it patched in."""
+        inside = []
         for group in groups:
-            points = np.fromiter(group, dtype=np.int64)
-            inside = _pair_index(points[:, None], points, self.n)[points[:, None] < points]
-            wrong[inside] = self.counts[inside] != 0
-        total = int(np.count_nonzero(wrong))
-        if not total:  # most reports pass: spare them the search and decoding
+            points = np.fromiter(group, dtype=np.int32)
+            tri = _pair_index(np.zeros_like(points), points, self.n)  # of the pairs (0, p)
+            inside.append((tri + points[:, None])[points[:, None] < points])
+        inside = np.sort(np.concatenate(inside)) if inside else np.zeros(0, np.int32)
+        listed, total = [], 0
+        for start in range(0, len(self.counts), _SCAN_PAIRS):
+            counts = self.counts[start : start + _SCAN_PAIRS]
+            wrong = counts != 1
+            if len(inside):
+                lo, hi = inside.searchsorted(np.array((start, start + _SCAN_PAIRS), inside.dtype))
+                patch = inside[lo:hi] - start
+                wrong[patch] = counts[patch] != 0
+            found = int(np.count_nonzero(wrong))
+            if found and total < _LISTED_PAIRS:
+                listed.append(np.flatnonzero(wrong)[: _LISTED_PAIRS - total] + start)
+            total += found
+        if not total:  # most reports pass: spare them the decoding
             return [], 0
-        want, listed = min(total, _LISTED_PAIRS), np.zeros(0, np.intp)
-        for start in range(0, len(wrong), _SCAN_PAIRS):
-            found = np.flatnonzero(wrong[start : start + _SCAN_PAIRS])
-            listed = np.concatenate((listed, found[: want - len(listed)] + start))
-            if len(listed) == want:
-                break
+        listed = np.concatenate(listed)
         # v = (1 + isqrt(8i + 1)) // 2: a float root is exact below n = 2^25,
         # where the counts alone would take 2^49 bytes
         v = ((1 + np.sqrt(8 * listed + 1)) // 2).astype(np.int64)
-        pairs = zip((listed - _pair_index(0, v, self.n)).tolist(), v.tolist())
+        # max(0, v) = v, so _pair_index leaves v as it is
+        pairs = zip((listed - _pair_index(np.zeros_like(v), v, self.n)).tolist(), v.tolist())
         return list(zip(pairs, np.minimum(self.counts[listed], 255).tolist())), total
 
 
@@ -204,12 +230,20 @@ def _header_outruns_blocks(report: CertReport, n: int) -> bool:
     return report.count_actual != report.count_expected and n * (n - 1) > 192 * report.count_actual
 
 
-def _bad_rows(blocks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: whether a label lies outside 0..n-1, and whether one does or
-    two are equal (a label error).  Its sorted copy dies before the pair counts."""
-    ordered = np.sort(blocks, axis=1)
-    out_of_range = (ordered[:, 0] < 0) | (ordered[:, -1] >= n)
-    return out_of_range, out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str]) -> np.ndarray:
+    """Per row: whether its labels are distinct and lie in 0..n-1, read off
+    sorted copies of _SORT_ROWS rows at a time, which die before the pair
+    counts are made; every other row's label error joins label_errors."""
+    counted = np.empty(len(blocks), dtype=bool)
+    for start in range(0, len(blocks), _SORT_ROWS):
+        ordered = np.sort(blocks[start : start + _SORT_ROWS], axis=1)
+        out_of_range = (ordered[:, 0] < 0) | (ordered[:, -1] >= n)
+        bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        for idx in np.flatnonzero(bad).tolist():
+            problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
+            label_errors.append(f"block {start + idx}: {problem}")
+        np.logical_not(bad, out=counted[start : start + _SORT_ROWS])
+    return counted
 
 
 def certify(cert: Certificate) -> CertReport:
@@ -229,12 +263,8 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
-    out_of_range, bad = _bad_rows(blocks, n)
-    for idx in np.flatnonzero(bad).tolist():
-        problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
-        report.label_errors.append(f"block {idx}: {problem}")
-
-    counter = PairCounter(n, blocks, ~bad, np.array(target_graph(cert.target).edges).T - 1)
+    counted = _counted_rows(blocks, n, report.label_errors)
+    counter = PairCounter(n, blocks, counted, np.array(target_graph(cert.target).edges).T - 1)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report

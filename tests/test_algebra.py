@@ -91,6 +91,14 @@ def test_signed_powers_must_form_a_subgroup_of_the_right_size():
         signed_power_subgroup(f, 1, 2)
 
 
+def test_signed_powers_must_be_units():
+    # in Z_385 the signed powers of 10 are 8 elements closed under
+    # multiplication, {1, 10, 100, 155, 230, 285, 375, 384}, but six of them
+    # share the factor 5 with 385
+    with pytest.raises(NotASubgroupError, match="not all units"):
+        signed_power_subgroup(Ring(385, (0, 1)), 10, 4)
+
+
 def test_coset_partition_z97():
     f = Ring.field(97)
     cosets = unit_group_coset_partition(f, 1, 1)
