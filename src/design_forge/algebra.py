@@ -95,31 +95,41 @@ class Ring:
         return x
 
     def _digits(self) -> tuple[np.ndarray, np.ndarray]:
-        # (weights p^i, digits) with code x = sum(digits[x, i] * weights[i])
+        # int32 (weights p^i, digits) with code x = sum(digits[i, x] * weights[i])
         p = self.characteristic
-        weights = p ** np.arange(len(self.polynomial) - 1)
-        return weights, np.arange(self.order)[:, None] // weights % p
+        weights = p ** np.arange(len(self.polynomial) - 1, dtype=np.int32)
+        return weights, np.arange(self.order, dtype=np.int32) // weights[:, None] % p
+
+    def _codes(self, weights: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        """The read-only order x order table of the codes whose digits are
+        coefficients[i] (reduced mod p here, in place) for weight i."""
+        coefficients %= self.characteristic
+        table = weights @ coefficients.reshape(len(weights), -1)
+        return _read_only(table.reshape(self.order, self.order))
 
     @cached_property
     def add_table(self) -> np.ndarray:
         """add_table[x, y] is the code of x + y; built on first use, read-only."""
         weights, d = self._digits()
-        coefficients = (d[:, None] + d) % self.characteristic
-        return _read_only((coefficients @ weights).astype(np.int32))
+        return self._codes(weights, d[:, :, None] + d[:, None, :])
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """mul_table[x, y] is the code of x * y; built on first use, read-only."""
+        """mul_table[x, y] is the code of x * y; built on first use, read-only.
+        Built in int32, one order x order plane per coefficient, exact for
+        every prime order below 46,341 and the extension fields here."""
         weights, d = self._digits()
         k = len(weights)
-        product = np.zeros((self.order, self.order, 2 * k - 1), dtype=np.int64)
+        product = np.zeros((2 * k - 1, self.order, self.order), dtype=np.int32)
         for i in range(k):
-            product[:, :, i : i + k] += d[:, None, i, None] * d
+            for j in range(k):
+                product[i + j] += d[i, :, None] * d[j]
         # z^k = -(c_0 + ... + c_{k-1} z^{k-1}); fold the top degrees down
         for top in range(2 * k - 2, k - 1, -1):
-            product[:, :, top - k : top] -= product[:, :, top, None] * self.polynomial[:k]
-        coefficients = product[:, :, :k] % self.characteristic
-        return _read_only((coefficients @ weights).astype(np.int32))
+            for i, c in enumerate(self.polynomial[:k]):
+                if c:
+                    product[top - k + i] -= c * product[top]
+        return self._codes(weights, product[:k])
 
     def add(self, x: int, y: int) -> int:
         self._check(x), self._check(y)

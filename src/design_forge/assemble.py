@@ -13,7 +13,9 @@ and p a GDD block's ascending points, the block's two pieces are
 4 * p[dec % 4] + dec // 4.  Group i, the GDD points 24i..24i+23, thus
 inflates to 96i..96i+95 in order, and its overlay is the order-97 design
 d97 with label x < 96 sent to 96i + x and label 96 sent to the new point
-96t: np.where(d97 == 96, 96t, d97 + 96i).
+96t.  Pieces and overlays are written in place into one preallocated
+int32 array of every block, so the assembly holds no temporary the size
+of the design.
 
 construct_design returns the design as a complete-mode certify.Certificate
 and certifies it exactly once, as the last step.  That one check is the
@@ -84,10 +86,19 @@ def construct_design(
 def _assembled_blocks(target: TargetId, base: Gdd, t: int) -> np.ndarray:
     """The int32 blocks of order 96t + 1 from a 4-GDD of type 24^t whose
     rows ascend: the K_{4,4,4,4} pieces of every GDD block, then the
-    order-97 overlay of every group (see the module docstring)."""
+    order-97 overlay of every group (see the module docstring), written
+    in place into one preallocated array, the only one the size of the
+    design."""
     dec = np.array(k4444_decomposition(target), dtype=np.int32)
-    pieces = 4 * base.blocks[:, dec % 4] + dec // 4
     d97 = develop(paper_base_blocks(target, 97)).blocks
-    shift = 96 * np.arange(t, dtype=np.int32)[:, None, None]
-    overlays = np.where(d97 == 96, np.int32(96 * t), d97 + shift)
-    return np.concatenate((pieces.reshape(-1, 16), overlays.reshape(-1, 16)))
+    blocks = np.empty((2 * len(base.blocks) + t * len(d97), 16), dtype=np.int32)
+    pieces = blocks[: 2 * len(base.blocks)].reshape(-1, 2, 16)
+    # dec % 4 indexes columns 0..3: clip checks nothing, where raise would
+    # buffer the whole output to keep it intact on a bad index
+    np.take(base.blocks, dec % 4, axis=1, out=pieces, mode="clip")
+    pieces *= 4
+    pieces += dec // 4
+    overlays = blocks[2 * len(base.blocks) :].reshape(t, len(d97), 16)
+    np.add(d97, 96 * np.arange(t, dtype=np.int32)[:, None, None], out=overlays)
+    overlays[:, d97 == 96] = 96 * t
+    return blocks

@@ -29,7 +29,7 @@ n(n-1)/2 pairs: one uint8 count per pair (a wider one only where a count
 passes 255), plus one slice of rows or pairs at a time, never a
 whole-pair mask or a sorted copy of every block.
 
-write_certificate formats and writes 1024 rows at a time, so its memory
+write_certificate formats and writes 512 rows at a time, so its memory
 follows one chunk, not the file; format_certificate joins the same chunks.
 """
 
@@ -145,8 +145,10 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 # 10% faster but raised the peak of certify of 289 from 0.13 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
-# Rows per sorted copy in _counted_rows (256 KiB): the 481 design's 2405 take one.
-_SORT_ROWS = 4096
+# Rows per sorted copy in _counted_rows: 1024 rows sort into 64 KiB, less
+# than the 481 design's uint8 counts plus one chunk (185 KiB) that counting
+# holds next; 4096 rows took 256 KiB and set the peak of certify there.
+_SORT_ROWS = 1024
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
 # makes: one block repeated to fill K_1153 makes 664,128, whose tuples
@@ -183,7 +185,8 @@ class PairCounter:
                 if not keep.all():
                     chunk = chunk[keep]
                 np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
-            if (rows_counted <= 255 or hits == len(self.counts) and self.counts.min(initial=1) > 0
+            self.once = hits == len(self.counts) and self.counts.min(initial=1) > 0  # all 1
+            if (rows_counted <= 255 or self.once
                     or self.counts.sum(dtype=np.min_scalar_type(hits)) == hits):
                 break
 
@@ -193,13 +196,16 @@ class PairCounter:
         """The wrong pairs: those covered other than once across groups, or
         at all inside one group.  ((u, v), count capped at 255) of the first
         _LISTED_PAIRS in index order, and how many there are; each slice of
-        pairs has the pairs inside groups that fall in it patched in."""
+        pairs has the pairs inside groups that fall in it patched in.  With
+        every count 1 and no pair inside a group there is nothing to scan."""
         inside = []
         for group in groups:
             points = np.fromiter(group, dtype=np.int32)
             tri = _pair_index(np.zeros_like(points), points, self.n)  # of the pairs (0, p)
             inside.append((tri + points[:, None])[points[:, None] < points])
         inside = np.sort(np.concatenate(inside)) if inside else np.zeros(0, np.int32)
+        if self.once and not len(inside):
+            return [], 0
         listed, total = [], 0
         for start in range(0, len(self.counts), _SCAN_PAIRS):
             counts = self.counts[start : start + _SCAN_PAIRS]
@@ -329,36 +335,51 @@ def _content_lines(text: str, start: int = 1):
             yield lineno, line.split()
 
 
-# Rows per chunk of label lines: write_certificate holds one chunk's text
-# and digit cells at a time, so 38,480 rows write at a 0.59 MiB peak, for
-# 3-digit labels as for 2^31 - 1 (19.4 MiB for the whole text at once).
-_FORMAT_ROWS = 1024
+# Rows per chunk of label lines: write_certificate holds one chunk's cells,
+# text and gather indices at a time, about 100 KiB for 3-digit labels, less
+# than the counts plus one chunk that certify held just before (185 KiB at
+# 481, where 1024-row chunks that took their digits held 0.36 MiB and set
+# the peak of construct).
+_FORMAT_ROWS = 512
 
 
-def _label_lines(blocks: np.ndarray) -> bytes:
-    """The label lines of rows of nonnegative labels: width + 1 byte cells per
-    label, its digits NUL-padded to the width of the largest, then a space."""
-    width = len(str(blocks.max()))
-    cells = np.full(blocks.shape + (width + 1,), ord(" "), dtype=np.uint8)
-    cells[:, -1, -1] = ord("\n")
+def _cells(labels: np.ndarray) -> np.ndarray:
+    """(..., width + 1) uint8 cells of nonnegative labels: each label's
+    digits NUL-padded to the width of the largest, then a space."""
+    width = len(str(labels.max()))
+    cells = np.full(labels.shape + (width + 1,), ord(" "), dtype=np.uint8)
     for j in range(width - 1, -1, -1):  # numpy divides by a scalar far faster than by powers
-        quot = blocks // 10
-        cells[..., j] = (blocks - quot * 10 + ord("0")) * (blocks > 0)
-        blocks = quot
+        quot = labels // 10
+        cells[..., j] = (labels - quot * 10 + ord("0")) * (labels > 0)
+        labels = quot
     cells[..., width - 1] |= ord("0")  # the one digit of a label 0
-    return cells.tobytes().replace(b"\0", b"")
+    return cells
 
 
 def _text_chunks(cert: Certificate) -> Iterator[bytes]:
     """The certificate's text as ASCII bytes: the header, then the label lines
-    of _FORMAT_ROWS rows at a time, each chunk padded to its own widest label.
-    A negative label raises ValueError here, before any chunk is taken."""
+    of _FORMAT_ROWS rows at a time, the NULs of their cells dropped.  Labels
+    below 16 * _FORMAT_ROWS or below the row count, as every label of a
+    design is, are gathered from a table of the cells of 0..max: no larger
+    than one chunk's cells or a fifth of the blocks.  Larger ones take their
+    digits chunk by chunk.  A negative label raises ValueError here, before
+    any chunk is taken."""
     blocks = cert.blocks
-    if (blocks < 0).any():
+    if blocks.min(initial=0) < 0:
         raise ValueError("certificate labels must be nonnegative")
     header = f"design {cert.target.value} {cert.order} {cert.mode.value}\nblocks {len(blocks)}\n"
+    top = int(blocks.max(initial=0))
+    table = None
+    if top < max(16 * _FORMAT_ROWS, len(blocks)):
+        table = _cells(np.arange(top + 1, dtype=np.int32))
+
+    def label_lines(chunk: np.ndarray) -> bytes:
+        cells = _cells(chunk) if table is None else np.take(table, chunk, axis=0)
+        cells[:, -1, -1] = ord("\n")
+        return cells.tobytes().translate(None, b"\0")  # twice as fast as replace
+
     chunks = (blocks[i : i + _FORMAT_ROWS] for i in range(0, len(blocks), _FORMAT_ROWS))
-    return chain([header.encode("ascii")], map(_label_lines, chunks))
+    return chain([header.encode("ascii")], map(label_lines, chunks))
 
 
 def format_certificate(cert: Certificate) -> str:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from design_forge import algebra
@@ -183,6 +187,42 @@ def test_tables_match_reference_arithmetic():
             assert f.add_table[x].tolist() == [x ^ y for y in range(q)]
             assert f.mul_table[x].tolist() == [_reference_gf2k(x, y, poly) for y in range(q)]
             assert f.neg(x) == x
+
+
+def _reference_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    # (x + y, x * y) for every x, y, from the scalar references above
+    cells = [[(x, y) for y in range(q)] for x in range(q)]
+    if q == 289:
+        pairs = [[_reference_gf289(x, y) for x, y in row] for row in cells]
+        return [[s for s, _ in row] for row in pairs], [[m for _, m in row] for row in pairs]
+    if q in (4, 8):
+        poly = 0b111 if q == 4 else 0b1011
+        return ([[x ^ y for x, y in row] for row in cells],
+                [[_reference_gf2k(x, y, poly) for x, y in row] for row in cells])
+    return [[(x + y) % q for x, y in row] for row in cells], [[x * y % q for x, y in row] for row in cells]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 17, 97, 193, 289, 503])
+def test_tables_are_int32_and_equal_the_reference_arithmetic(q):
+    f = Ring.field(q)
+    add, mul = _reference_tables(q)
+    for table, want in ((f.add_table, add), (f.mul_table, mul)):
+        assert table.dtype == np.int32 and table.shape == (q, q)
+        assert table.tolist() == want
+
+
+def test_building_the_gf289_tables_peaks_under_2_1_mb():
+    # int32 throughout, one 289 x 289 plane per coefficient: 1.74 MB measured;
+    # an int64 (289, 289, 3) product cast to int32 at the end peaked at 4.68 MB
+    f = Ring.field(289)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f.add_table, f.mul_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1e6
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 9, 16, 91, 125])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from design_forge.assemble import _assembled_blocks, admissible, construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
-from design_forge.certify import certify
+from design_forge.certify import certify, write_certificate
 from design_forge.gdd import IngredientStore, gdd_24_t
 from design_forge.targets import TargetId
 
@@ -39,6 +42,26 @@ def test_assembly_follows_the_documented_point_naming(target, t):
         overlay = out[2 * g + 97 * i:2 * g + 97 * (i + 1)]
         assert overlay.tolist() == [[96 * i + x if x < 96 else 96 * t for x in row]
                                     for row in d97]
+
+
+def _reference_assembled_blocks(target, base, t):
+    # _assembled_blocks as two whole-array expressions, before it wrote in place
+    dec = np.array(k4444_decomposition(target), dtype=np.int32)
+    pieces = 4 * base.blocks[:, dec % 4] + dec // 4
+    d97 = develop(paper_base_blocks(target, 97)).blocks
+    shift = 96 * np.arange(t, dtype=np.int32)[:, None, None]
+    overlays = np.where(d97 == 96, np.int32(96 * t), d97 + shift)
+    return np.concatenate((pieces.reshape(-1, 16), overlays.reshape(-1, 16)))
+
+
+@pytest.mark.parametrize("t", [4, 5])
+@pytest.mark.parametrize("target", list(TargetId))
+def test_assembly_in_place_equals_the_whole_array_expressions(target, t):
+    base = gdd_24_t(t)
+    out = _assembled_blocks(target, base, t)
+    reference = _reference_assembled_blocks(target, base, t)
+    assert out.dtype == reference.dtype == np.int32
+    assert np.array_equal(out, reference)
 
 
 def test_construct_order_one_is_empty():
@@ -80,3 +103,19 @@ def test_block_count_formula():
     # t(96t+1) blocks at order 96t+1
     for t, n in ((4, 385), (5, 481)):
         assert n * (n - 1) // 96 == t * (96 * t + 1)
+
+
+def test_construct_and_write_of_481_peak_under_0_42_mib(tmp_path):
+    # the 2405-row block array, then the uint8 counts of its 115,440 pairs
+    # with one chunk of rows (0.349 MiB measured, warm); in-place assembly,
+    # int32 ring tables and 1024-row label and 512-row write slices keep
+    # every other stage below that (0.524 MiB before them)
+    construct_design(TargetId.LINE_K44, 481)  # the first call builds the catalog's ring tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_certificate(construct_design(TargetId.LINE_K44, 481), tmp_path / "d481.cert")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.42 * 2**20
