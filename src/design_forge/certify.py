@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import enum
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -298,7 +299,8 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 #
 # Two readers, the one resuming the other.  _parse_bulk takes an ASCII file
 # whose header is lines 1 and 2 and whose body starts with a digit and holds
-# only digits, spaces and LFs.  One np.loadtxt pass reads the body's complete
+# only digits, spaces and LF or CRLF line ends.  It reads the bytes in place:
+# one np.loadtxt pass over a BytesIO sharing them reads the body's complete
 # rows, every line up to its last LF, kept only if they are rows of 16 labels
 # that fit in int32, no more of them than the header counts.  If they are all
 # of them and nothing follows the last LF, they are what the line parser
@@ -308,7 +310,10 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 # line break, a doubled space, a sign, a ragged line or an overflow before
 # the last LF, more rows than the count, a blank line in a file cut short)
 # goes to _parse_lines whole, so the line parser is the one source of every
-# parse message and line number.
+# parse message and line number, and the one reader of a file decoded whole.
+
+# Body bytes per slice of _parse_bulk's gate: bytes.translate copies what it keeps
+_GATE_BYTES = 1 << 16
 
 
 def _beyond_ascii_decimal(text: str) -> bool:
@@ -428,14 +433,14 @@ def _read_header(lines) -> tuple[int, TargetId, int, CertMode, int]:
 
 def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
     """The line parser: every file, one content line at a time.  _parse_bulk
-    resumes it with head, the rows of text's lines from 3 to its last LF:
-    then it reads the header, lines 1 and 2, and only what follows that LF."""
+    resumes it with head, the rows of a file's lines from 3 to its last LF,
+    and text, the file's lines 1 and 2 and then what follows that LF."""
     if head is None:
         lines = _content_lines(text)
     else:
         header_end = text.index("\n", text.index("\n") + 1)
         lines = chain(_content_lines(text[:header_end]),
-                      _content_lines(text[text.rindex("\n") + 1 :], len(head) + 3))
+                      _content_lines(text[header_end + 1 :], len(head) + 3))
     lineno, target, order, mode, count = _read_header(lines)
     done = 0 if head is None else len(head)
     lineno += done
@@ -473,45 +478,54 @@ def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
     return Certificate(target=target, order=order, mode=mode, blocks=rows)
 
 
-def _parse_bulk(text: str) -> Certificate | None:
-    """What _parse_lines reads from text, or raises, for the files described
+def _parse_bulk(data: str | bytes) -> Certificate | None:
+    """What _parse_lines reads from data, or raises, for the files described
     above: one numpy pass over the body's LF-terminated lines, then the line
     parser resumed after them where they hold fewer rows than the header's
-    count or text goes on past its last LF; None for every other file."""
-    parts = text.encode("ascii").split(b"\n", 2) if text.isascii() else []
-    if len(parts) < 3 or not parts[2][:1].isdigit() or parts[2].translate(None, b"0123456789 \n"):
+    count or data goes on past its last LF; None for every other file.
+    A str is encoded first; bytes are read in place."""
+    if not data.isascii():
         return None
-    lines = _content_lines(text[: len(parts[0]) + 1 + len(parts[1])])
+    data = data.encode("ascii") if isinstance(data, str) else data
+    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # the body starts after the second LF
+    cut = data.rfind(b"\n") + 1  # the body's LF-terminated lines end at cut
+    if not start or cut == start or not data[start : start + 1].isdigit() or any(
+            data[i : i + _GATE_BYTES].translate(None, b"0123456789 \r\n")
+            for i in range(start, len(data), _GATE_BYTES)):
+        return None
+    if b"\r" in data and re.search(rb"\r(?!\n)", data):  # a line break LF counts miss
+        return None
+    lines = _content_lines(data[: start - 1].decode("ascii"))
     try:
         _, target, order, mode, count = _read_header(lines)
     except CertificateParseError:
         return None
-    if next(lines, None) is not None:  # a line break other than LF in the header
+    if next(lines, None) is not None:  # a line break other than LF or CRLF in the header
         return None
-    body = parts[2]
-    cut = body.rfind(b"\n") + 1  # the body's LF-terminated lines end at cut
-    if not cut:
-        return None
+    rows = None if cut == len(data) else data.count(b"\n", start)  # the lines of a cut body
+    body = io.BytesIO(data)
+    body.seek(start)
     try:  # older numpy casts a label beyond int32 via a float, with only a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            blocks = np.loadtxt(io.BytesIO(body[:cut] if cut < len(body) else body),
-                                dtype=np.int32, delimiter=" ", comments=None, ndmin=2)
+            blocks = np.loadtxt(islice(body, rows), dtype=np.int32, delimiter=" ",
+                                comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):  # ragged rows, an empty field, a label beyond int32
         return None
     if blocks.shape[1] != 16 or len(blocks) > count:
         return None
-    if len(blocks) == count and cut == len(body):
+    if len(blocks) == count and rows is None:
         return Certificate(target, order, mode, blocks)
-    if body.count(b"\n", 0, cut) != len(blocks):  # a blank line: rows are not lines
-        return None
-    return _parse_lines(text, blocks)
+    if (data.count(b"\n", start) if rows is None else rows) != len(blocks):
+        return None  # a blank line: rows are not lines
+    return _parse_lines((data[:start] + data[cut:]).decode("ascii"), blocks)
 
 
-def parse_certificate(text: str) -> Certificate:
-    """Parse a certificate; CertificateParseError names the line at fault."""
-    cert = _parse_bulk(text)
-    return cert if cert is not None else _parse_lines(text)
+def parse_certificate(text: str | bytes) -> Certificate:
+    """Parse a certificate; CertificateParseError names the line at fault.
+    Bytes are read in place where _parse_bulk takes them, else decoded whole
+    as UTF-8 for the line parser (see read_certificate)."""
+    return _parse_bulk(text) or _parse_lines(text if isinstance(text, str) else text.decode())
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:
@@ -523,4 +537,7 @@ def write_certificate(cert: Certificate, path: str | Path) -> None:
 
 
 def read_certificate(path: str | Path) -> Certificate:
-    return parse_certificate(Path(path).read_text(encoding="utf-8"))
+    """The certificate in the file at path, read as bytes as Path.read_text
+    (encoding="utf-8") reads it, with universal newlines, which need no
+    translation: np.loadtxt ends a row at CRLF, str.splitlines a line at CR."""
+    return parse_certificate(Path(path).read_bytes())

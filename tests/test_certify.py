@@ -652,6 +652,140 @@ def test_a_481_certificate_cut_mid_block_line_parses_only_its_header_and_tail(mo
     assert set(yielded) == {1, 2, 1205} and len(yielded) <= 6
 
 
+# --- certificate files, read as bytes, against Path.read_text ---------------
+#
+# read_certificate reads a file's bytes in place; what it gives or raises
+# must be what parse_certificate makes of the file's text as
+# Path.read_text(encoding="utf-8") decodes it, universal newlines and all.
+
+
+def _read_as_text(path):
+    return parse_certificate(path.read_text(encoding="utf-8"))
+
+
+def _file_outcome(read, path):
+    try:
+        return read(path)
+    except CertificateParseError as err:
+        return err.line, str(err)
+    except UnicodeDecodeError as err:
+        return str(err)
+
+
+# bytes put in at an offset: a NUL, a byte no UTF-8 text holds, the first
+# two bytes of the three of U+2014, and the Arabic-Indic digits of 10
+_INSERTS = {"nul": b"\0", "0xff": b"\xff", "cut utf-8": "\u2014".encode()[:2],
+            "arabic-indic": "\u0661\u0660".encode()}
+
+
+@st.composite
+def _mutated_d97_bytes(draw):
+    """The bytes of a formatted order-97 certificate with one to three edits:
+    CRLF or a lone CR for one LF or for every LF, a UTF-8 BOM, one of
+    _INSERTS at any offset, or the bytes cut at any offset."""
+    data = "\n".join(_d97_lines(draw(st.sampled_from(list(TargetId))))).encode("ascii")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("crlf", "cr", "every crlf", "every cr", "bom", "cut",
+                                     *_INSERTS)))
+        if kind in ("crlf", "cr") and b"\n" in data[at:]:
+            lf = data.index(b"\n", at)
+            data = data[:lf] + (b"\r\n" if kind == "crlf" else b"\r") + data[lf + 1 :]
+        elif kind.startswith("every"):
+            data = data.replace(b"\n", b"\r\n" if kind == "every crlf" else b"\r")
+        elif kind == "bom":
+            data = b"\xef\xbb\xbf" + data
+        elif kind == "cut":
+            data = data[:at]
+        elif kind in _INSERTS:  # a "crlf" or "cr" past the last LF edits nothing
+            data = data[:at] + _INSERTS[kind] + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=_mutated_d97_bytes())
+def test_a_certificate_file_reads_as_its_utf8_text_reads(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated-d97.cert"
+    path.write_bytes(data)
+    assert _file_outcome(read_certificate, path) == _file_outcome(_read_as_text, path)
+
+
+@pytest.mark.parametrize(("edit", "outcome"), [
+    (lambda d: d.replace(b"\n", b"\r\n"), None),
+    (lambda d: d.replace(b"\n", b"\r"), None),
+    (lambda d: d[:-200] + b"\r" + d[-200:], (95, "line 95: 10 labels, want 16")),
+    (lambda d: b"\xef\xbb\xbf" + d, (1, "line 1: unsupported format: expected 'design', got "
+                                      "'\\ufeffdesign'")),
+    (lambda d: d[:10] + b"\xff" + d[10:], "'utf-8' codec can't decode byte 0xff in position 10: "
+                                          "invalid start byte"),
+    (lambda d: d + "\u2014".encode()[:2], "'utf-8' codec can't decode bytes in position 4536-4537: "
+                                          "unexpected end of data"),
+], ids=["CRLF", "CR", "one lone CR", "BOM", "0xff", "a cut UTF-8 sequence last"])
+def test_each_byte_edit_reads_as_read_text_reads_it(tmp_path, edit, outcome):
+    path = tmp_path / "edited.cert"
+    path.write_bytes(edit(format_certificate(_d97()).encode("ascii")))
+    expected = _d97() if outcome is None else outcome
+    assert _file_outcome(read_certificate, path) == expected == _file_outcome(_read_as_text, path)
+
+
+def test_read_certificate_enters_parse_certificate_once(tmp_path, monkeypatch):
+    # once per file, however it reads: the benchmark times and sizes each entry
+    module = sys.modules["design_forge.certify"]
+    real, calls = module.parse_certificate, []
+
+    def parse(text):
+        calls.append(len(text))
+        return real(text)
+
+    monkeypatch.setattr(module, "parse_certificate", parse)
+    data = format_certificate(_d97()).encode("ascii")
+    path = tmp_path / "edited.cert"
+    for edited in (data, data.replace(b"\n", b"\r\n"), data[:-20], b"# \xe2\x80\x94\n" + data):
+        path.write_bytes(edited)
+        calls.clear()
+        _file_outcome(read_certificate, path)
+        assert calls == [len(edited)]
+
+
+def test_the_bulk_reader_takes_crlf_in_place_and_no_lone_cr():
+    # a CR before LF ends a row for np.loadtxt; any other CR is a line break
+    # that LF counts miss, so the file goes to the line parser whole
+    data = format_certificate(_d97()).encode("ascii")
+    assert _parse_bulk(data.replace(b"\n", b"\r\n")) == _d97()
+    at = data.index(b"\n", 100) + 1  # the start of a row
+    for lone in (data[:at] + b"\r" + data[at:], data + b"\r"):  # each a blank line more
+        assert _parse_bulk(lone) is None
+        assert parse_certificate(lone) == _d97()
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+def test_reading_the_481_certificate_peaks_under_0_39_mib(tmp_path, monkeypatch, line_end):
+    # the file's bytes (0.14 MiB) and the int32 blocks (0.15 MiB), with no
+    # decoded str, encoded copy or split-off body (0.321 MiB measured; the
+    # text, its encoding and its body peaked at 0.46 MiB); a CRLF file is
+    # read in place as well, by np.loadtxt, never by the line parser whole
+    design = construct_design(TargetId.LINE_K44, 481)
+    path = tmp_path / "d481.cert"
+    path.write_bytes(format_certificate(design).encode("ascii").replace(b"\n", line_end))
+    module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
+    real, whole = module._parse_lines, []
+
+    def parse_lines(text, head=None):
+        whole.append(head is None)
+        return real(text, head)
+
+    monkeypatch.setattr(module, "_parse_lines", parse_lines)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cert = read_certificate(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert == design and not any(whole)
+    assert peak < 0.39 * 2**20
+
+
 def test_a_hostile_block_count_errs_at_its_line_in_little_memory():
     text = "design shrikhande 97 complete\nblocks 99999999999\n" + " ".join(map(str, range(16)))
     tracemalloc.start()
