@@ -17,6 +17,14 @@ a failing report, not an exception.  A complete-mode header whose block
 count is wrong and whose blocks cannot cover half its pairs fails on the
 count alone, with no pair counting, so memory follows the file.
 
+A complete-mode certificate with the right block count and every label
+in 0..n-1 is first counted whole, with no label check: if every pair is
+covered exactly once, it passes on its counts alone.  That is sound as
+each target is srg(16, 6, 2, 2): with lambda = mu = 2, any two positions
+i, j of a row have a common neighbour k, so a row with row[i] = row[j]
+reads one pair index through both edges ik and jk and some count is not
+1.  Only where the counts fail are the rows sorted for a repeated label.
+
 certify_raw_edges adds one check: the target's edge table must match its
 definition.  Blocks need no search, as a row of 16 distinct labels reads
 through the table as a copy of it, v -> row[v-1] being the isomorphism.
@@ -146,9 +154,11 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 # 10% faster but raised the peak of certify of 289 from 0.13 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
-# Rows per sorted copy in _counted_rows: 1024 rows sort into 64 KiB, less
-# than the 481 design's uint8 counts plus one chunk (185 KiB) that counting
-# holds next; 4096 rows took 256 KiB and set the peak of certify there.
+# Rows per sorted copy in _counted_rows, which runs only where the counts
+# do not prove the design (see certify), and so may run beside them: 1024
+# rows sort into 64 KiB and compare in 16 KiB more, which with the 481
+# design's uint8 counts stays below the counts plus one chunk (185 KiB);
+# 4096 rows took 256 KiB and set the peak of certify there.
 _SORT_ROWS = 1024
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
@@ -166,29 +176,39 @@ class PairCounter:
     """Exact coverage counts of the pairs of 0..n-1 under the rows each
     caller counts: one uint8 count per pair, and one chunk of rows at a time."""
 
-    def __init__(self, n: int, rows: np.ndarray, counted: np.ndarray, ends: Sequence[np.ndarray]):
+    def __init__(self, n: int, rows: np.ndarray, counted: np.ndarray | None,
+                 ends: Sequence[np.ndarray]):
         """Count the pair {row[ends[0][j]], row[ends[1][j]]} for every j and
         every row i with counted[i].  Counted rows hold distinct points and
         ends distinct position pairs, so a row covers a pair at most once,
         and uint8 counts are exact where at most 255 rows count or where they
         sum to the hits made (a wrapped count loses a multiple of 256); hits
         as many as the pairs, with no count 0, are one per pair.  Otherwise
-        the rows are counted again in the narrowest dtype that holds their number."""
+        the rows are counted again in the narrowest dtype that holds their number.
+
+        With counted None every row counts, its labels in 0..n-1 but not
+        known distinct.  A label l at both ends of an edge hits index
+        l(l+1)/2, the pair {l, l+1}, or for l = n-1 a spare count past the
+        pairs, so every hit lands in a count and once still means every
+        count is 1 (see certify); the other counts are exact only if every
+        row holds distinct labels."""
         self.n = n
-        rows_counted = int(np.count_nonzero(counted))
+        pairs = n * (n - 1) // 2
+        rows_counted = len(rows) if counted is None else int(np.count_nonzero(counted))
         hits = rows_counted * len(ends[0])
         for dtype in (np.uint8, np.min_scalar_type(rows_counted)):  # the second holds every count
-            self.counts = None  # free the uint8 counts before the wide ones exist
-            self.counts = np.zeros(n * (n - 1) // 2, dtype)
-            one = self.counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
+            self.counts = counts = None  # free the uint8 counts before the wide ones exist
+            counts = np.zeros(pairs + 1, dtype)  # the pairs, then the spare count
+            one = counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
             for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk, keep = rows[start : start + _CHUNK_ROWS], counted[start : start + _CHUNK_ROWS]
-                if not keep.all():
+                chunk = rows[start : start + _CHUNK_ROWS]
+                if counted is not None and not (keep := counted[start : start + _CHUNK_ROWS]).all():
                     chunk = chunk[keep]
-                np.add.at(self.counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
-            self.once = hits == len(self.counts) and self.counts.min(initial=1) > 0  # all 1
+                np.add.at(counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
+            self.counts = counts[:pairs]
+            self.once = hits == pairs and self.counts.min(initial=1) > 0  # all 1
             if (rows_counted <= 255 or self.once
-                    or self.counts.sum(dtype=np.min_scalar_type(hits)) == hits):
+                    or counts.sum(dtype=np.min_scalar_type(hits)) == hits):
                 break
 
     def errors(
@@ -239,22 +259,38 @@ def _header_outruns_blocks(report: CertReport, n: int) -> bool:
 
 def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str]) -> np.ndarray:
     """Per row: whether its labels are distinct and lie in 0..n-1, read off
-    sorted copies of _SORT_ROWS rows at a time, which die before the pair
-    counts are made; every other row's label error joins label_errors."""
+    sorted copies of _SORT_ROWS rows at a time; every other row's label
+    error joins label_errors."""
     counted = np.empty(len(blocks), dtype=bool)
     for start in range(0, len(blocks), _SORT_ROWS):
         ordered = np.sort(blocks[start : start + _SORT_ROWS], axis=1)
         out_of_range = (ordered[:, 0] < 0) | (ordered[:, -1] >= n)
-        bad = out_of_range | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        # each label against the next over the flat rows, where comparing two
+        # column slices buffered 64 KiB; a row's last compare, against the
+        # next row, is cleared
+        repeats = np.empty(ordered.shape, dtype=bool)
+        np.equal(ordered.ravel()[1:], ordered.ravel()[:-1], out=repeats.ravel()[:-1])
+        repeats[:, -1] = False
+        bad = out_of_range | repeats.any(axis=1)
         for idx in np.flatnonzero(bad).tolist():
             problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
             label_errors.append(f"block {start + idx}: {problem}")
         np.logical_not(bad, out=counted[start : start + _SORT_ROWS])
+        del ordered, repeats  # before the next slice's copies exist
     return counted
 
 
 def certify(cert: Certificate) -> CertReport:
-    """Check a certificate by exact pair counting; all findings go in the report."""
+    """Check a certificate by exact pair counting; all findings go in the report.
+
+    A complete-mode certificate with the right block count and every label
+    in 0..n-1 has every row counted first, with no label check, and passes
+    if every pair is covered once.  No row that repeats a label can leave
+    every count 1: each target is srg(16, 6, 2, 2), so with lambda = mu = 2
+    any two positions i, j have a common neighbour k, and row[i] = row[j]
+    makes edges ik and jk hit one pair index.  Otherwise _counted_rows
+    checks the labels as for every other certificate; those counts are kept
+    if it finds no bad row, else freed and the good rows counted again."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -270,8 +306,17 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
+    ends = target_graph(cert.target).edge_ends
+    counter = None
+    if (mode is CertMode.COMPLETE and len(blocks) == expected
+            and blocks.min(initial=0) >= 0 and blocks.max(initial=0) < n):
+        counter = PairCounter(n, blocks, None, ends)
+        if counter.once:
+            return report
     counted = _counted_rows(blocks, n, report.label_errors)
-    counter = PairCounter(n, blocks, counted, np.array(target_graph(cert.target).edges).T - 1)
+    if counter is None or not counted.all():
+        counter = None  # free the first counts before the recount
+        counter = PairCounter(n, blocks, counted, ends)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report

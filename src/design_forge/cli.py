@@ -155,6 +155,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except CertificateParseError as exc:
         print(f"{args.path}: parse error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"{args.path}: error: {exc}", file=sys.stderr)
+        return 2
     if args.raw and cert.mode is not CertMode.COMPLETE:
         print("error: --raw applies to complete-mode certificates only", file=sys.stderr)
         return 2

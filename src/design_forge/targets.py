@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -143,6 +144,14 @@ class TargetGraph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self.graph.edges
+
+    @cached_property
+    def edge_ends(self) -> np.ndarray:
+        """The read-only (2, 48) array of the 0-based positions at the two
+        ends of each edge, built once per graph."""
+        ends = np.array(list(zip(*self.edges)), dtype=np.intp) - 1
+        ends.flags.writeable = False
+        return ends
 
 
 def shrikhande() -> TargetGraph:

@@ -133,7 +133,7 @@ def test_verify_of_a_file_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, cap
     bad.write_bytes(b"design shr\xffkhande 97 complete\nblocks 0\n")
     assert main(["verify", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        "error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n")
+        f"{bad}: error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n")
 
 
 def test_unknown_flag_exits_2(capsys):
