@@ -26,9 +26,10 @@ an ingredient read from a file is verified on its own, on load.
 With the packaged store, t <= 5 (n <= 481) constructs.  t = 6, 7, 10, 11
 and t >= 14 raise IngredientUnavailableError at once: no 6^t or 3^t file,
 and 3^t cannot be searched (cross pairs not divisible by 6, or over 40
-points).  t = 8, 9, 12, 13 raise BudgetExhaustedError after the 3^t search
-spends its 10^6 nodes, minutes (t = 8: about 110 s).  A store holding a
-6^t or 3^t file serves its t as the packaged one serves t = 5.
+points).  t = 8, 9, 12, 13 raise BudgetExhaustedError once the 3^t search
+spends its default budget of 10^4 nodes, in about 1, 2, 6 and 10 s
+(2-vCPU VM).  A store holding a 6^t or 3^t file serves its t as the
+packaged one serves t = 5.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def construct_design(
     inflation pipeline on a 4-GDD of type 24^t.  With the packaged store
     that is t <= 5 (n <= 481); t = 6, 7, 10, 11 and t >= 14 raise
     IngredientUnavailableError at once, t = 8, 9, 12, 13 BudgetExhaustedError
-    after minutes (see the module docstring).  Output block order is
+    within seconds (see the module docstring).  Output block order is
     canonical (K_{4,4,4,4} pieces by GDD block index, then overlays by
     group index) and the result is certified before it is returned.
     """

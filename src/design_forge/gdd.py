@@ -284,30 +284,38 @@ def inflate(design: Gdd, weight: int) -> Gdd:
 
 # --- exact-cover search for small ingredients --------------------------------
 
+NODE_BUDGET = 10_000  # the default of exact_cover_search, gdd_24_t and gdd --budget
+
 
 def exact_cover_search(
     gdd_type: GddType,
     k: int,
-    node_budget: int = 1_000_000,
+    node_budget: int = NODE_BUDGET,
     seed: int = 0,
 ) -> Gdd | None:
     """Knuth's Algorithm X (arXiv:cs/0011047) over the cross-group pairs.
 
     The rows are the candidate blocks, all k-subsets meeting k distinct
     groups, shuffled once by the seed; a solution is a row set covering
-    every cross pair exactly once.  ``live`` maps each uncovered pair to
-    its live rows, those holding no covered pair, and is updated as rows
-    are covered and uncovered.  Each node branches on the pair with the
+    every cross pair exactly once.  A search node is two ints: the
+    uncovered pairs, one bit each in (a, b) order, and the live rows, one
+    bit each in shuffled order, those holding no covered pair.  Choosing
+    row r clears r's pairs from the first, and every row sharing a pair
+    with r from the second.  Each node branches on the pair with the
     fewest live rows, the lowest pair on a tie, except that the scan stops
     at the first pair with at most one; its rows are tried in shuffled
-    order, and a pair with none ends the branch.
+    order, and a pair with none ends the branch.  The scan popcounts ints
+    as wide as the row count, so a node costs more as the points grow.
 
     Returns an unverified Gdd claim, or None when the exhausted search
     tree proves nonexistence; the gdd command verifies what it hands out,
     and a regenerated ingredient is checked with the design built on it.
     Raises BudgetExhaustedError when the node budget runs out first: that
-    outcome is deliberately distinct from nonexistence.
-    Deterministic for a fixed seed.
+    outcome is deliberately distinct from nonexistence.  The default,
+    NODE_BUDGET, is about 380 times the 26 nodes that the worst of 20
+    seeded 3^5 searches needs; the 3^8, 3^9, 3^12 and 3^13 searches, none
+    of which has been seen to find a design, spend it in about 1, 2, 6 and
+    10 s (2-vCPU VM).  Deterministic for a fixed seed.
     """
     n = gdd_type.point_count()
     if n > 40:
@@ -318,66 +326,54 @@ def exact_cover_search(
     if len(groups) < k:
         return None  # fewer groups than a single block needs
     group_of = gdd_type.group_of().tolist()
-    # pair a < b is a * n + b, so pairs order as (a, b) does
-    live = {a * n + b: set() for a, b in combinations(range(n), 2) if group_of[a] != group_of[b]}
-    if len(live) % (k * (k - 1) // 2):
+    # pair a < b is bit a * n + b, so pairs order as (a, b) does
+    cross = [a * n + b for a, b in combinations(range(n), 2) if group_of[a] != group_of[b]]
+    if len(cross) % (k * (k - 1) // 2):
         return None  # block size cannot tile the cross pairs
-    ascending = list(live)
 
     # groups are ascending ranges, so each product is already a sorted block
     rows = [pts for chosen in combinations(groups, k) for pts in product(*chosen)]
     random.Random(seed).shuffle(rows)
     row_pairs = [[a * n + b for a, b in combinations(row, 2)] for row in rows]
+    rows_of = [0] * (n * n)  # bit r of rows_of[pair] is set when row r holds pair
     for r, pairs in enumerate(row_pairs):
         for pair in pairs:
-            live[pair].add(r)
+            rows_of[pair] |= 1 << r
     chosen_rows: list[int] = []
     nodes = 0
 
-    # a live row holds no covered pair, so every other pair of r2 is live
-    def cover(r: int) -> list[tuple[int, set[int]]]:
-        removed = []
-        for pair in row_pairs[r]:
-            rows_of_pair = live.pop(pair)
-            for r2 in rows_of_pair:
-                for q in row_pairs[r2]:
-                    if q != pair:
-                        live[q].remove(r2)
-            removed.append((pair, rows_of_pair))
-        return removed
-
-    def uncover(removed: list[tuple[int, set[int]]]) -> None:
-        for pair, rows_of_pair in reversed(removed):
-            for r2 in rows_of_pair:
-                for q in row_pairs[r2]:
-                    if q != pair:
-                        live[q].add(r2)
-            live[pair] = rows_of_pair
-
-    def search() -> bool:
+    def search(uncovered: int, live: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExhaustedError(nodes)
-        fewest, pair = None, None
-        for p in ascending:  # so the lowest pair wins a tie
-            rows_of_p = live.get(p)
-            if rows_of_p is not None and (fewest is None or len(rows_of_p) < fewest):
-                fewest, pair = len(rows_of_p), p
-                if fewest <= 1:
+        fewest, options, rest = None, 0, uncovered
+        while rest:  # lowest pair first, so it wins a tie
+            low = rest & -rest
+            rows_of_p = rows_of[low.bit_length() - 1] & live
+            count = rows_of_p.bit_count()
+            if fewest is None or count < fewest:
+                fewest, options = count, rows_of_p
+                if count <= 1:
                     break  # a forced pair, or a dead end
-        if pair is None:
+            rest ^= low
+        if fewest is None:
             return True
-        for r in sorted(live[pair]):
-            removed = cover(r)
+        while options:  # the rows in ascending order
+            low = options & -options
+            r = low.bit_length() - 1
+            covered = blocked = 0
+            for pair in row_pairs[r]:
+                covered |= 1 << pair
+                blocked |= rows_of[pair]
             chosen_rows.append(r)
-            if search():
+            if search(uncovered & ~covered, live & ~blocked):
                 return True
             chosen_rows.pop()
-            uncover(removed)
+            options ^= low
         return False
 
-    if not search():
+    if not search(sum(1 << pair for pair in cross), (1 << len(rows)) - 1):
         return None
     return Gdd(
         gdd_type=gdd_type,
@@ -524,7 +520,7 @@ class IngredientStore:
 # --- the 4-GDDs of type 24^t -------------------------------------------------
 
 
-def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = 1_000_000) -> Gdd:
+def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = NODE_BUDGET) -> Gdd:
     """A 4-GDD of type 24^t, with group i = {24i, ..., 24i+23}.
 
     t = 4 is the transversal design TD(4,24).  For t >= 5 an ingredient

@@ -128,6 +128,29 @@ def test_verify_malformed_file_exits_1(tmp_path, capsys):
     assert "parse error" in captured.err
 
 
+_ROW = " ".join(map(str, range(16)))
+
+
+@pytest.mark.parametrize(("text", "out", "err"), [
+    ("design lk44 0 complete\nblocks 0\n",
+     "FAIL (0 blocks, expected 0), 1 label errors\n  label: order 0 is not positive\n", ""),
+    (f"design lk44 17 4partite\nblocks 2\n{_ROW}\n{_ROW}\n",
+     "FAIL (2 blocks, expected 2), 1 label errors\n"
+     "  label: 4partite mode requires order 16, got 17\n", ""),
+    ("design lk44 97 complete\n", "", "line 1: file ends before the blocks line"),
+    ("design lk44 97 complete\nblocks -1\n", "", "line 2: block count must be nonnegative"),
+], ids=["order 0", "4partite order 17", "no blocks line", "negative block count"])
+def test_verify_of_a_header_it_cannot_certify_exits_1_and_says_why(
+    tmp_path, capsys, text, out, err
+):
+    path = tmp_path / "bad.cert"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == (f"{path}: parse error: {err}\n" if err else "")
+
+
 def test_verify_of_a_file_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
     bad = tmp_path / "ff.cert"
     bad.write_bytes(b"design shr\xffkhande 97 complete\nblocks 0\n")
@@ -171,6 +194,13 @@ def test_construct_without_an_ingredient_exits_2_at_once(tmp_path, capsys, order
     out = tmp_path / "d.cert"
     assert main(["construct", "--graph", "lk44", "--order", str(order), "--out", str(out)]) == 2
     assert f"no ingredient 4-GDD of type 6^{t} or 3^{t}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_769_runs_its_3_8_search_out_of_the_default_budget(tmp_path, capsys):
+    out = tmp_path / "d.cert"
+    assert main(["construct", "--graph", "lk44", "--order", "769", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: search budget exhausted after 10001 nodes\n"
     assert not out.exists()
 
 
@@ -261,7 +291,7 @@ def test_gdd_budget_reaches_the_24_t_search_fallback(tmp_path, monkeypatch, caps
     search = gdd_mod.exact_cover_search
     budgets = []
 
-    def spy(gdd_type, k, node_budget=1_000_000, seed=0):
+    def spy(gdd_type, k, node_budget=gdd_mod.NODE_BUDGET, seed=0):
         budgets.append(node_budget)
         # searched with at most 1000 nodes either way, so a lost budget fails fast
         return search(gdd_type, k, min(node_budget, 1000), seed)

@@ -211,16 +211,27 @@ def test_exact_cover_type_6_4_does_not_yield_a_design():
 def test_exact_cover_budget_error_reports_nodes():
     with pytest.raises(BudgetExhaustedError) as err:
         exact_cover_search(GddType.parse("6^4"), 4, node_budget=1_000)
-    assert err.value.nodes >= 1_000
+    assert err.value.nodes == 1_001
+
+
+@pytest.mark.parametrize(
+    ("gdd_type", "k", "message"),
+    [("3^14", 4, "42 points exceeds the desk-scale guard of 40"),
+     ("3^5", 1, "block size must be at least 2")],
+)
+def test_exact_cover_search_guards_raise_before_searching(gdd_type, k, message):
+    with pytest.raises(GddError, match=f"^{message}$"):
+        exact_cover_search(GddType.parse(gdd_type), k)
 
 
 def _reference_exact_cover_search(gdd_type, k, node_budget=1_000_000, seed=0):
-    """The pair-indexed backtracking search exact_cover_search replaced:
-    the sorted blocks of the first solution, or None when none exists."""
+    """A pair-indexed backtracking search with exact_cover_search's choice
+    rule: (the sorted blocks of the first solution, or None when none
+    exists; the nodes searched)."""
     n = gdd_type.point_count()
     sizes = gdd_type.group_sizes()
     if len(sizes) < k:
-        return None
+        return None, 0
     groups = []
     start = 0
     for g in sizes:
@@ -235,7 +246,7 @@ def _reference_exact_cover_search(gdd_type, k, node_budget=1_000_000, seed=0):
                 pair_index[(a, b)] = len(pair_index)
     pair_count = len(pair_index)
     if pair_count % (k * (k - 1) // 2):
-        return None
+        return None, 0
 
     candidates = []
     for chosen in combinations(range(len(groups)), k):
@@ -307,18 +318,31 @@ def _reference_exact_cover_search(gdd_type, k, node_budget=1_000_000, seed=0):
         return False
 
     if not search():
-        return None
-    return sorted(list(candidates[b]) for b in chosen_blocks)
+        return None, nodes
+    return sorted(list(candidates[b]) for b in chosen_blocks), nodes
 
 
 @pytest.mark.parametrize(
-    ("gdd_type", "seed"), [("3^5", seed) for seed in range(20)] + [("1^4", 0), ("3^3", 0)]
+    ("gdd_type", "seed"),
+    [("3^5", seed) for seed in range(20)]
+    + [(t, 0) for t in ("1^4", "3^3", "2^4", "2^6", "2^7", "3^4", "4^4", "1^13")],
 )
 def test_exact_cover_search_matches_the_pair_indexed_reference(gdd_type, seed):
-    found = exact_cover_search(GddType.parse(gdd_type), 4, seed=seed)
-    expected = _reference_exact_cover_search(GddType.parse(gdd_type), 4, seed=seed)
+    # a search that runs out always reports budget + 1 nodes, so only the
+    # smallest budget that returns tells two search trees apart: both
+    # searches return the same blocks there, and run out one node before
+    t = GddType.parse(gdd_type)
+    expected, nodes = _reference_exact_cover_search(t, 4, seed=seed)
+    found = exact_cover_search(t, 4, node_budget=nodes, seed=seed)
     assert (None if found is None else found.blocks.tolist()) == expected
-    assert (found is None) == (gdd_type == "3^3")
+    assert (found is None) == (gdd_type in ("3^3", "2^4", "2^6"))
+    if gdd_type == "3^3":  # 27 cross pairs: no node is searched
+        assert nodes == 0
+        return
+    for search in (exact_cover_search, _reference_exact_cover_search):
+        with pytest.raises(BudgetExhaustedError) as err:
+            search(t, 4, node_budget=nodes - 1, seed=seed)
+        assert err.value.nodes == nodes
 
 
 def test_exact_cover_search_and_the_reference_both_exhaust_a_small_budget_on_6_4():
@@ -393,6 +417,7 @@ def test_ingredient_store_finds_a_file_that_starts_with_a_comment(tmp_path):
     assert found is not None
     assert np.array_equal(found.blocks, shipped.blocks)
     assert IngredientStore(tmp_path).find(4, GddType.parse("3^5")) is None
+    assert IngredientStore(tmp_path / "missing").find(4, GddType.parse("6^5")) is None
 
 
 # TD(4,3) from mols_for_order(3): groups {0,1,2} {3,4,5} {6,7,8} {9,10,11}
@@ -535,6 +560,26 @@ def test_a_hostile_header_is_rejected_in_memory_sized_by_the_file(text):
 def test_gdd_file_with_a_block_count_other_than_the_types_names_the_header_line(text, message):
     with pytest.raises(IngredientFileError, match=f"^{re.escape('f.txt ' + message)}$"):
         parse_gdd_file(text, what="f.txt")
+
+
+_TD43_LINES = format_gdd_file(td_from_mols(4, 3, mols_for_order(3))).splitlines()
+
+
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        (["# comments only", "#"], ": missing 'gdd' header"),
+        (_TD43_LINES[:5] + ["foo 1 2"] + _TD43_LINES[5:], " line 6: unknown keyword 'foo'"),
+        # the last block repeats the first: the line counts are right, the pairs not
+        (_TD43_LINES[:-1] + [_TD43_LINES[5]], ": fails verification (0 block, 12 pair errors)"),
+    ],
+    ids=["comments only", "unknown keyword", "a block repeated"],
+)
+def test_read_gdd_file_names_the_file_it_rejects(tmp_path, lines, message):
+    path = tmp_path / "f.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngredientFileError, match=f"^{re.escape(str(path) + message)}$"):
+        read_gdd_file(path)
 
 
 def test_gdd_file_with_a_short_block_row_names_its_line():
