@@ -29,20 +29,24 @@ certify_raw_edges adds one check: the target's edge table must match its
 definition.  Blocks need no search, as a row of 16 distinct labels reads
 through the table as a copy of it, v -> row[v-1] being the isomorphism.
 
-PairCounter is the package's one pair counter: certify and
-gdd.verify_gdd each choose which blocks count and pass their groups, and
-every report caps its pair counts at 255 and lists the first 1000 wrong
-pairs beside the exact number of them.  Its memory follows the
-n(n-1)/2 pairs: one uint8 count per pair (a wider one only where a count
-passes 255), plus one slice of rows or pairs at a time, never a
-whole-pair mask or a sorted copy of every block.
+PairCounter is the package's one pair counter, to which rows are added a
+slice at a time: certify and gdd.verify_gdd add their own rows, choosing
+which count and passing their groups, and certify_slices the slices of a
+design that is never held whole (assemble.construct_design).  Every report
+caps its pair counts at 255 and lists the first 1000 wrong pairs beside
+the exact number of them.  Its memory follows the n(n-1)/2 pairs: one
+uint8 count per pair (a wider one only where a count passes 255), plus
+one slice of rows or pairs at a time, never a whole-pair mask or a sorted
+copy of every block.
 
-write_certificate formats and writes 512 rows at a time, so its memory
-follows one chunk, not the file; format_certificate joins the same chunks.
+write_certificate formats and writes 512 rows at a time, and write_slices
+a design's slices one at a time, so their memory follows one slice, not
+the file; format_certificate joins write_certificate's chunks.
 """
 
 from __future__ import annotations
 
+import codecs
 import enum
 import io
 import re
@@ -173,43 +177,73 @@ _SCAN_PAIRS = 1 << 16
 
 
 class PairCounter:
-    """Exact coverage counts of the pairs of 0..n-1 under the rows each
-    caller counts: one uint8 count per pair, and one chunk of rows at a time."""
+    """Coverage counts of the pairs of 0..n-1, one per pair, to which rows
+    are added a slice at a time, _CHUNK_ROWS rows at a time: the counts,
+    and one chunk's pair indices, are all it holds."""
 
-    def __init__(self, n: int, rows: np.ndarray, counted: np.ndarray | None,
-                 ends: Sequence[np.ndarray]):
-        """Count the pair {row[ends[0][j]], row[ends[1][j]]} for every j and
-        every row i with counted[i].  Counted rows hold distinct points and
-        ends distinct position pairs, so a row covers a pair at most once,
-        and uint8 counts are exact where at most 255 rows count or where they
-        sum to the hits made (a wrapped count loses a multiple of 256); hits
-        as many as the pairs, with no count 0, are one per pair.  Otherwise
-        the rows are counted again in the narrowest dtype that holds their number.
-
-        With counted None every row counts, its labels in 0..n-1 but not
-        known distinct.  A label l at both ends of an edge hits index
-        l(l+1)/2, the pair {l, l+1}, or for l = n-1 a spare count past the
-        pairs, so every hit lands in a count and once still means every
-        count is 1 (see certify); the other counts are exact only if every
-        row holds distinct labels."""
+    def __init__(self, n: int, ends: Sequence[np.ndarray], dtype=np.uint8):
+        """Empty counts in dtype.  Each row added hits the pair {row[ends[0][j]],
+        row[ends[1][j]]} for every j.  A label l at both ends of an edge hits
+        index l(l+1)/2, the pair {l, l+1}, or for l = n-1 a spare count past
+        the pairs, so every hit of a row with labels in 0..n-1 lands in a
+        count and once still means every count is 1 (see certify); the other
+        counts are exact only for rows of distinct labels."""
         self.n = n
-        pairs = n * (n - 1) // 2
+        self.ends = ends
+        self.rows = 0
+        self._all = np.zeros(n * (n - 1) // 2 + 1, dtype)  # the pairs, then the spare count
+        self.counts = self._all[:-1]
+
+    @classmethod
+    def of(cls, n: int, rows: np.ndarray, counted: np.ndarray | None,
+           ends: Sequence[np.ndarray], wide: bool = False) -> "PairCounter":
+        """The exact counts of the rows with counted[i] (every row where counted
+        is None), in uint8 unless wide, and where those are not exact (see
+        exact) again in the narrowest dtype that holds the number of rows."""
         rows_counted = len(rows) if counted is None else int(np.count_nonzero(counted))
-        hits = rows_counted * len(ends[0])
-        for dtype in (np.uint8, np.min_scalar_type(rows_counted)):  # the second holds every count
-            self.counts = counts = None  # free the uint8 counts before the wide ones exist
-            counts = np.zeros(pairs + 1, dtype)  # the pairs, then the spare count
-            one = counts.dtype.type(1)  # a plain 1 sends np.add.at down a slow path
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start : start + _CHUNK_ROWS]
-                if counted is not None and not (keep := counted[start : start + _CHUNK_ROWS]).all():
-                    chunk = chunk[keep]
-                np.add.at(counts, _pair_index(chunk[:, ends[0]], chunk[:, ends[1]], n), one)
-            self.counts = counts[:pairs]
-            self.once = hits == pairs and self.counts.min(initial=1) > 0  # all 1
-            if (rows_counted <= 255 or self.once
-                    or counts.sum(dtype=np.min_scalar_type(hits)) == hits):
+        wider = np.min_scalar_type(rows_counted)  # holds every count
+        for dtype in (wider,) if wide else (np.uint8, wider):
+            counter = None  # free the uint8 counts before the wide ones exist
+            counter = cls(n, ends, dtype)
+            counter.add(rows, counted)
+            if counter.exact:
                 break
+        return counter
+
+    @property
+    def hits(self) -> int:
+        return self.rows * len(self.ends[0])
+
+    @property
+    def once(self) -> bool:
+        """Every count is 1: hits as many as the pairs, and no count 0 (a
+        wrapped count that reads above 0 stands for more hits than that)."""
+        return self.hits == len(self.counts) and self.counts.min(initial=1) > 0
+
+    @property
+    def exact(self) -> bool:
+        """Whether the counts of rows of distinct labels are exact.  Such a
+        row covers a pair at most once, so they are where no more rows count
+        than the dtype holds, where once holds, or where the counts sum to the
+        hits made, as a wrapped count loses a multiple of its dtype's range."""
+        return (self.rows <= np.iinfo(self._all.dtype).max or self.once
+                or self._all.sum(dtype=np.min_scalar_type(self.hits)) == self.hits)
+
+    def add(self, rows: np.ndarray, counted: np.ndarray | None = None, sign: int = 1) -> None:
+        """Add the hits of the rows with counted[i] (every row where counted
+        is None), labels in 0..n-1; sign -1 takes hits added before back out
+        of the counts, through the same pair indices."""
+        at = np.add.at if sign > 0 else np.subtract.at
+        one = self._all.dtype.type(1)  # a plain 1 sends ufunc.at down a slow path
+        u, v = self.ends
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            if counted is not None and not (keep := counted[start : start + _CHUNK_ROWS]).all():
+                chunk = chunk[keep]
+            # one axis of indices takes ufunc.at's faster path; a gather along
+            # axis 1 is laid out column by column, which ravel("K") keeps uncopied
+            at(self._all, _pair_index(chunk[:, u], chunk[:, v], self.n).ravel("K"), one)
+            self.rows += sign * len(chunk)
 
     def errors(
         self, groups: Iterable[Iterable[int]] = ()
@@ -289,8 +323,10 @@ def certify(cert: Certificate) -> CertReport:
     every count 1: each target is srg(16, 6, 2, 2), so with lambda = mu = 2
     any two positions i, j have a common neighbour k, and row[i] = row[j]
     makes edges ik and jk hit one pair index.  Otherwise _counted_rows
-    checks the labels as for every other certificate; those counts are kept
-    if it finds no bad row, else freed and the good rows counted again."""
+    checks the labels as for every other certificate, and the hits of the
+    bad rows it finds are taken back out of those counts, which leaves the
+    good rows' counts; only where they cannot be proved exact are the good
+    rows counted again, wider."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -310,16 +346,35 @@ def certify(cert: Certificate) -> CertReport:
     counter = None
     if (mode is CertMode.COMPLETE and len(blocks) == expected
             and blocks.min(initial=0) >= 0 and blocks.max(initial=0) < n):
-        counter = PairCounter(n, blocks, None, ends)
+        counter = PairCounter(n, ends)
+        counter.add(blocks)
         if counter.once:
             return report
     counted = _counted_rows(blocks, n, report.label_errors)
-    if counter is None or not counted.all():
+    if counter is not None and not counted.all():
+        counter.add(blocks, ~counted, sign=-1)
+    if counter is None or not counter.exact:
+        wide = counter is not None  # its uint8 counts of the good rows are not exact
         counter = None  # free the first counts before the recount
-        counter = PairCounter(n, blocks, counted, ends)
+        counter = PairCounter.of(n, blocks, counted, ends, wide)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report
+
+
+def certify_slices(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> bool:
+    """Whether the complete-mode design of order n whose rows come as slices
+    passes certify on its counts alone: every slice's labels in 0..n-1,
+    n(n-1)/96 rows in all (their hits as many as the pairs) and every pair
+    covered once.  Holds the uint8 counts and one slice, never the design;
+    where it is False, certify of the design says why."""
+    counter = PairCounter(n, target_graph(target).edge_ends)
+    for rows in slices:
+        # one bound for both ends: read unsigned, a negative label is 2^31 or more
+        if rows.view(np.uint32).max(initial=0) >= n:
+            return False
+        counter.add(rows)
+    return counter.once
 
 
 def certify_raw_edges(cert: Certificate) -> CertReport:
@@ -385,18 +440,17 @@ def _content_lines(text: str, start: int = 1):
             yield lineno, line.split()
 
 
-# Rows per chunk of label lines: write_certificate holds one chunk's cells,
-# text and gather indices at a time, about 100 KiB for 3-digit labels, less
-# than the counts plus one chunk that certify held just before (185 KiB at
-# 481, where 1024-row chunks that took their digits held 0.36 MiB and set
-# the peak of construct).
+# Rows per chunk of write_certificate's label lines: it holds one chunk's
+# words and text at a time, about 100 KiB for 3-digit labels (0.10 MiB
+# writing the 481 design), where 1024-row chunks that took their digits
+# held 0.36 MiB.
 _FORMAT_ROWS = 512
 
 
-def _cells(labels: np.ndarray) -> np.ndarray:
+def _cells(labels: np.ndarray, width: int | None = None) -> np.ndarray:
     """(..., width + 1) uint8 cells of nonnegative labels: each label's
-    digits NUL-padded to the width of the largest, then a space."""
-    width = len(str(labels.max()))
+    digits NUL-padded to width, by default that of the largest, then a space."""
+    width = width or len(str(labels.max()))
     cells = np.full(labels.shape + (width + 1,), ord(" "), dtype=np.uint8)
     for j in range(width - 1, -1, -1):  # numpy divides by a scalar far faster than by powers
         quot = labels // 10
@@ -406,35 +460,50 @@ def _cells(labels: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _text_chunks(cert: Certificate) -> Iterator[bytes]:
-    """The certificate's text as ASCII bytes: the header, then the label lines
-    of _FORMAT_ROWS rows at a time, the NULs of their cells dropped.  Labels
-    below 16 * _FORMAT_ROWS or below the row count, as every label of a
-    design is, are gathered from a table of the cells of 0..max: no larger
-    than one chunk's cells or a fifth of the blocks.  Larger ones take their
-    digits chunk by chunk.  A negative label raises ValueError here, before
-    any chunk is taken."""
+def _text_chunks(header: str, slices: Iterable[np.ndarray], top: int,
+                 count: int) -> Iterator[bytes]:
+    """A certificate's text as ASCII bytes: its header, then the label lines
+    of each slice of its rows, the NULs of their cells dropped.  Where the
+    largest label, top, is below 16 * _FORMAT_ROWS or below count, the row
+    count, as every label of a design is, each label's cell is taken from a
+    table of the cells of 0..top as one uint32 or uint64 word, NUL-padded in
+    front: no larger than one chunk's words or an eighth of the blocks.
+    Larger labels take their digits slice by slice."""
+    table = None
+    if top < max(16 * _FORMAT_ROWS, count) and top < 10**7:  # a cell of 8 bytes or fewer
+        word = np.uint32 if top < 1000 else np.uint64
+        cells = _cells(np.arange(top + 1, dtype=np.int32), np.dtype(word).itemsize - 1)
+        table = cells.view(word)[:, 0]
+
+    def label_lines(rows: np.ndarray) -> bytes:
+        if table is None:
+            text = _cells(rows).reshape(len(rows), -1)
+        else:  # the words viewed as bytes, in memory order whatever the byte order
+            text = np.take(table, rows).view(np.uint8)
+        text[:, -1] = ord("\n")  # the space of each row's last cell
+        return text.tobytes().translate(None, b"\0")  # twice as fast as replace
+
+    return chain([header.encode("ascii")], map(label_lines, slices))
+
+
+def _header(target: TargetId, order: int, mode: CertMode, count: int) -> str:
+    return f"design {target.value} {order} {mode.value}\nblocks {count}\n"
+
+
+def _certificate_chunks(cert: Certificate) -> Iterator[bytes]:
+    """_text_chunks of cert, _FORMAT_ROWS rows at a time; a negative label
+    raises ValueError here, before any chunk is taken."""
     blocks = cert.blocks
     if blocks.min(initial=0) < 0:
         raise ValueError("certificate labels must be nonnegative")
-    header = f"design {cert.target.value} {cert.order} {cert.mode.value}\nblocks {len(blocks)}\n"
-    top = int(blocks.max(initial=0))
-    table = None
-    if top < max(16 * _FORMAT_ROWS, len(blocks)):
-        table = _cells(np.arange(top + 1, dtype=np.int32))
-
-    def label_lines(chunk: np.ndarray) -> bytes:
-        cells = _cells(chunk) if table is None else np.take(table, chunk, axis=0)
-        cells[:, -1, -1] = ord("\n")
-        return cells.tobytes().translate(None, b"\0")  # twice as fast as replace
-
-    chunks = (blocks[i : i + _FORMAT_ROWS] for i in range(0, len(blocks), _FORMAT_ROWS))
-    return chain([header.encode("ascii")], map(label_lines, chunks))
+    slices = (blocks[i : i + _FORMAT_ROWS] for i in range(0, len(blocks), _FORMAT_ROWS))
+    header = _header(cert.target, cert.order, cert.mode, len(blocks))
+    return _text_chunks(header, slices, int(blocks.max(initial=0)), len(blocks))
 
 
 def format_certificate(cert: Certificate) -> str:
     """The certificate's text, whole: the chunks write_certificate writes, joined."""
-    return b"".join(_text_chunks(cert)).decode("ascii")
+    return b"".join(_certificate_chunks(cert)).decode("ascii")
 
 
 def _read_header(lines) -> tuple[int, TargetId, int, CertMode, int]:
@@ -566,19 +635,53 @@ def _parse_bulk(data: str | bytes) -> Certificate | None:
     return _parse_lines((data[:start] + data[cut:]).decode("ascii"), blocks)
 
 
+# Bytes per slice of _decoded's check: a slice that fails costs about three
+# times its size, in the decoder's output and the error's copy of its input
+_UTF8_BYTES = 1 << 12
+
+
+def _decoded(data: bytes) -> str:
+    """data decoded whole as UTF-8 once it is known to decode, checked
+    _UTF8_BYTES at a time first: a file that is not UTF-8 raises what
+    bytes.decode raises, positions and all, without the three times its
+    size that bytes.decode holds first, however early the bad byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(data)
+    for start in range(0, len(data), _UTF8_BYTES):
+        held = len(decoder.getstate()[0])  # bytes of a character cut by the last slice
+        try:
+            decoder.decode(view[start : start + _UTF8_BYTES], start + _UTF8_BYTES >= len(data))
+        except UnicodeDecodeError as exc:
+            at = start - held
+            raise UnicodeDecodeError(exc.encoding, data, at + exc.start, at + exc.end,
+                                     exc.reason) from None
+    return data.decode()
+
+
 def parse_certificate(text: str | bytes) -> Certificate:
     """Parse a certificate; CertificateParseError names the line at fault.
     Bytes are read in place where _parse_bulk takes them, else decoded whole
-    as UTF-8 for the line parser (see read_certificate)."""
-    return _parse_bulk(text) or _parse_lines(text if isinstance(text, str) else text.decode())
+    as UTF-8 for the line parser (see read_certificate and _decoded)."""
+    return _parse_bulk(text) or _parse_lines(text if isinstance(text, str) else _decoded(text))
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:
     """Write format_certificate(cert) to path (a pipe will do) one chunk at a
     time; a negative label raises ValueError before path is opened."""
-    chunks = _text_chunks(cert)
+    chunks = _certificate_chunks(cert)
     with open(path, "wb") as out:
         out.writelines(chunks)
+
+
+def write_slices(target: TargetId, n: int, slices: Iterable[np.ndarray],
+                 path: str | Path) -> None:
+    """Write the complete-mode certificate of order n whose n(n-1)/96 rows,
+    labels in 0..n-1, come as slices, as write_certificate writes it, one
+    slice at a time: the rows are taken as certify_slices passed them."""
+    count = n * (n - 1) // 96
+    with open(path, "wb") as out:
+        out.writelines(_text_chunks(_header(target, n, CertMode.COMPLETE, count), slices,
+                                    n - 1, count))
 
 
 def read_certificate(path: str | Path) -> Certificate:

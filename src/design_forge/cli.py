@@ -37,7 +37,6 @@ from .certify import (
     certify,
     certify_raw_edges,
     read_certificate,
-    write_certificate,
 )
 from .gdd import (
     NODE_BUDGET,
@@ -138,14 +137,14 @@ def _print_report(report) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    # construct_design is the one certification: a design that fails it
-    # raises ConstructionError (exit 1) before anything is written.  The file
-    # is not read back, so --out may be a pipe or /dev/null; the golden
-    # digests and verify runs in the tests pin what it holds.
-    design = construct_design(TargetId(args.graph), args.order, _store(args))
-    write_certificate(design, args.out)
+    # construct_design counts the design's slices, its one certification,
+    # and only then makes them again and writes them to --out; a design that
+    # fails raises ConstructionError (exit 1) before the file is opened.  The
+    # design is never held whole nor read back, so --out may be a pipe or
+    # /dev/null; the golden digests and verify runs in the tests pin it.
+    construct_design(TargetId(args.graph), args.order, _store(args), out=args.out)
     print(f"{args.out}: {args.graph} order {args.order}, "
-          f"PASS ({len(design.blocks)} blocks, all pairs covered exactly once)")
+          f"PASS ({args.order * (args.order - 1) // 96} blocks, all pairs covered exactly once)")
     return 0
 
 

@@ -180,7 +180,7 @@ def verify_gdd(design: Gdd) -> CertReport:
         else:
             report.label_errors.append(f"block {idx}: two points share a group")
 
-    counter = PairCounter(n, blocks, counted, np.triu_indices(k, 1))
+    counter = PairCounter.of(n, blocks, counted, np.triu_indices(k, 1))
     report.pair_errors, report.pair_error_count = counter.errors(design.gdd_type.group_ranges())
     return report
 

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from design_forge.assemble import _assembled_blocks, admissible, construct_design
+from design_forge.assemble import _assembled_slices, _SLICE_ROWS, admissible, construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
-from design_forge.certify import certify, write_certificate
+from design_forge.certify import certify, format_certificate, write_certificate
 from design_forge.gdd import IngredientStore, gdd_24_t
 from design_forge.targets import TargetId
 
@@ -27,7 +27,7 @@ def test_admissible_rejects_nonpositive():
 @pytest.mark.parametrize("target", list(TargetId))
 def test_assembly_follows_the_documented_point_naming(target, t):
     base = gdd_24_t(t)
-    out = _assembled_blocks(target, base, t)
+    out = np.concatenate(list(_assembled_slices(target, base, t)()))
     assert out.dtype == np.int32
     g = len(base.blocks)
     assert out.shape == (2 * g + 97 * t, 16)
@@ -45,7 +45,8 @@ def test_assembly_follows_the_documented_point_naming(target, t):
 
 
 def _reference_assembled_blocks(target, base, t):
-    # _assembled_blocks as two whole-array expressions, before it wrote in place
+    # the assembly as two whole-array expressions, before it was written in
+    # place and then sliced
     dec = np.array(k4444_decomposition(target), dtype=np.int32)
     pieces = 4 * base.blocks[:, dec % 4] + dec // 4
     d97 = develop(paper_base_blocks(target, 97)).blocks
@@ -56,12 +57,28 @@ def _reference_assembled_blocks(target, base, t):
 
 @pytest.mark.parametrize("t", [4, 5])
 @pytest.mark.parametrize("target", list(TargetId))
-def test_assembly_in_place_equals_the_whole_array_expressions(target, t):
+def test_assembly_slices_join_to_the_whole_array_expressions(target, t):
     base = gdd_24_t(t)
-    out = _assembled_blocks(target, base, t)
+    slices = _assembled_slices(target, base, t)
+    first, again = list(slices()), list(slices())
+    # pieces of _SLICE_ROWS rows, the last of them shorter, then one overlay per group
+    pieces = -(-2 * len(base.blocks) // _SLICE_ROWS)
+    assert [len(s) for s in first[:pieces - 1]] == [_SLICE_ROWS] * (pieces - 1)
+    assert [len(s) for s in first[pieces:]] == [97] * t
     reference = _reference_assembled_blocks(target, base, t)
-    assert out.dtype == reference.dtype == np.int32
-    assert np.array_equal(out, reference)
+    for made in (first, again):  # made afresh on every call
+        out = np.concatenate(made)
+        assert out.dtype == reference.dtype == np.int32
+        assert np.array_equal(out, reference)
+
+
+@pytest.mark.parametrize("n", [1, 97, 385])
+def test_construct_writes_what_it_returns(tmp_path, n):
+    # with out, the slices made again after the count pass are written, and
+    # nothing is returned; without, they are joined into the Certificate
+    out = tmp_path / "d.cert"
+    assert construct_design(TargetId.LINE_K44, n, out=out) is None
+    assert out.read_bytes() == format_certificate(construct_design(TargetId.LINE_K44, n)).encode()
 
 
 def test_construct_order_one_is_empty():
@@ -106,10 +123,10 @@ def test_block_count_formula():
 
 
 def test_construct_and_write_of_481_peak_under_0_42_mib(tmp_path):
-    # the 2405-row block array, then the uint8 counts of its 115,440 pairs
-    # with one chunk of rows (0.349 MiB measured, warm); in-place assembly,
-    # int32 ring tables and 1024-row label and 512-row write slices keep
-    # every other stage below that (0.524 MiB before them)
+    # the uint8 counts of its 115,440 pairs with one slice, then the
+    # 2405-row block array joined from the slices beside them (0.335 MiB
+    # measured, warm); int32 ring tables and 1024-row label and 512-row
+    # write slices keep every other stage below that (0.524 MiB before them)
     construct_design(TargetId.LINE_K44, 481)  # the first call builds the catalog's ring tables
     gc.collect()
     tracemalloc.start()

@@ -34,6 +34,7 @@ from design_forge.certify import (
     _parse_lines,
     certify,
     certify_raw_edges,
+    certify_slices,
     format_certificate,
     parse_certificate,
     read_certificate,
@@ -244,7 +245,8 @@ def test_written_bytes_are_the_formatted_text_at_chunk_boundaries(tmp_path, coun
 def test_labels_of_a_design_take_their_digits_once(monkeypatch, rows, top, passes):
     module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
     real, calls = module._cells, []
-    monkeypatch.setattr(module, "_cells", lambda labels: calls.append(labels.shape) or real(labels))
+    monkeypatch.setattr(module, "_cells",
+                        lambda labels, *width: calls.append(labels.shape) or real(labels, *width))
     blocks = np.arange(rows * 16, dtype=np.int32).reshape(rows, 16) % (top + 1)
     blocks[-1, -1] = top
     cert = Certificate(TargetId.LINE_K44, 97, CertMode.COMPLETE, blocks)
@@ -731,6 +733,48 @@ def test_each_byte_edit_reads_as_read_text_reads_it(tmp_path, edit, outcome):
     assert _file_outcome(read_certificate, path) == expected == _file_outcome(_read_as_text, path)
 
 
+def test_a_file_that_is_not_utf8_fails_holding_little_beside_the_file(tmp_path):
+    # the 481 certificate with 0xff at byte 10: bytes.decode of the whole
+    # file held about three times it before it raised
+    data = format_certificate(construct_design(TargetId.LINE_K44, 481)).encode("ascii")
+    path = tmp_path / "d481-ff.cert"
+    path.write_bytes(data[:10] + b"\xff" + data[11:])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_certificate(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    assert peak < 1.5 * len(data)
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98",
+                                 b"\xe2\x28\xa1", b"\xed\xa0\x80"])
+@pytest.mark.parametrize("cut", [False, True], ids=["inside", "last"])
+def test_utf8_is_checked_slice_by_slice_as_bytes_decode_checks_it(bad, cut):
+    # bad bytes at and around each slice edge, in text whose characters take
+    # one to four bytes and so cross the edges too; the error, its positions
+    # and the text must be bytes.decode's
+    module = sys.modules["design_forge.certify"]
+    edge = module._UTF8_BYTES
+    text = ("a\u00e9\u20ac\U0001f600" * (3 * edge // 10)).encode()
+    for at in (0, 10, edge - 3, edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, len(text)):
+        data = text[:at] + bad + (b"" if cut else text[at:])
+        for sample in (data, data[: at + 1]):
+            try:
+                want = sample.decode()
+            except UnicodeDecodeError as exc:
+                want = str(exc)
+            try:
+                got = module._decoded(sample)
+            except UnicodeDecodeError as exc:
+                got = str(exc)
+            assert got == want, (at, sample[max(0, at - 4) : at + 4])
+
+
 def test_read_certificate_enters_parse_certificate_once(tmp_path, monkeypatch):
     # once per file, however it reads: the benchmark times and sizes each entry
     module = sys.modules["design_forge.certify"]
@@ -1007,7 +1051,7 @@ def test_pair_counter_matches_a_python_loop(data):
     # like certify, count only rows of distinct points in range
     kept = [row for row in rows if len(set(row)) == len(row) and all(0 <= p < n for p in row)]
     pairs = [(row[i], row[j]) for row in kept for i in range(len(row)) for j in range(i)]
-    counter = PairCounter(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+    counter = PairCounter.of(n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
                           np.ones(len(pairs), dtype=bool), ([0], [1]))
     errors = _loop_pair_errors(n, pairs, groups)
     assert counter.errors(groups) == (errors, len(errors))
@@ -1054,7 +1098,7 @@ def test_pair_counter_counts_only_the_counted_rows_of_each_chunk(data):
     clean = [len(set(row)) == len(row) and all(0 <= p < n for p in row) for row in rows.tolist()]
     assert counted.tolist() == clean
     ends = np.triu_indices(rows.shape[1], 1)
-    counter = PairCounter(n, rows, counted, ends)
+    counter = PairCounter.of(n, rows, counted, ends)
     edges = list(zip(*(e + 1 for e in ends)))
     assert np.array_equal(counter.counts, _count_pair_coverage(n, rows[counted], edges))
     kept = rows[counted]
@@ -1079,7 +1123,7 @@ def test_pair_index_is_exact_across_the_int32_boundary(n, dtype):
                          ids=["all", "every 97th", "every 70001st", "the last three"])
 def test_the_listed_pairs_are_the_first_wrong_ones_whatever_slice_they_lie_in(wrong):
     # K_1153 has 664,128 pairs, more than ten slices of the search for listed pairs
-    counter = PairCounter(1153, np.empty((0, 2), np.int64), np.empty(0, bool), ([0], [1]))
+    counter = PairCounter(1153, ([0], [1]))
     counter.counts[:] = 1
     counter.counts[wrong] = 2
     index = np.flatnonzero(counter.counts != 1)
@@ -1112,7 +1156,7 @@ def test_pairs_inside_groups_are_judged_on_both_sides_of_a_slice_edge(seed):
     group_of = rng.integers(0, 10, n)
     group_of[[194, 195]] = group_of[362]
     groups = [np.flatnonzero(group_of == g).tolist() for g in range(10)]
-    counter = PairCounter(n, np.empty((0, 2), np.int64), np.empty(0, bool), ([0], [1]))
+    counter = PairCounter(n, ([0], [1]))
     counter.counts[:] = 1
     for group in groups:
         for u in group:
@@ -1141,7 +1185,7 @@ def test_pairs_inside_groups_are_judged_on_both_sides_of_a_slice_edge(seed):
 
 def _counter_of(cert):
     ends = np.array(target_graph(cert.target).edges).T - 1
-    return PairCounter(cert.order, cert.blocks, np.ones(len(cert.blocks), dtype=bool), ends)
+    return PairCounter.of(cert.order, cert.blocks, np.ones(len(cert.blocks), dtype=bool), ends)
 
 
 @pytest.mark.parametrize(("rows", "dtype"), [(254, np.uint8), (255, np.uint8), (256, np.uint16)])
@@ -1200,7 +1244,7 @@ def test_as_many_hits_as_pairs_with_a_pair_missed_and_a_pair_doubled_list_both()
     # K_3 hit three times, {0, 1} twice and {0, 2} never: the hits alone
     # match a design's, so only the zero test keeps errors() scanning
     rows = np.array([[0, 1], [1, 0], [1, 2]], dtype=np.int32)
-    counter = PairCounter(3, rows, np.ones(3, dtype=bool), ([0], [1]))
+    counter = PairCounter.of(3, rows, np.ones(3, dtype=bool), ([0], [1]))
     assert counter.counts.tolist() == [2, 0, 1]
     assert counter.errors() == ([((0, 1), 2), ((0, 2), 0)], 2)
 
@@ -1223,7 +1267,7 @@ def test_counts_all_one_still_fail_inside_groups():
     # 4partite mode's residue classes or a GDD's groups, the pairs inside
     # them are wrong, so errors() scans though no count is off
     rows = np.array([[u, v] for v in range(4) for u in range(v)], dtype=np.int32)
-    counter = PairCounter(4, rows, np.ones(6, dtype=bool), ([0], [1]))
+    counter = PairCounter.of(4, rows, np.ones(6, dtype=bool), ([0], [1]))
     assert counter.counts.tolist() == [1] * 6
     assert counter.errors() == ([], 0)
     assert counter.errors([range(0, 2), range(2, 4)]) == ([((0, 1), 1), ((2, 3), 1)], 2)
@@ -1321,7 +1365,7 @@ def _certify_sorting_every_row(cert):
     for idx in np.flatnonzero(bad).tolist():
         problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
         report.label_errors.append(f"block {idx}: {problem}")
-    counter = PairCounter(n, blocks, ~bad, np.array(target_graph(cert.target).edges).T - 1)
+    counter = PairCounter.of(n, blocks, ~bad, np.array(target_graph(cert.target).edges).T - 1)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report
@@ -1389,13 +1433,14 @@ def test_every_two_positions_of_a_table_share_a_neighbour(target):
             assert adjacency[u] & adjacency[v], (u, v)
 
 
-def test_a_design_is_counted_whole_once_and_again_only_past_a_bad_row(monkeypatch):
-    made = []
+def test_a_design_is_counted_whole_once_and_a_bad_row_taken_back_out(monkeypatch):
+    added = []  # the net rows of each add: a row taken back out is -1
 
     class Counting(PairCounter):
-        def __init__(self, n, rows, counted, ends):
-            made.append("whole" if counted is None else "good rows")
-            super().__init__(n, rows, counted, ends)
+        def add(self, rows, counted=None, sign=1):
+            before = self.rows
+            super().add(rows, counted, sign)
+            added.append(self.rows - before)
 
     monkeypatch.setattr(sys.modules[certify.__module__], "PairCounter", Counting)
     design = _d97(TargetId.LINE_K44)
@@ -1403,11 +1448,74 @@ def test_a_design_is_counted_whole_once_and_again_only_past_a_bad_row(monkeypatc
     moved[3, 0] = next(x for x in range(97) if x not in moved[3])
     repeated[3, 0] = repeated[3, 5]
     outside[3, 0] = 97
-    for rows, want in ((design.blocks, ["whole"]), (moved, ["whole"]),
-                       (repeated, ["whole", "good rows"]), (outside, ["good rows"])):
-        made.clear()
-        certify(replace(design, blocks=rows))
-        assert made == want
+    for rows, want in ((design.blocks, [97]), (moved, [97]),
+                       (repeated, [97, -1]), (outside, [96])):
+        added.clear()
+        cert = replace(design, blocks=rows)
+        assert certify(cert) == _certify_sorting_every_row(cert)
+        assert added == want
+
+
+def test_a_failing_481_design_is_counted_once_with_its_bad_rows_taken_back_out(monkeypatch):
+    # 2405 rows counted whole, then the one repeated-label row's 48 hits taken
+    # back out through the same pair indices: about 2406 rows of indices, not
+    # the 4809 of counting the good rows again
+    design = construct_design(TargetId.LINE_K44, 481)
+    rows = design.blocks.copy()
+    rows[1500, 3] = rows[1500, 9]
+    cert = replace(design, blocks=rows)
+    module = sys.modules[certify.__module__]
+    real, indexed = module._pair_index, []
+    monkeypatch.setattr(module, "_pair_index",
+                        lambda u, v, n: indexed.append(u.size) or real(u, v, n))
+    report = certify(cert)
+    monkeypatch.undo()
+    assert report.label_errors == ["block 1500: repeated label"]
+    assert sum(indexed) < 1.1 * 2405 * 48
+    assert report == _certify_sorting_every_row(cert)
+
+
+def test_good_rows_whose_counts_wrap_are_counted_again_wide_after_a_bad_row_is_taken_out():
+    # as test_a_wrap_among_as_many_hits_as_pairs_is_counted_again, with one
+    # row repeating a label: 385 good rows, 257 of them block 0, whose uint8
+    # counts left by the take-back sum short of their hits
+    design = develop(paper_base_blocks(TargetId.SHRIKHANDE, 193))
+    blocks = np.vstack([np.repeat(design.blocks[:1], 257, axis=0), design.blocks[1:130]])
+    blocks[300, 1] = blocks[300, 0]
+    cert = Certificate(design.target, 193, CertMode.COMPLETE, blocks)
+    report = certify(cert)
+    assert report.label_errors == ["block 300: repeated label"]
+    assert report == _certify_sorting_every_row(cert)
+    pair = tuple(sorted(design.blocks[0, :2].tolist()))
+    assert (pair, 255) in report.pair_errors
+
+
+@pytest.mark.parametrize("target", list(TargetId))
+def test_certify_slices_passes_exactly_what_certify_passes(target):
+    # the 97 design in slices of any size passes; every edit that keeps a
+    # row of 16 labels fails there as in certify, labels out of range on
+    # either side and a row dropped or doubled included
+    design = _d97(target)
+    rng = random.Random(97)
+
+    def sliced(rows):
+        cuts = sorted(rng.sample(range(1, len(rows)), 5)) if len(rows) > 6 else []
+        return np.split(rows, cuts)
+
+    assert certify_slices(target, 97, sliced(design.blocks))
+    assert certify_slices(target, 97, [design.blocks])
+    table = target_graph(target).graph
+    edits = [design.blocks[1:], np.vstack([design.blocks, design.blocks[:1]])]
+    for label in (-1, 97, 2**31 - 1):
+        rows = design.blocks.copy()
+        rows[40, 7] = label
+        edits.append(rows)
+    for kind in ("copied to an adjacent position", "copied to a non-adjacent position",
+                 "edge (1, 2) ends n - 1", "moved"):
+        edits.append(_edited_rows(design.blocks, 97, table, kind, rng))
+    for rows in edits:
+        assert not certify(replace(design, blocks=rows)).passed
+        assert not certify_slices(target, 97, sliced(rows))
 
 
 def test_a_failing_481_design_holds_one_count_array_at_a_time():

@@ -36,14 +36,20 @@ def test_construct_to_devnull_exits_0(capsys):
 def test_construct_of_a_corrupted_assembly_exits_1_and_writes_nothing(
     tmp_path, capsys, monkeypatch
 ):
-    assembled = assemble._assembled_blocks
+    design_slices = assemble._design_slices
 
     def one_label_moved(*args):
-        blocks = assembled(*args).copy()
-        blocks[0, 0] = (blocks[0, 0] + 1) % 385
-        return blocks
+        slices = design_slices(*args)
 
-    monkeypatch.setattr(assemble, "_assembled_blocks", one_label_moved)
+        def moved():
+            made = slices()
+            first = next(made).copy()
+            first[0, 0] = (first[0, 0] + 1) % 385
+            yield first
+            yield from made
+        return moved
+
+    monkeypatch.setattr(assemble, "_design_slices", one_label_moved)
     out = tmp_path / "d385.cert"
     assert main(["construct", "--graph", "shrikhande", "--order", "385", "--out", str(out)]) == 1
     assert "failed certification" in capsys.readouterr().err
@@ -52,6 +58,8 @@ def test_construct_of_a_corrupted_assembly_exits_1_and_writes_nothing(
 
 @pytest.mark.parametrize("order", [1, 97, 385])
 def test_construct_certifies_once_and_reads_no_certificate(tmp_path, capsys, monkeypatch, order):
+    # the one certification is the count pass over the design's slices;
+    # certify itself runs only where that fails
     certify_mod = importlib.import_module("design_forge.certify")
     calls: Counter[str] = Counter()
 
@@ -61,7 +69,7 @@ def test_construct_certifies_once_and_reads_no_certificate(tmp_path, capsys, mon
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("certify", "read_certificate", "parse_certificate"):
+    for name in ("certify_slices", "certify", "read_certificate", "parse_certificate"):
         wrapper = counted(name, getattr(certify_mod, name))
         monkeypatch.setattr(certify_mod, name, wrapper)
         if hasattr(cli, name):
@@ -69,7 +77,7 @@ def test_construct_certifies_once_and_reads_no_certificate(tmp_path, capsys, mon
     out = tmp_path / "d.cert"
     assert main(["construct", "--graph", "shrikhande", "--order", str(order), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert calls == {"certify": 1}
+    assert calls == {"certify_slices": 1}
 
 
 def test_verify_raw_mode(tmp_path):

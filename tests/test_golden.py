@@ -10,13 +10,16 @@ design in memory and does not read back the file it writes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import os
 import shutil
+import tracemalloc
 
 import pytest
 
 from design_forge.cli import main
-from design_forge.gdd import IngredientStore
+from design_forge.gdd import GddType, IngredientStore
 
 GOLDEN = {
     ("shrikhande", 1, "stored"):
@@ -115,3 +118,72 @@ def test_gdd_file_digest(tmp_path, capsys, gdd_type, store):
     assert main(argv) == 0
     assert "verified" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GDD_GOLDEN[(gdd_type, store)]
+
+
+# --- orders past 481, from 6^t ingredients written into a store -------------
+#
+# Each 6^t is the cyclic development over Z_6t of its base blocks: point x
+# is relabelled 6 * (x mod t) + x div t, so group i (the residue i mod t)
+# is the i-th range of 6, and each block is sorted.
+
+BASE_BLOCKS_6T = {
+    7: [(0, 1, 3, 19), (0, 4, 10, 15), (0, 8, 17, 30)],
+    9: [(0, 4, 20, 26), (0, 1, 3, 14), (0, 8, 23, 33), (0, 5, 17, 24)],
+    19: [(0, 2, 5, 53), (0, 9, 29, 73), (0, 4, 12, 84), (0, 24, 52, 79), (0, 13, 46, 69),
+         (0, 6, 16, 37), (0, 1, 15, 89), (0, 17, 39, 82), (0, 7, 18, 54)],
+}
+
+LARGE_GOLDEN = {
+    ("lk44", 673): "5cd469726e4e5e5a15aa9d3db7f0b67d952fa5612a287221adf0968e10541bdc",
+    ("shrikhande", 673): "541322a862039a8dab82247a51c8e69d2936869f29bf0bec3daafc4d168b0ba6",
+    ("lk44", 865): "29cf942e495e8322251b010f2a11190f688e0e30600d00e5e7c12b676ca1001d",
+    ("shrikhande", 865): "dfd4cb1f91cedd483d290f2f05e7092dca8fcdd0494fb660ab86b80c6d66fa7a",
+    ("lk44", 1825): "4280189b95d937d71c189aa331e21d8601480a9da014e1fdb1bc943fc6135796",
+    ("shrikhande", 1825): "27d19f6a7c174fe1828b1e7a3c72660f90fb66ab8f8aae2c7700f353e4e3bdaa",
+}
+
+
+def _cyclic_6t_store(directory, t):
+    """A store holding the one 6^t file developed from BASE_BLOCKS_6T[t]."""
+    m = 6 * t
+    lines = [f"gdd 4 6^{t}"]
+    lines += ["group " + " ".join(map(str, range(6 * i, 6 * i + 6))) for i in range(t)]
+    for base in BASE_BLOCKS_6T[t]:
+        for d in range(m):
+            points = sorted(6 * ((x + d) % m % t) + (x + d) % m // t for x in base)
+            lines.append("block " + " ".join(map(str, points)))
+    directory.mkdir()
+    (directory / f"gdd4_6pow{t}.txt").write_text("\n".join(lines) + "\n")
+    return directory
+
+
+@pytest.mark.parametrize(("graph", "order"), sorted(LARGE_GOLDEN))
+def test_construct_past_481_from_a_stored_6_t(tmp_path, capsys, graph, order):
+    store = _cyclic_6t_store(tmp_path / "store", (order - 1) // 96)
+    out = tmp_path / "design.cert"
+    argv = ["construct", "--graph", graph, "--order", str(order), "--out", str(out),
+            "--ingredients", str(store)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_GOLDEN[(graph, order)]
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_construct_1825_peaks_below_its_counts_and_blocks_plus_1_mib(tmp_path, capsys):
+    # the design (34,675 rows, 2.1 MiB) is never held: the uint8 counts of
+    # its 1,664,400 pairs and the 16,416 blocks of the 24^19 are, with
+    # slices and tables far below 1 MiB beside them (4.1 MiB before)
+    store = _cyclic_6t_store(tmp_path / "store", 19)
+    argv = ["construct", "--graph", "lk44", "--order", "1825", "--out", os.devnull,
+            "--ingredients", str(store)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    counts = 1825 * 1824 // 2
+    blocks = GddType.of(24, 19).block_count(4) * 4 * 4  # int32
+    assert peak < counts + blocks + 2**20
