@@ -18,6 +18,7 @@ data/base_blocks.txt and are loaded verbatim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -93,6 +94,7 @@ def k4444_decomposition(target: TargetId) -> list[tuple[int, ...]]:
     return list(K4444_BLOCKS[TargetId(target)])
 
 
+@functools.cache  # read on the first catalog call, not at import
 def _load_catalog() -> dict[tuple[TargetId, int], BaseBlock]:
     catalog: dict[tuple[TargetId, int], BaseBlock] = {}
     text = resources.files("design_forge").joinpath("data/base_blocks.txt").read_text()
@@ -103,15 +105,9 @@ def _load_catalog() -> dict[tuple[TargetId, int], BaseBlock]:
     return catalog
 
 
-_CATALOG: dict[tuple[TargetId, int], BaseBlock] | None = None
-
-
 def catalog() -> dict[tuple[TargetId, int], BaseBlock]:
     """All catalogued base blocks, keyed by (target, order)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _load_catalog()
-    return dict(_CATALOG)
+    return dict(_load_catalog())
 
 
 def paper_base_blocks(target: TargetId, n: int) -> BaseBlock:

@@ -30,14 +30,14 @@ definition.  Blocks need no search, as a row of 16 distinct labels reads
 through the table as a copy of it, v -> row[v-1] being the isomorphism.
 
 PairCounter is the package's one pair counter, to which rows are added a
-slice at a time: certify and gdd.verify_gdd add their own rows, choosing
-which count and passing their groups, and certify_slices the slices of a
-design that is never held whole (assemble.construct_design).  Every report
-caps its pair counts at 255 and lists the first 1000 wrong pairs beside
-the exact number of them.  Its memory follows the n(n-1)/2 pairs: one
-uint8 count per pair (a wider one only where a count passes 255), plus
-one slice of rows or pairs at a time, never a whole-pair mask or a sorted
-copy of every block.
+slice at a time.  certify and certify_slices share one count pass,
+_slice_counts, over a file's rows or a design never held whole
+(assemble.construct_design); rows it cannot prove, and gdd.verify_gdd's,
+are counted by PairCounter.of.  Every report caps its pair counts at 255
+and lists the first 1000 wrong pairs beside the exact number of them.
+Its memory follows the n(n-1)/2 pairs: one uint8 count per pair (a wider
+one only where a count passes 255), plus one slice of rows or pairs at a
+time, never a whole-pair mask or a sorted copy of every block.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
 a design's slices one at a time, so their memory follows one slice, not
@@ -153,9 +153,9 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return index
 
 
-# Rows per np.add.at: 128 certificate rows are 6144 pair hits, whose three
-# int32 index arrays take 72 KiB.  256 rows counted the 481 design about
-# 10% faster but raised the peak of certify of 289 from 0.13 to 0.18 MiB.
+# Rows per np.add.at, 6144 pair hits.  Their indices are built in int32, as
+# that and np.add.at's own intp copy of them peak lower than indices built
+# in intp; 256 rows raised the peak of certify of 289 from 0.13 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
 # Rows per sorted copy in _counted_rows, which runs only where the counts
@@ -196,13 +196,13 @@ class PairCounter:
 
     @classmethod
     def of(cls, n: int, rows: np.ndarray, counted: np.ndarray | None,
-           ends: Sequence[np.ndarray], wide: bool = False) -> "PairCounter":
+           ends: Sequence[np.ndarray]) -> "PairCounter":
         """The exact counts of the rows with counted[i] (every row where counted
-        is None), in uint8 unless wide, and where those are not exact (see
-        exact) again in the narrowest dtype that holds the number of rows."""
+        is None), in uint8, and where those are not exact (see exact) again in
+        the narrowest dtype that holds the number of rows."""
         rows_counted = len(rows) if counted is None else int(np.count_nonzero(counted))
         wider = np.min_scalar_type(rows_counted)  # holds every count
-        for dtype in (wider,) if wide else (np.uint8, wider):
+        for dtype in (np.uint8, wider):
             counter = None  # free the uint8 counts before the wide ones exist
             counter = cls(n, ends, dtype)
             counter.add(rows, counted)
@@ -314,6 +314,18 @@ def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str]) -> np.nda
     return counted
 
 
+def _slice_counts(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> PairCounter | None:
+    """The uint8 counts of rows that come as slices, one held at a time, or
+    None at the first label outside 0..n-1: certify's and certify_slices'."""
+    counter = PairCounter(n, target_graph(target).edge_ends)
+    for rows in slices:
+        # one bound for both ends: read unsigned, a negative label is 2^31 or more
+        if rows.view(np.uint32).max(initial=0) >= n:
+            return None
+        counter.add(rows)
+    return counter
+
+
 def certify(cert: Certificate) -> CertReport:
     """Check a certificate by exact pair counting; all findings go in the report.
 
@@ -326,7 +338,7 @@ def certify(cert: Certificate) -> CertReport:
     checks the labels as for every other certificate, and the hits of the
     bad rows it finds are taken back out of those counts, which leaves the
     good rows' counts; only where they cannot be proved exact are the good
-    rows counted again, wider."""
+    rows counted again, as PairCounter.of counts every other certificate."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -342,21 +354,17 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
-    ends = target_graph(cert.target).edge_ends
     counter = None
-    if (mode is CertMode.COMPLETE and len(blocks) == expected
-            and blocks.min(initial=0) >= 0 and blocks.max(initial=0) < n):
-        counter = PairCounter(n, ends)
-        counter.add(blocks)
-        if counter.once:
+    if mode is CertMode.COMPLETE and len(blocks) == expected:
+        counter = _slice_counts(cert.target, n, [blocks])
+        if counter is not None and counter.once:
             return report
     counted = _counted_rows(blocks, n, report.label_errors)
     if counter is not None and not counted.all():
         counter.add(blocks, ~counted, sign=-1)
     if counter is None or not counter.exact:
-        wide = counter is not None  # its uint8 counts of the good rows are not exact
         counter = None  # free the first counts before the recount
-        counter = PairCounter.of(n, blocks, counted, ends, wide)
+        counter = PairCounter.of(n, blocks, counted, target_graph(cert.target).edge_ends)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report
@@ -368,13 +376,8 @@ def certify_slices(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> bo
     n(n-1)/96 rows in all (their hits as many as the pairs) and every pair
     covered once.  Holds the uint8 counts and one slice, never the design;
     where it is False, certify of the design says why."""
-    counter = PairCounter(n, target_graph(target).edge_ends)
-    for rows in slices:
-        # one bound for both ends: read unsigned, a negative label is 2^31 or more
-        if rows.view(np.uint32).max(initial=0) >= n:
-            return False
-        counter.add(rows)
-    return counter.once
+    counter = _slice_counts(target, n, slices)
+    return counter is not None and counter.once
 
 
 def certify_raw_edges(cert: Certificate) -> CertReport:
@@ -447,10 +450,10 @@ def _content_lines(text: str, start: int = 1):
 _FORMAT_ROWS = 512
 
 
-def _cells(labels: np.ndarray, width: int | None = None) -> np.ndarray:
+def _cells(labels: np.ndarray) -> np.ndarray:
     """(..., width + 1) uint8 cells of nonnegative labels: each label's
-    digits NUL-padded to width, by default that of the largest, then a space."""
-    width = width or len(str(labels.max()))
+    digits NUL-padded to the width of the largest, then a space."""
+    width = len(str(labels.max()))
     cells = np.full(labels.shape + (width + 1,), ord(" "), dtype=np.uint8)
     for j in range(width - 1, -1, -1):  # numpy divides by a scalar far faster than by powers
         quot = labels // 10
@@ -465,23 +468,17 @@ def _text_chunks(header: str, slices: Iterable[np.ndarray], top: int,
     """A certificate's text as ASCII bytes: its header, then the label lines
     of each slice of its rows, the NULs of their cells dropped.  Where the
     largest label, top, is below 16 * _FORMAT_ROWS or below count, the row
-    count, as every label of a design is, each label's cell is taken from a
-    table of the cells of 0..top as one uint32 or uint64 word, NUL-padded in
-    front: no larger than one chunk's words or an eighth of the blocks.
-    Larger labels take their digits slice by slice."""
+    count, as every label of a design is, each label's cell is gathered from
+    a table of the cells of 0..top: no larger than one chunk's cells or a
+    fifth of the blocks.  Larger labels take their digits slice by slice."""
     table = None
-    if top < max(16 * _FORMAT_ROWS, count) and top < 10**7:  # a cell of 8 bytes or fewer
-        word = np.uint32 if top < 1000 else np.uint64
-        cells = _cells(np.arange(top + 1, dtype=np.int32), np.dtype(word).itemsize - 1)
-        table = cells.view(word)[:, 0]
+    if top < max(16 * _FORMAT_ROWS, count):
+        table = _cells(np.arange(top + 1, dtype=np.int32))
 
     def label_lines(rows: np.ndarray) -> bytes:
-        if table is None:
-            text = _cells(rows).reshape(len(rows), -1)
-        else:  # the words viewed as bytes, in memory order whatever the byte order
-            text = np.take(table, rows).view(np.uint8)
-        text[:, -1] = ord("\n")  # the space of each row's last cell
-        return text.tobytes().translate(None, b"\0")  # twice as fast as replace
+        cells = _cells(rows) if table is None else np.take(table, rows, axis=0)
+        cells[:, -1, -1] = ord("\n")  # the space of each row's last cell
+        return cells.tobytes().translate(None, b"\0")  # twice as fast as replace
 
     return chain([header.encode("ascii")], map(label_lines, slices))
 

@@ -76,6 +76,16 @@ def test_element_range_checked():
         f.mul(-1, 3)
 
 
+def test_a_negative_exponent_is_rejected():
+    with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+        Ring.field(97).pow(5, -1)
+
+
+def test_signed_powers_need_at_least_one_exponent():
+    with pytest.raises(ValueError, match="^exponents must be at least 1$"):
+        signed_power_subgroup(Ring.field(97), 1, 0)
+
+
 def test_signed_power_subgroup_z97():
     f = Ring.field(97)
     h = signed_power_subgroup(f, 1, 1)

@@ -184,6 +184,11 @@ def test_an_orbit_that_repeats_a_block_raises_duplicate_block_error():
         develop(block)
 
 
+def test_a_base_block_has_exactly_16_labels():
+    with pytest.raises(ValueError, match="^a base block has exactly 16 labels$"):
+        BaseBlock(tuple(range(15)), TargetId.SHRIKHANDE, Ring.field(97), 1)
+
+
 def test_develop_rejects_an_omega_whose_signed_powers_are_no_subgroup():
     block = paper_base_blocks(TargetId.SHRIKHANDE, 193)
     bad = BaseBlock(block.labels, block.target, block.ring, 2)  # 2^2 = 4 is not +-1 or +-2

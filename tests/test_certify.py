@@ -55,6 +55,12 @@ def test_empty_design_of_order_one_passes():
     assert report.count_expected == 0
 
 
+def test_a_certificate_equals_no_other_type():
+    cert = _d97()
+    assert cert.__eq__((cert.target, cert.order, cert.mode)) is NotImplemented
+    assert cert != (cert.target, cert.order, cert.mode)
+
+
 def test_complete_mode_pass_and_counts():
     report = certify(_d97())
     assert report.passed

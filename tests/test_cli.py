@@ -118,6 +118,20 @@ def test_selftest_passes(capsys):
     assert captured.out.endswith("all checks passed\n")
 
 
+def test_selftest_fails_on_an_ingredient_file_that_does_not_load(tmp_path, monkeypatch, capsys):
+    shipped = gdd_mod.IngredientStore.default().directory
+    for path in shipped.glob("*.txt"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "bad.txt").write_text("not an ingredient\n", encoding="utf-8")
+    monkeypatch.setattr(gdd_mod.IngredientStore, "default",
+                        staticmethod(lambda: gdd_mod.IngredientStore(tmp_path)))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL ingredient bad.txt loads and verifies\n" in out
+    assert out.count("FAIL") == 1
+    assert out.endswith("1 failures\n")
+
+
 def test_construct_inadmissible_order_exits_2(capsys):
     assert main(["construct", "--graph", "shrikhande", "--order", "98", "--out", "x"]) == 2
     captured = capsys.readouterr()
@@ -147,7 +161,9 @@ _ROW = " ".join(map(str, range(16)))
      "  label: 4partite mode requires order 16, got 17\n", ""),
     ("design lk44 97 complete\n", "", "line 1: file ends before the blocks line"),
     ("design lk44 97 complete\nblocks -1\n", "", "line 2: block count must be nonnegative"),
-], ids=["order 0", "4partite order 17", "no blocks line", "negative block count"])
+    ("design foo 97 complete\nblocks 0\n", "", "line 1: unknown target 'foo'"),
+], ids=["order 0", "4partite order 17", "no blocks line", "negative block count",
+        "unknown target"])
 def test_verify_of_a_header_it_cannot_certify_exits_1_and_says_why(
     tmp_path, capsys, text, out, err
 ):

@@ -827,6 +827,15 @@ def test_td_from_mols_rejects_squares_of_the_wrong_shape(order, squares):
         td_from_mols(3, order, mols)
 
 
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: td_from_mols(1, 3, mols_for_order(3)), "block size must be at least 2"),
+    (lambda: inflate(td_from_mols(4, 3, mols_for_order(3)), 0), "weight must be positive"),
+], ids=["TD block size 1", "inflate weight 0"])
+def test_td_from_mols_and_inflate_reject_sizes_below_their_least(build, message):
+    with pytest.raises(GddError, match=f"^{message}$"):
+        build()
+
+
 # --- ingredient file headers -------------------------------------------------
 
 

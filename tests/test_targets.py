@@ -257,6 +257,12 @@ def test_small_graph_rejects_bad_edges():
         SmallGraph(3, [(1, 2), (2, 1)])
 
 
+@pytest.mark.parametrize("vertex_count", [0, 65])
+def test_small_graph_takes_1_to_64_vertices(vertex_count):
+    with pytest.raises(GraphError, match=f"^vertex count {vertex_count} outside 1..64$"):
+        SmallGraph(vertex_count, [])
+
+
 def test_adjacency_and_edges_agree_on_random_graphs():
     rng = random.Random(20261018)
     for _ in range(300):
