@@ -16,24 +16,22 @@ d97 with label x < 96 sent to 96i + x and label 96 sent to the new point
 96t.
 
 The design is never built as one array.  A slice generator yields its
-int32 rows in output order, 512 at a time (the pieces of 256 GDD blocks,
-or 512 rows of a developed design), then one overlay per group, and is
-run twice: once for the count pass, certify.certify_slices, which holds
-the uint8 pair counts and one slice, and only if that passes once more,
-for the certificate written slice by slice, or the Certificate returned
-to a library caller, joined from the slices.  That one count pass is the
+int32 rows in output order, certify._SLICE_ROWS at a time (that many rows
+of a developed design, or the pieces of half as many GDD blocks), then one
+overlay per group, and is run twice: once for the count pass,
+certify.certify_slices, which holds the uint8 pair counts and one slice,
+and only if that passes once more, for the certificate written slice by
+slice, or the Certificate returned to a library caller, joined from the
+slices.  That one count pass is the
 design's certification and the boundary of the whole pipeline: the 24^t
 GDD and every step below it (MOLS, TD, inflation, exact-cover search) are
 unverified claims, and only an ingredient read from a file is verified on
 its own, on load.
 
-With the packaged store, t <= 5 (n <= 481) constructs.  t = 6, 7, 10, 11
-and t >= 14 raise IngredientUnavailableError at once: no 6^t or 3^t file,
-and 3^t cannot be searched (cross pairs not divisible by 6, or over 40
-points).  t = 8, 9, 12, 13 raise BudgetExhaustedError once the 3^t search
-spends its default budget of 10^4 nodes, in about 1, 2, 6 and 10 s
-(2-vCPU VM).  A store holding a 6^t or 3^t file serves its t as the
-packaged one serves t = 5.
+For t >= 5 the 24^t needs a 6^t or 3^t ingredient, stored or found by the
+3^t search within its budget; without one gdd_24_t raises
+IngredientUnavailableError or BudgetExhaustedError before any slice is
+made.  README's "Which orders construct" gives the outcome for each t.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import numpy as np
 
 from . import certify as certify_mod
 from .blocks import develop, k4444_decomposition, paper_base_blocks
-from .certify import Certificate, CertMode
+from .certify import Certificate, CertMode, _SLICE_ROWS
 from .gdd import Gdd, IngredientStore, gdd_24_t
 from .targets import TargetId
 
@@ -68,10 +66,8 @@ def construct_design(
     """Build and certify a design of admissible order n = 1 or 96t + 1.
 
     Orders 1, 97, 193 and 289 are direct; n = 96t + 1 with t >= 4 runs the
-    inflation pipeline on a 4-GDD of type 24^t.  With the packaged store
-    that is t <= 5 (n <= 481); t = 6, 7, 10, 11 and t >= 14 raise
-    IngredientUnavailableError at once, t = 8, 9, 12, 13 BudgetExhaustedError
-    within seconds (see the module docstring).  Output block order is
+    inflation pipeline on a 4-GDD of type 24^t, which gdd_24_t builds or
+    raises on (see the module docstring).  Output block order is
     canonical (K_{4,4,4,4} pieces by GDD block index, then overlays by
     group index).
 
@@ -94,11 +90,6 @@ def construct_design(
 
 def _joined(slices: Iterator[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty((0, 16), dtype=np.int32), *slices])
-
-
-# Rows per slice of a design, 32 KiB of int32: 512 rows of a developed
-# one, the pieces of 256 GDD blocks of an assembled one.
-_SLICE_ROWS = 512
 
 
 def _design_slices(

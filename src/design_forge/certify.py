@@ -443,11 +443,11 @@ def _content_lines(text: str, start: int = 1):
             yield lineno, line.split()
 
 
-# Rows per chunk of write_certificate's label lines: it holds one chunk's
-# words and text at a time, about 100 KiB for 3-digit labels (0.10 MiB
-# writing the 481 design), where 1024-row chunks that took their digits
-# held 0.36 MiB.
-_FORMAT_ROWS = 512
+# Rows per slice of a design: write_certificate cuts a Certificate's rows
+# into slices of this many, and construct makes its design this many rows
+# at a time, so the writer holds one such slice's cells and text at a time
+# whichever of them feeds it.
+_SLICE_ROWS = 512
 
 
 def _cells(labels: np.ndarray) -> np.ndarray:
@@ -467,12 +467,12 @@ def _text_chunks(header: str, slices: Iterable[np.ndarray], top: int,
                  count: int) -> Iterator[bytes]:
     """A certificate's text as ASCII bytes: its header, then the label lines
     of each slice of its rows, the NULs of their cells dropped.  Where the
-    largest label, top, is below 16 * _FORMAT_ROWS or below count, the row
+    largest label, top, is below 16 * _SLICE_ROWS or below count, the row
     count, as every label of a design is, each label's cell is gathered from
     a table of the cells of 0..top: no larger than one chunk's cells or a
     fifth of the blocks.  Larger labels take their digits slice by slice."""
     table = None
-    if top < max(16 * _FORMAT_ROWS, count):
+    if top < max(16 * _SLICE_ROWS, count):
         table = _cells(np.arange(top + 1, dtype=np.int32))
 
     def label_lines(rows: np.ndarray) -> bytes:
@@ -488,12 +488,12 @@ def _header(target: TargetId, order: int, mode: CertMode, count: int) -> str:
 
 
 def _certificate_chunks(cert: Certificate) -> Iterator[bytes]:
-    """_text_chunks of cert, _FORMAT_ROWS rows at a time; a negative label
+    """_text_chunks of cert, _SLICE_ROWS rows at a time; a negative label
     raises ValueError here, before any chunk is taken."""
     blocks = cert.blocks
     if blocks.min(initial=0) < 0:
         raise ValueError("certificate labels must be nonnegative")
-    slices = (blocks[i : i + _FORMAT_ROWS] for i in range(0, len(blocks), _FORMAT_ROWS))
+    slices = (blocks[i : i + _SLICE_ROWS] for i in range(0, len(blocks), _SLICE_ROWS))
     header = _header(cert.target, cert.order, cert.mode, len(blocks))
     return _text_chunks(header, slices, int(blocks.max(initial=0)), len(blocks))
 

@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ingredients", type=Path, default=None)
     p.add_argument("--budget", type=_node_budget, default=NODE_BUDGET,
                    help="node budget for the exact-cover search, the 24^t route's "
-                   f"fallback included (default {NODE_BUDGET}, which the 3^13 search "
-                   "spends in about 10 s); exit 2 if it runs out")
+                   f"fallback included (default {NODE_BUDGET}; README gives what it costs); "
+                   "exit 2 if it runs out")
     p.set_defaults(func=_cmd_gdd)
 
     p = sub.add_parser("catalog", help="print the shipped base blocks and target graphs")
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _store(args: argparse.Namespace) -> IngredientStore | None:
-    if getattr(args, "ingredients", None) is not None:
+    if args.ingredients is not None:
         return IngredientStore(args.ingredients)
     return None  # construct/gdd fall back to the packaged store
 
@@ -151,9 +151,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         cert = read_certificate(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CertificateParseError as exc:
         print(f"{args.path}: parse error: {exc}", file=sys.stderr)
         return 1
@@ -170,19 +167,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gdd(args: argparse.Namespace) -> int:
     gdd_type = GddType.parse(args.gdd_type)
-    if {g for g, _ in gdd_type.parts} == {24}:
+    design = None
+    if gdd_type.block_count(4) is None:
+        reason = "cross pairs not a multiple of 6"
+    elif gdd_type.group_count() < 4:
+        reason = "fewer than 4 groups"
+    elif {g for g, _ in gdd_type.parts} == {24}:
         design = gdd_24_t(gdd_type.group_count(), _store(args), node_budget=args.budget)
     else:
         design = exact_cover_search(gdd_type, 4, node_budget=args.budget)
-        if design is None:
-            if gdd_type.block_count(4) is None:
-                reason = "cross pairs not a multiple of 6"
-            elif gdd_type.group_count() < 4:
-                reason = "fewer than 4 groups"
-            else:
-                reason = "search tree exhausted"
-            print(f"no 4-GDD of type {gdd_type} exists ({reason})", file=sys.stderr)
-            return 1
+        reason = "search tree exhausted"
+    if design is None:
+        print(f"no 4-GDD of type {gdd_type} exists ({reason})", file=sys.stderr)
+        return 1
     # the one check of the design handed out: nothing is written unless it passes
     report = verify_gdd(design)
     if not report.passed:

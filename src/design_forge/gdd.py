@@ -35,7 +35,7 @@ Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
@@ -248,13 +248,6 @@ def td_from_mols(k: int, m: int, mols: np.ndarray) -> Gdd:
     )
 
 
-def td_for_weight(k: int, w: int) -> Gdd:
-    """The TD(k, w) used to replace blocks during inflation."""
-    if w == 1:  # k-2 copies of the 1x1 square are trivially orthogonal
-        return td_from_mols(k, 1, np.zeros((k - 2, 1, 1), dtype=np.int32))
-    return td_from_mols(k, w, mols_for_order(w))
-
-
 def inflate(design: Gdd, weight: int) -> Gdd:
     """Wilson's fundamental construction with constant weight.
 
@@ -267,17 +260,19 @@ def inflate(design: Gdd, weight: int) -> Gdd:
     preserved.  Not verified here: the result is a claim, checked where it
     crosses a boundary (the gdd command, or construct's certify).
     """
-    w = weight
+    k, w = design.k, weight
     if w < 1:
         raise GddError("weight must be positive")
-    td = td_for_weight(design.k, w)
+    # k - 2 copies of the 1x1 square are trivially orthogonal
+    mols = np.zeros((k - 2, 1, 1), np.int32) if w == 1 else mols_for_order(w)
+    td = td_from_mols(k, w, mols)
     # TD point t = w * i + r, of rank r in TD group i, becomes w * block[i] + r
     group, rank = np.divmod(td.blocks, w)
     blocks = w * design.blocks[:, group] + rank
     return Gdd(
         gdd_type=GddType(tuple((g * w, u) for g, u in design.gdd_type.parts)),
-        k=design.k,
-        blocks=np.sort(blocks.reshape(-1, design.k), axis=1),
+        k=k,
+        blocks=np.sort(blocks.reshape(-1, k), axis=1),
         provenance=f"inflate weight {w} of [{design.provenance or 'input'}]",
     )
 
@@ -285,6 +280,7 @@ def inflate(design: Gdd, weight: int) -> Gdd:
 # --- exact-cover search for small ingredients --------------------------------
 
 NODE_BUDGET = 10_000  # the default of exact_cover_search, gdd_24_t and gdd --budget
+_DESK_POINTS = 40  # the most points exact_cover_search takes; _ingredient searches no wider 3^t
 
 
 def exact_cover_search(
@@ -313,26 +309,22 @@ def exact_cover_search(
     Raises BudgetExhaustedError when the node budget runs out first: that
     outcome is deliberately distinct from nonexistence.  The default,
     NODE_BUDGET, is about 380 times the 26 nodes that the worst of 20
-    seeded 3^5 searches needs; the 3^8, 3^9, 3^12 and 3^13 searches, none
-    of which has been seen to find a design, spend it in about 1, 2, 6 and
-    10 s (2-vCPU VM).  Deterministic for a fixed seed.
+    seeded 3^5 searches needs; README's "Which orders construct" gives
+    what it costs the widest searches.  Deterministic for a fixed seed.
     """
     n = gdd_type.point_count()
-    if n > 40:
-        raise GddError(f"{n} points exceeds the desk-scale guard of 40")
+    if n > _DESK_POINTS:
+        raise GddError(f"{n} points exceeds the desk-scale guard of {_DESK_POINTS}")
     if k < 2:
         raise GddError("block size must be at least 2")
-    groups = list(gdd_type.group_ranges())
-    if len(groups) < k:
-        return None  # fewer groups than a single block needs
+    if gdd_type.group_count() < k or gdd_type.block_count(k) is None:
+        return None  # too few groups for a block, or blocks cannot tile the cross pairs
     group_of = gdd_type.group_of().tolist()
     # pair a < b is bit a * n + b, so pairs order as (a, b) does
     cross = [a * n + b for a, b in combinations(range(n), 2) if group_of[a] != group_of[b]]
-    if len(cross) % (k * (k - 1) // 2):
-        return None  # block size cannot tile the cross pairs
 
     # groups are ascending ranges, so each product is already a sorted block
-    rows = [pts for chosen in combinations(groups, k) for pts in product(*chosen)]
+    rows = [pts for chosen in combinations(gdd_type.group_ranges(), k) for pts in product(*chosen)]
     random.Random(seed).shuffle(rows)
     row_pairs = [[a * n + b for a, b in combinations(row, 2)] for row in rows]
     rows_of = [0] * (n * n)  # bit r of rows_of[pair] is set when row r holds pair
@@ -537,7 +529,7 @@ def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = NO
         raise GddError(f"4-GDDs of type 24^t exist for t >= 4, got t = {t}")
     if t == 4:
         td = td_from_mols(4, 24, mols_for_order(24))
-        return replace(td, provenance="td(4,24) from kronecker mols(8) x mols(3)")
+        return Gdd(td.gdd_type, 4, td.blocks, "td(4,24) from kronecker mols(8) x mols(3)")
     how, ingredient = _ingredient(t, store or IngredientStore.default(), node_budget)
     g = ingredient.gdd_type.parts[0][0]
     blocks = inflate(ingredient, 24 // g).blocks
@@ -552,7 +544,7 @@ def _ingredient(t: int, store: IngredientStore, node_budget: int) -> tuple[str, 
         found = store.find(4, GddType.of(size, t))
         if found is not None:
             return "stored", found
-    if 3 * t <= 40:
+    if 3 * t <= _DESK_POINTS:
         found = exact_cover_search(GddType.of(3, t), 4, node_budget=node_budget)
         if found is not None:
             return "regenerated", found

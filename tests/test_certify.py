@@ -23,9 +23,9 @@ from design_forge.certify import (
     CertReport,
     PairCounter,
     _CHUNK_ROWS,
-    _FORMAT_ROWS,
     _LISTED_PAIRS,
     _SCAN_PAIRS,
+    _SLICE_ROWS,
     _SORT_ROWS,
     _counted_rows,
     _header_outruns_blocks,
@@ -229,7 +229,7 @@ def test_certificate_round_trip(tmp_path):
     assert again == cert
 
 
-@pytest.mark.parametrize("count", [0, 1, _FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1])
+@pytest.mark.parametrize("count", [0, 1, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1])
 def test_written_bytes_are_the_formatted_text_at_chunk_boundaries(tmp_path, count):
     # early chunks hold only labels 0..9, the last row holds 2^31 - 1, so
     # chunks take their digits at different widths
@@ -245,8 +245,8 @@ def test_written_bytes_are_the_formatted_text_at_chunk_boundaries(tmp_path, coun
 
 @pytest.mark.parametrize(("rows", "top", "passes"), [
     (9000, 8999, 1),  # below the row count
-    (600, 16 * _FORMAT_ROWS - 1, 1),  # below one chunk's labels
-    (600, 16 * _FORMAT_ROWS, 2),  # neither: one digit pass per chunk
+    (600, 16 * _SLICE_ROWS - 1, 1),  # below one chunk's labels
+    (600, 16 * _SLICE_ROWS, 2),  # neither: one digit pass per chunk
 ])
 def test_labels_of_a_design_take_their_digits_once(monkeypatch, rows, top, passes):
     module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
@@ -267,16 +267,16 @@ _EDGE_LABELS = (0, 9, 10, 99, 100, 2**31 - 1)
 @st.composite
 def _label_arrays(draw):
     """(R, 16) nonnegative int32 labels, R crossing chunk boundaries.  Each
-    chunk of _FORMAT_ROWS rows draws its own widest digit count, its cells
+    chunk of _SLICE_ROWS rows draws its own widest digit count, its cells
     a digit count up to it, and some edge labels that fit it."""
     full = draw(st.integers(0, 2))  # whole chunks before the rest: 1..2100 rows
-    rest = draw(st.integers(0 if full else 1, min(_FORMAT_ROWS, 2100 - full * _FORMAT_ROWS)))
-    rows = full * _FORMAT_ROWS + rest
+    rest = draw(st.integers(0 if full else 1, min(_SLICE_ROWS, 2100 - full * _SLICE_ROWS)))
+    rows = full * _SLICE_ROWS + rest
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chunks = []
-    for start in range(0, rows, _FORMAT_ROWS):
+    for start in range(0, rows, _SLICE_ROWS):
         widest = draw(st.integers(1, 10))
-        digits = rng.integers(1, widest + 1, (min(_FORMAT_ROWS, rows - start), 16))
+        digits = rng.integers(1, widest + 1, (min(_SLICE_ROWS, rows - start), 16))
         low = np.where(digits == 1, 0, 10 ** (digits - 1))
         chunk = rng.integers(low, np.minimum(10**digits, 2**31))
         fits = [label for label in _EDGE_LABELS if len(str(label)) <= widest]

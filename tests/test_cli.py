@@ -138,8 +138,10 @@ def test_construct_inadmissible_order_exits_2(capsys):
     assert "mod 96" in captured.err
 
 
-def test_verify_missing_file_exits_2(tmp_path):
-    assert main(["verify", str(tmp_path / "nope.cert")]) == 2
+def test_verify_missing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nope.cert"
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_verify_malformed_file_exits_1(tmp_path, capsys):
@@ -206,6 +208,8 @@ def test_gdd_subcommand_writes_a_verified_file(tmp_path, capsys):
     ("3^6", "cross pairs not a multiple of 6"),  # 135 cross pairs
     ("2^3", "fewer than 4 groups"),
     ("2^6", "search tree exhausted"),  # 60 cross pairs, yet no 10 blocks cover them
+    ("24^3", "fewer than 4 groups"),  # said before the 24^t route is taken
+    ("3^14", "cross pairs not a multiple of 6"),  # said before the search's 40-point guard
 ])
 def test_gdd_that_does_not_exist_says_why(gdd_type, reason, capsys):
     assert main(["gdd", "--type", gdd_type]) == 1
@@ -232,6 +236,20 @@ def test_gdd_24_4_via_cli(tmp_path, capsys):
     assert main(["gdd", "--type", "24^4"]) == 0
     captured = capsys.readouterr()
     assert "576 blocks" in captured.out
+
+
+@pytest.mark.parametrize(("gdd_type", "store", "route"), [
+    ("24^4", "packaged", "td(4,24) from kronecker mols(8) x mols(3)"),
+    ("24^5", "packaged", "inflate stored 4-gdd 6^5 by weight 4"),
+    ("24^5", "empty", "inflate regenerated 4-gdd 3^5 by weight 8"),
+    ("3^5", "packaged", "exact cover search (seed 0)"),
+])
+def test_gdd_prints_the_route_it_took(tmp_path, capsys, gdd_type, store, route):
+    argv = ["gdd", "--type", gdd_type]
+    if store == "empty":
+        argv += ["--ingredients", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"  via {route}"
 
 
 def test_gdd_24_u_with_a_huge_exponent_exits_2_in_little_memory(capsys):

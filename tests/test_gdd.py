@@ -104,6 +104,14 @@ def test_kronecker_product_order_24():
     assert np.array_equal(mols_for_order(24), m)
 
 
+def test_macneish_product_is_wilson_inflation():
+    # kronecker_mols pairs square i of MOLS(8) with square i of MOLS(3), so
+    # TD(4, 24) from their product is TD(4, 8) inflated by weight 3
+    inflated = inflate(td_from_mols(4, 8, mols_for_order(8)), 3).blocks
+    direct = td_from_mols(4, 24, mols_for_order(24)).blocks
+    assert np.array_equal(inflated[np.lexsort(inflated.T[::-1])], direct)
+
+
 def test_td_4_3_has_nine_blocks():
     td = td_from_mols(4, 3, mols_for_order(3))
     assert td.gdd_type == GddType.of(3, 4)
