@@ -4,12 +4,14 @@ This module is the one home of field arithmetic, and Ring.field(q) is its
 one constructor: Z_q for prime q, and GF(4), GF(8) and GF(17^2) from the
 reduction polynomials in REDUCTION_POLYNOMIALS.  Base blocks are developed
 over Z_97, Z_193 and GF(289) (blocks), and the MOLS behind every
-transversal design are read off the tables of Z_q, GF(4) and GF(8) (gdd).
+transversal design are computed in Z_q, GF(4) and GF(8) (gdd).
 
 Elements are plain integer codes 0..q-1.  An element of GF(p^k) is a
 polynomial c_0 + c_1 z + ... + c_{k-1} z^{k-1} over Z_p with code
 sum(c_i p^i): a*z + b in GF(289) is 17a + b, and bit i of a GF(2^k) code is
 the coefficient of z^i.  Z_p is the case k = 1, reduced by the polynomial z.
+Sums and products are computed on the codes themselves, digit by digit, so
+their cost follows the elements asked for, never the order of the field.
 
 The affine maps x -> omega^e * x + d act on element codes, so the codes
 double as design point names.
@@ -46,11 +48,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
-    return table
-
-
 # Monic reduction polynomials of the extension fields, coefficients low to
 # high: z^2 + z + 1 and z^3 + z + 1 over Z_2, z^2 + 3z + 1 over Z_17.
 REDUCTION_POLYNOMIALS: dict[int, tuple[int, ...]] = {
@@ -64,7 +61,8 @@ REDUCTION_POLYNOMIALS: dict[int, tuple[int, ...]] = {
 class Ring:
     """The finite field of ``order`` elements, reduced by ``polynomial``.
 
-    Arithmetic is looked up in order x order tables, built on first use.
+    plus and times compute on codes, Python ints or int arrays alike;
+    add, neg, sub, mul and pow are their checked forms on single codes.
     """
 
     order: int
@@ -85,7 +83,7 @@ class Ring:
                 raise RingError(f"the reduction polynomial of GF({q}) has the root {r}")
         return ring
 
-    @property
+    @cached_property
     def characteristic(self) -> int:
         return round(self.order ** (1 / (len(self.polynomial) - 1)))
 
@@ -94,58 +92,61 @@ class Ring:
             raise InvalidElementError(f"{x!r} is not an element code of {self}")
         return x
 
-    def _digits(self) -> tuple[np.ndarray, np.ndarray]:
-        # int32 (weights p^i, digits) with code x = sum(digits[i, x] * weights[i])
+    def _digits(self, x):
+        """The base-p digits of x (a code or an array of codes), low to high."""
+        digits = []
+        for _ in range(len(self.polynomial) - 2):
+            x, digit = divmod(x, self.characteristic)
+            digits.append(digit)
+        return digits + [x]  # a code is below p^k, so what is left is one digit
+
+    def _code(self, digits):
+        """The code(s) whose base-p digits are these, each reduced mod p here."""
         p = self.characteristic
-        weights = p ** np.arange(len(self.polynomial) - 1, dtype=np.int32)
-        return weights, np.arange(self.order, dtype=np.int32) // weights[:, None] % p
+        code = digits[-1] % p
+        for digit in digits[-2::-1]:
+            code = code * p + digit % p
+        return code
 
-    def _codes(self, weights: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        """The read-only order x order table of the codes whose digits are
-        coefficients[i] (reduced mod p here, in place) for weight i."""
-        coefficients %= self.characteristic
-        table = weights @ coefficients.reshape(len(weights), -1)
-        return _read_only(table.reshape(self.order, self.order))
+    def plus(self, x, y):
+        """x + y, elementwise over Python ints and int arrays alike (broadcast)."""
+        return self._code([a + b for a, b in zip(self._digits(x), self._digits(y))])
 
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        """add_table[x, y] is the code of x + y; built on first use, read-only."""
-        weights, d = self._digits()
-        return self._codes(weights, d[:, :, None] + d[:, None, :])
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        """mul_table[x, y] is the code of x * y; built on first use, read-only.
-        Built in int32, one order x order plane per coefficient, exact for
-        every prime order below 46,341 and the extension fields here."""
-        weights, d = self._digits()
-        k = len(weights)
-        product = np.zeros((2 * k - 1, self.order, self.order), dtype=np.int32)
-        for i in range(k):
-            for j in range(k):
-                product[i + j] += d[i, :, None] * d[j]
+    def times(self, x, y):
+        """x * y, elementwise like plus: the product of the digit polynomials,
+        its top degrees folded down by polynomial.  Arrays stay int32 where
+        order^2 fits in int32 and are widened to int64 above that."""
+        if self.order**2 >= 2**31:
+            x, y = (v.astype(np.int64) if isinstance(v, np.ndarray) else v for v in (x, y))
+        dx, dy = self._digits(x), self._digits(y)
+        k = len(dx)
+        product = [dx[0] * b for b in dy]
+        for i in range(1, k):
+            product.append(dx[i] * dy[-1])
+            for j in range(k - 1):
+                product[i + j] += dx[i] * dy[j]  # in place only on products made here
         # z^k = -(c_0 + ... + c_{k-1} z^{k-1}); fold the top degrees down
         for top in range(2 * k - 2, k - 1, -1):
+            t = product.pop()
             for i, c in enumerate(self.polynomial[:k]):
                 if c:
-                    product[top - k + i] -= c * product[top]
-        return self._codes(weights, product[:k])
+                    product[top - k + i] -= c * t
+        return self._code(product)
 
     def add(self, x: int, y: int) -> int:
         self._check(x), self._check(y)
-        return int(self.add_table[x, y])
+        return self.plus(x, y)
 
     def neg(self, x: int) -> int:
         self._check(x)
-        # row x of the addition table is a permutation; its zero is its minimum
-        return int(self.add_table[x].argmin())
+        return self._code([-d for d in self._digits(x)])
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         self._check(x), self._check(y)
-        return int(self.mul_table[x, y])
+        return self.times(x, y)
 
     def pow(self, x: int, e: int) -> int:
         """Repeated-squaring power; pow(x, 0) = 1 for every x."""
@@ -177,17 +178,14 @@ def signed_power_subgroup(ring: Ring, omega: int, exponents: int) -> frozenset[i
     if exponents < 1:
         raise ValueError("exponents must be at least 1")
     ring._check(omega)
-    members: set[int] = set()
-    for e in range(exponents):
-        p = ring.pow(omega, e)
-        members.add(p)
-        members.add(ring.neg(p))
+    powers = [ring.pow(omega, e) for e in range(exponents)]
+    members = {*powers, *map(ring.neg, powers)}
     if 0 in members or len(members) != 2 * exponents:
         raise NotASubgroupError(
             f"signed powers of {omega} give {len(members)} elements, want {2 * exponents}"
         )
-    h = list(members)
-    products = ring.mul_table[h][:, h].tolist()  # one lookup, not (2e)^2 ring.mul calls
+    h = np.array(list(members))
+    products = ring.times(h[:, None], h).tolist()  # one product, not (2e)^2 ring.mul calls
     if not all(members.issuperset(row) for row in products):
         raise NotASubgroupError(f"signed powers of {omega} are not closed")
     # a finite closed set holds the inverse of each unit in it
@@ -204,13 +202,7 @@ def unit_group_coset_partition(
     Cosets are returned sorted ascending internally and ordered by their
     smallest member, so the partition is deterministic.
     """
-    h = signed_power_subgroup(ring, omega, exponents)
-    seen: set[int] = set()
-    cosets: list[tuple[int, ...]] = []
-    for x in range(1, ring.order):
-        if x in seen:
-            continue
-        coset = tuple(sorted(ring.mul(x, s) for s in h))
-        seen.update(coset)
-        cosets.append(coset)
-    return cosets
+    h = np.array(list(signed_power_subgroup(ring, omega, exponents)))
+    # row x - 1 is the coset xH, sorted; x is listed first iff it is its coset's least
+    rows = np.sort(ring.times(np.arange(1, ring.order)[:, None], h), axis=1).tolist()
+    return [tuple(row) for x, row in enumerate(rows, 1) if row[0] == x]

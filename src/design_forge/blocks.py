@@ -74,6 +74,13 @@ class BaseBlock:
             raise DevelopmentError(f"order {n} is not 1 mod 96")
         return (n - 1) // 96
 
+    @functools.cached_property
+    def omega_powers(self) -> tuple[int, ...]:
+        """omega^e for 0 <= e < exponent_count, once signed_power_subgroup
+        has vetted omega (or raised); computed once per block."""
+        signed_power_subgroup(self.ring, self.omega, self.exponent_count)
+        return tuple(self.ring.pow(self.omega, e) for e in range(self.exponent_count))
+
 
 # The two-block decompositions of the complete 4-partite graph K_{4,4,4,4}
 # on Z_16 partitioned by residue class modulo 4.
@@ -142,11 +149,15 @@ def develop(block: BaseBlock) -> Certificate:
     if ring.characteristic ** (len(ring.polynomial) - 1) != n:
         raise DevelopmentError(f"addition in {ring} is not a group")
     exponents = block.exponent_count
-    signed_power_subgroup(ring, block.omega, exponents)  # omega sanity
-    factors = [ring.pow(block.omega, e) for e in range(exponents)]
-    scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
-    # [e, d, i] = omega^e * label_i + d
-    orbit = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]]
+    factors = np.array(block.omega_powers, np.int32)
+    scaled = ring.times(factors[:, None], np.array(block.labels, np.int32))
+    # [e, d, i] = omega^e * label_i + d, added digit by digit: the sums for
+    # digit j of d run along their own axis, d's highest digit outermost
+    p, k = ring.characteristic, len(ring.polynomial) - 1
+    shifts = np.arange(p, dtype=np.int32)[:, None]
+    orbit = ring._code([
+        (digit[:, None, :] + shifts).reshape(exponents, *(1,) * (k - 1 - j), p, *(1,) * j, 16)
+        for j, digit in enumerate(ring._digits(scaled))]).reshape(exponents, n, 16)
     heads = orbit[:, 0]
     ordered = np.sort(heads, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)

@@ -183,14 +183,14 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
     # the one check of the design handed out: nothing is written unless it passes
     report = verify_gdd(design)
     if not report.passed:
-        print(f"error: 4-GDD of type {gdd_type} failed verification: {report.summary()}",
+        print(f"error: 4-GDD of type {design.gdd_type} failed verification: {report.summary()}",
               file=sys.stderr)
         return 1
     if args.out is not None:
         write_gdd_file(design, args.out)
-        print(f"{args.out}: 4-GDD of type {gdd_type}, {len(design.blocks)} blocks, verified")
+        print(f"{args.out}: 4-GDD of type {design.gdd_type}, {len(design.blocks)} blocks, verified")
     else:
-        print(f"4-GDD of type {gdd_type}, {len(design.blocks)} blocks, verified")
+        print(f"4-GDD of type {design.gdd_type}, {len(design.blocks)} blocks, verified")
     if design.provenance:
         print(f"  via {design.provenance}")
     return 0

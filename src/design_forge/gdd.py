@@ -18,10 +18,10 @@ exact-cover search, gdd_24_t) returns an unverified claim; a defect in
 any of those steps fails the check at the boundary it reaches, or
 construct_design's certify of the design assembled from it.
 
-MOLS are one read-only (s, m, m) int32 array.  mols_for_order reads field
-MOLS L_a(x, y) = a*x + y off the add/mul tables of algebra.Ring.field(m),
-the package's one home of field arithmetic, and forms MOLS(24) as their
-Kronecker (MacNeish) product.
+MOLS are one read-only (s, m, m) int32 array.  mols_for_order computes
+field MOLS L_a(x, y) = a*x + y elementwise over the (a, x, y) grid in
+algebra.Ring.field(m), the package's one home of field arithmetic, and
+forms MOLS(24) as their Kronecker (MacNeish) product.
 
 Routes to the 4-GDDs of type 24^t consumed by the top-level assembly:
 
@@ -43,9 +43,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import Ring, RingError, _read_only
+from .algebra import Ring, RingError
 from .certify import CertReport, PairCounter, _ascii_ints, _content_lines
 from .targets import as_block_array
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class GddError(ValueError):
@@ -213,7 +218,8 @@ def mols_for_order(m: int) -> np.ndarray:
         f = Ring.field(m)
     except RingError:
         raise UnsupportedOrderError(f"no MOLS construction for order {m}") from None
-    return _read_only(f.add_table[f.mul_table[1:, :, None], np.arange(m)])
+    r = np.arange(m, dtype=np.int32)
+    return _read_only(f.plus(f.times(r[1:, None, None], r[:, None]), r))
 
 
 # --- transversal designs and inflation --------------------------------------

@@ -125,9 +125,9 @@ def test_block_count_formula():
 def test_construct_and_write_of_481_peak_under_0_42_mib(tmp_path):
     # the uint8 counts of its 115,440 pairs with one slice, then the
     # 2405-row block array joined from the slices beside them (0.335 MiB
-    # measured, warm); int32 ring tables and 1024-row label and 512-row
-    # write slices keep every other stage below that (0.524 MiB before them)
-    construct_design(TargetId.LINE_K44, 481)  # the first call builds the catalog's ring tables
+    # measured, warm); 1024-row label and 512-row write slices keep every
+    # other stage below that (0.524 MiB before them)
+    construct_design(TargetId.LINE_K44, 481)  # the first call loads the catalog
     gc.collect()
     tracemalloc.start()
     try:

@@ -205,8 +205,8 @@ def _develop_sorting_every_row(block: BaseBlock) -> np.ndarray:
     exponents = block.exponent_count
     signed_power_subgroup(ring, block.omega, exponents)
     factors = [ring.pow(block.omega, e) for e in range(exponents)]
-    scaled = ring.mul_table[np.array(factors)[:, None], np.array(block.labels)]
-    blocks = ring.add_table[scaled[:, None, :], np.arange(n)[None, :, None]].reshape(-1, 16)
+    scaled = ring.times(np.array(factors)[:, None], np.array(block.labels))
+    blocks = ring.plus(scaled[:, None, :], np.arange(n)[:, None]).reshape(-1, 16)
     ordered = np.sort(blocks, axis=1)
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeats.any():

@@ -203,6 +203,18 @@ def test_gdd_subcommand_writes_a_verified_file(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("asked", ["24^2 24^3", "24^5"])
+def test_gdd_prints_the_type_of_the_file_it_wrote(tmp_path, capsys, asked):
+    # 24^2 24^3 is the type 24^5 written another way; the design handed out
+    # says 24^5, and so do its file's header and the message
+    out = tmp_path / "g.txt"
+    assert main(["gdd", "--type", asked, "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert header == "gdd 4 24^5"
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed == f"{out}: 4-GDD of type {header.split(maxsplit=2)[2]}, 960 blocks, verified"
+
+
 @pytest.mark.parametrize("gdd_type, reason", [
     ("3^3", "cross pairs not a multiple of 6"),  # 27 cross pairs
     ("3^6", "cross pairs not a multiple of 6"),  # 135 cross pairs
