@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -178,7 +179,7 @@ def signed_power_subgroup(ring: Ring, omega: int, exponents: int) -> frozenset[i
     if exponents < 1:
         raise ValueError("exponents must be at least 1")
     ring._check(omega)
-    powers = [ring.pow(omega, e) for e in range(exponents)]
+    powers = list(accumulate(repeat(omega, exponents - 1), ring.mul, initial=1))
     members = {*powers, *map(ring.neg, powers)}
     if 0 in members or len(members) != 2 * exponents:
         raise NotASubgroupError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class BaseBlock:
         """omega^e for 0 <= e < exponent_count, once signed_power_subgroup
         has vetted omega (or raised); computed once per block."""
         signed_power_subgroup(self.ring, self.omega, self.exponent_count)
-        return tuple(self.ring.pow(self.omega, e) for e in range(self.exponent_count))
+        return tuple(accumulate(repeat(self.omega, self.exponent_count - 1), self.ring.mul,
+                                initial=1))
 
 
 # The two-block decompositions of the complete 4-partite graph K_{4,4,4,4}

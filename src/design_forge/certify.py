@@ -17,13 +17,10 @@ a failing report, not an exception.  A complete-mode header whose block
 count is wrong and whose blocks cannot cover half its pairs fails on the
 count alone, with no pair counting, so memory follows the file.
 
-A complete-mode certificate with the right block count and every label
-in 0..n-1 is first counted whole, with no label check: if every pair is
-covered exactly once, it passes on its counts alone.  That is sound as
-each target is srg(16, 6, 2, 2): with lambda = mu = 2, any two positions
-i, j of a row have a common neighbour k, so a row with row[i] = row[j]
-reads one pair index through both edges ik and jk and some count is not
-1.  Only where the counts fail are the rows sorted for a repeated label.
+Every other certificate with every label in 0..n-1 is first counted
+whole, with no label check: if every pair is covered exactly once, it
+passes on its counts alone (certify says why that is sound).  Only where
+the counts fail are the rows sorted for a repeated label.
 
 certify_raw_edges adds one check: the target's edge table must match its
 definition.  Blocks need no search, as a row of 16 distinct labels reads
@@ -184,7 +181,7 @@ class PairCounter:
     def __init__(self, n: int, ends: Sequence[np.ndarray], dtype=np.uint8):
         """Empty counts in dtype.  Each row added hits the pair {row[ends[0][j]],
         row[ends[1][j]]} for every j.  A label l at both ends of an edge hits
-        index l(l+1)/2, the pair {l, l+1}, or for l = n-1 a spare count past
+        index l(l+1)/2, the pair {0, l+1}, or for l = n-1 a spare count past
         the pairs, so every hit of a row with labels in 0..n-1 lands in a
         count and once still means every count is 1 (see certify); the other
         counts are exact only for rows of distinct labels."""
@@ -217,16 +214,19 @@ class PairCounter:
     @property
     def once(self) -> bool:
         """Every count is 1: hits as many as the pairs, and no count 0 (a
-        wrapped count that reads above 0 stands for more hits than that)."""
+        wrapped count that reads above 0 stands for more hits than that).
+        The one pass test of certify and certify_slices (see certify)."""
         return self.hits == len(self.counts) and self.counts.min(initial=1) > 0
 
     @property
     def exact(self) -> bool:
         """Whether the counts of rows of distinct labels are exact.  Such a
         row covers a pair at most once, so they are where no more rows count
-        than the dtype holds, where once holds, or where the counts sum to the
-        hits made, as a wrapped count loses a multiple of its dtype's range."""
-        return (self.rows <= np.iinfo(self._all.dtype).max or self.once
+        than the dtype holds, or where the counts sum to the hits made, as a
+        wrapped count loses a multiple of its dtype's range.  Where once
+        holds the sum proves it: a wrap loses at least 256 hits, and with
+        hits as many as the pairs and no count 0 none can be lost."""
+        return (self.rows <= np.iinfo(self._all.dtype).max
                 or self._all.sum(dtype=np.min_scalar_type(self.hits)) == self.hits)
 
     def add(self, rows: np.ndarray, counted: np.ndarray | None = None, sign: int = 1) -> None:
@@ -251,16 +251,13 @@ class PairCounter:
         """The wrong pairs: those covered other than once across groups, or
         at all inside one group.  ((u, v), count capped at 255) of the first
         _LISTED_PAIRS in index order, and how many there are; each slice of
-        pairs has the pairs inside groups that fall in it patched in.  With
-        every count 1 and no pair inside a group there is nothing to scan."""
+        pairs has the pairs inside groups that fall in it patched in."""
         inside = []
         for group in groups:
             points = np.fromiter(group, dtype=np.int32)
             tri = _pair_index(np.zeros_like(points), points, self.n)  # of the pairs (0, p)
             inside.append((tri + points[:, None])[points[:, None] < points])
         inside = np.sort(np.concatenate(inside)) if inside else np.zeros(0, np.int32)
-        if self.once and not len(inside):
-            return [], 0
         listed, total = [], 0
         for start in range(0, len(self.counts), _SCAN_PAIRS):
             counts = self.counts[start : start + _SCAN_PAIRS]
@@ -329,16 +326,17 @@ def _slice_counts(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> Pai
 def certify(cert: Certificate) -> CertReport:
     """Check a certificate by exact pair counting; all findings go in the report.
 
-    A complete-mode certificate with the right block count and every label
-    in 0..n-1 has every row counted first, with no label check, and passes
-    if every pair is covered once.  No row that repeats a label can leave
-    every count 1: each target is srg(16, 6, 2, 2), so with lambda = mu = 2
-    any two positions i, j have a common neighbour k, and row[i] = row[j]
-    makes edges ik and jk hit one pair index.  Otherwise _counted_rows
-    checks the labels as for every other certificate, and the hits of the
-    bad rows it finds are taken back out of those counts, which leaves the
-    good rows' counts; only where they cannot be proved exact are the good
-    rows counted again, as PairCounter.of counts every other certificate."""
+    A certificate with every label in 0..n-1 has every row counted first,
+    with no label check, and passes if every pair is covered once.  That
+    needs rows * 48 hits, as many as the pairs: in complete mode exactly
+    the n(n-1)/96 rows expected, in 4partite mode (120 pairs) never.  And
+    no row that repeats a label can leave every count 1: each target is
+    srg(16, 6, 2, 2), so with lambda = mu = 2 any two positions i, j have
+    a common neighbour k, and row[i] = row[j] makes edges ik and jk hit
+    one pair index.  Otherwise _counted_rows checks the labels, and the
+    hits of the bad rows it finds are taken back out of those counts;
+    where a label is out of range, or the good rows' counts left cannot
+    be proved exact, PairCounter.of counts the good rows."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -354,11 +352,9 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
-    counter = None
-    if mode is CertMode.COMPLETE and len(blocks) == expected:
-        counter = _slice_counts(cert.target, n, [blocks])
-        if counter is not None and counter.once:
-            return report
+    counter = _slice_counts(cert.target, n, [blocks])
+    if counter is not None and counter.once:
+        return report
     counted = _counted_rows(blocks, n, report.label_errors)
     if counter is not None and not counted.all():
         counter.add(blocks, ~counted, sign=-1)

@@ -325,13 +325,11 @@ def exact_cover_search(
         raise GddError("block size must be at least 2")
     if gdd_type.group_count() < k or gdd_type.block_count(k) is None:
         return None  # too few groups for a block, or blocks cannot tile the cross pairs
-    group_of = gdd_type.group_of().tolist()
-    # pair a < b is bit a * n + b, so pairs order as (a, b) does
-    cross = [a * n + b for a, b in combinations(range(n), 2) if group_of[a] != group_of[b]]
 
     # groups are ascending ranges, so each product is already a sorted block
     rows = [pts for chosen in combinations(gdd_type.group_ranges(), k) for pts in product(*chosen)]
     random.Random(seed).shuffle(rows)
+    # pair a < b is bit a * n + b, so pairs order as (a, b) does
     row_pairs = [[a * n + b for a, b in combinations(row, 2)] for row in rows]
     rows_of = [0] * (n * n)  # bit r of rows_of[pair] is set when row r holds pair
     for r, pairs in enumerate(row_pairs):
@@ -371,7 +369,9 @@ def exact_cover_search(
             options ^= low
         return False
 
-    if not search(sum(1 << pair for pair in cross), (1 << len(rows)) - 1):
+    # the pairs some row holds are the cross pairs only with k groups or more
+    # (the return above): with fewer there are no rows, and none to cover
+    if not search(sum(1 << p for p, held in enumerate(rows_of) if held), (1 << len(rows)) - 1):
         return None
     return Gdd(
         gdd_type=gdd_type,

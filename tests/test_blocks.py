@@ -273,3 +273,19 @@ def test_develop_needs_ring_addition_to_be_a_group():
     block = BaseBlock(tuple(range(16)), TargetId.SHRIKHANDE, ring, 1)
     with pytest.raises(DevelopmentError, match="not a group"):
         develop(block)
+
+
+def test_a_fresh_block_takes_the_powers_of_omega_one_product_each(monkeypatch):
+    # each power of omega is the one before it times omega, never a
+    # repeated-squaring Ring.pow from scratch
+    catalogued = paper_base_blocks(TargetId.LINE_K44, 289)
+    want = develop(catalogued).blocks
+
+    def no_pow(*args):
+        raise AssertionError("Ring.pow called")
+
+    monkeypatch.setattr(Ring, "pow", no_pow)
+    fresh = [BaseBlock(catalogued.labels, catalogued.target, Ring.field(289), catalogued.omega)
+             for _ in range(2)]
+    assert np.array_equal(develop(fresh[0]).blocks, want)
+    assert difference_transversal_check(fresh[1])

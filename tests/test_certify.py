@@ -1113,6 +1113,15 @@ def test_pair_counter_counts_only_the_counted_rows_of_each_chunk(data):
     assert counter.errors(groups) == (errors, len(errors))
 
 
+@pytest.mark.parametrize("n", [97, 481])
+def test_a_label_at_both_ends_of_an_edge_hits_pair_0_and_one_past_it(n):
+    # l(l+1)/2 is the pair {0, l+1}, and for l = n - 1 the spare count
+    labels = np.arange(n - 1)
+    assert np.array_equal(_pair_index(labels.copy(), labels.copy(), n),
+                          _pair_index(np.zeros_like(labels), labels + 1, n))
+    assert _pair_index(np.array([n - 1]), np.array([n - 1]), n).tolist() == [n * (n - 1) // 2]
+
+
 @pytest.mark.parametrize(("n", "dtype"), [(46_341, np.int32), (46_342, np.int64), (46_343, np.int64)])
 def test_pair_index_is_exact_across_the_int32_boundary(n, dtype):
     # int32 holds n(n-1) up to n = 46341; at 46343 (n-1)(n-2) itself overflows it
@@ -1248,7 +1257,7 @@ def test_a_wrap_among_as_many_hits_as_pairs_is_counted_again():
 
 def test_as_many_hits_as_pairs_with_a_pair_missed_and_a_pair_doubled_list_both():
     # K_3 hit three times, {0, 1} twice and {0, 2} never: the hits alone
-    # match a design's, so only the zero test keeps errors() scanning
+    # match a design's, so only the zero test keeps the counts from passing
     rows = np.array([[0, 1], [1, 0], [1, 2]], dtype=np.int32)
     counter = PairCounter.of(3, rows, np.ones(3, dtype=bool), ([0], [1]))
     assert counter.counts.tolist() == [2, 0, 1]
@@ -1341,10 +1350,10 @@ def test_raw_reports_what_certify_reports_on_a_corrupted_certificate(cert):
 
 # --- the pass path: a design proved by its counts alone --------------------
 #
-# certify counts a complete-mode certificate with the right block count and
-# every label in range before any label check, and passes it if every count
-# is 1.  _certify_sorting_every_row is certify as it was before that, every
-# row sorted for a repeated label first, kept as the oracle.
+# certify counts every certificate with every label in range before any
+# label check, and passes it if every count is 1.  _certify_sorting_every_row
+# is certify as it was before that, every row sorted for a repeated label
+# first, kept as the oracle.
 
 
 def _certify_sorting_every_row(cert):
@@ -1404,16 +1413,34 @@ def test_certify_reports_what_sorting_every_row_reported(target, n):
     design = construct_design(target, n)
     passed = CertReport(count_expected=len(design.blocks), count_actual=len(design.blocks))
     assert certify(design) == certify_raw_edges(design) == _certify_sorting_every_row(design) == passed
+    pieces = Certificate(target, 16, CertMode.FOUR_PARTITE, k4444_decomposition(target))
+    assert certify(pieces) == _certify_sorting_every_row(pieces) == CertReport(2, 2)
     table = target_graph(target).graph
     rng = random.Random(n)
+    failing = []
     for kind in ("copied to an adjacent position", "copied to a non-adjacent position",
                  "edge (1, 2) ends n - 1", "moved"):
         for _ in range(5):
-            cert = replace(design, blocks=_edited_rows(design.blocks, n, table, kind, rng))
-            want = _certify_sorting_every_row(cert)
-            assert not want.passed
-            assert certify(cert) == want, kind
-            assert certify_raw_edges(cert) == want, kind
+            rows = _edited_rows(design.blocks, n, table, kind, rng)
+            failing.append((kind, replace(design, blocks=rows)))
+    # block counts other than n(n-1)/96, all counted before any label check
+    extra = design.blocks[:1].copy()
+    extra[0, 1] = extra[0, 0]
+    for kind, rows in (("a row dropped", design.blocks[1:]),
+                       ("a row doubled", np.vstack([design.blocks, design.blocks[:1]])),
+                       ("a row added that repeats a label", np.vstack([design.blocks, extra]))):
+        failing.append((kind, replace(design, blocks=rows)))
+    # 4partite files, counted too, though 48 hits a row never make 120 pairs
+    for i in range(2):
+        rows = pieces.blocks.copy()
+        position = rng.randrange(16)
+        rows[i, position] = (rows[i, position] + 1) % 16
+        failing.append((f"piece {i} with a label edited", replace(pieces, blocks=rows)))
+    for kind, cert in failing:
+        want = _certify_sorting_every_row(cert)
+        assert not want.passed
+        assert certify(cert) == want, kind
+        assert certify_raw_edges(cert) == want, kind
 
 
 def test_shipped_designs_pass_with_no_label_check(monkeypatch):
