@@ -29,11 +29,11 @@ through the table as a copy of it, v -> row[v-1] being the isomorphism.
 PairCounter is the package's one pair counter, to which rows are added a
 slice at a time.  certify and certify_slices share one count pass,
 _slice_counts, over a file's rows or a design never held whole
-(assemble.construct_design); rows it cannot prove, and gdd.verify_gdd's,
-are counted by PairCounter.of.  Every report caps its pair counts at 255
-and lists the first 1000 wrong pairs beside the exact number of them.
-Its memory follows the n(n-1)/2 pairs: one uint8 count per pair (a wider
-one only where a count passes 255), plus one slice of rows or pairs at a
+(assemble.construct_design); PairCounter.prove makes exact the counts of
+a failing file and gdd.verify_gdd's.  Every report caps its pair counts
+at 255 and lists the first 1000 wrong pairs beside the exact number of
+them.  Its memory is one uint8 count per pair (freed before wider ones
+exist where a count passes 255) and one slice of rows or pairs at a
 time, never a whole-pair mask or a sorted copy of every block.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
@@ -150,9 +150,10 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return index
 
 
-# Rows per np.add.at, 6144 pair hits.  Their indices are built in int32, as
-# that and np.add.at's own intp copy of them peak lower than indices built
-# in intp; 256 rows raised the peak of certify of 289 from 0.13 to 0.18 MiB.
+# Rows per np.add.at, 6144 pair hits.  Their indices are built in int32, which
+# peaks lower than intp, and cast to intp with the int32 freed before np.add.at
+# runs, as it copies any other index to intp beside it; 256 rows raised the
+# peak of certify of 289 from 0.11 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
 # Rows per sorted copy in _counted_rows, which runs only where the counts
@@ -178,33 +179,26 @@ class PairCounter:
     are added a slice at a time, _CHUNK_ROWS rows at a time: the counts,
     and one chunk's pair indices, are all it holds."""
 
-    def __init__(self, n: int, ends: Sequence[np.ndarray], dtype=np.uint8):
-        """Empty counts in dtype.  Each row added hits the pair {row[ends[0][j]],
+    def __init__(self, n: int, ends: Sequence[np.ndarray]):
+        """Empty uint8 counts.  Each row added hits the pair {row[ends[0][j]],
         row[ends[1][j]]} for every j.  A label l at both ends of an edge hits
         index l(l+1)/2, the pair {0, l+1}, or for l = n-1 a spare count past
         the pairs, so every hit of a row with labels in 0..n-1 lands in a
         count and once still means every count is 1 (see certify); the other
-        counts are exact only for rows of distinct labels."""
+        counts are exact only for rows of distinct labels (see prove)."""
         self.n = n
         self.ends = ends
         self.rows = 0
-        self._all = np.zeros(n * (n - 1) // 2 + 1, dtype)  # the pairs, then the spare count
+        self._all = np.zeros(n * (n - 1) // 2 + 1, np.uint8)  # the pairs, then the spare count
         self.counts = self._all[:-1]
 
     @classmethod
     def of(cls, n: int, rows: np.ndarray, counted: np.ndarray | None,
            ends: Sequence[np.ndarray]) -> "PairCounter":
-        """The exact counts of the rows with counted[i] (every row where counted
-        is None), in uint8, and where those are not exact (see exact) again in
-        the narrowest dtype that holds the number of rows."""
-        rows_counted = len(rows) if counted is None else int(np.count_nonzero(counted))
-        wider = np.min_scalar_type(rows_counted)  # holds every count
-        for dtype in (np.uint8, wider):
-            counter = None  # free the uint8 counts before the wide ones exist
-            counter = cls(n, ends, dtype)
-            counter.add(rows, counted)
-            if counter.exact:
-                break
+        """The rows with counted[i] (all where counted is None), added and proved."""
+        counter = cls(n, ends)
+        counter.add(rows, counted)
+        counter.prove(rows, counted)
         return counter
 
     @property
@@ -218,16 +212,20 @@ class PairCounter:
         The one pass test of certify and certify_slices (see certify)."""
         return self.hits == len(self.counts) and self.counts.min(initial=1) > 0
 
-    @property
-    def exact(self) -> bool:
-        """Whether the counts of rows of distinct labels are exact.  Such a
-        row covers a pair at most once, so they are where no more rows count
-        than the dtype holds, or where the counts sum to the hits made, as a
-        wrapped count loses a multiple of its dtype's range.  Where once
-        holds the sum proves it: a wrap loses at least 256 hits, and with
-        hits as many as the pairs and no count 0 none can be lost."""
-        return (self.rows <= np.iinfo(self._all.dtype).max
-                or self._all.sum(dtype=np.min_scalar_type(self.hits)) == self.hits)
+    def prove(self, rows: np.ndarray, counted: np.ndarray | None = None) -> None:
+        """Make exact the counts of the rows with counted[i], added and not
+        taken back, each of distinct labels and so covering a pair at most
+        once.  The counts stay where no more rows count than their dtype
+        holds, or where they sum to the hits made, as a wrap loses a multiple
+        of the dtype's range; else they are freed and the same rows counted
+        once more, in the narrowest dtype that holds their number."""
+        if (self.rows > np.iinfo(self._all.dtype).max
+                and self._all.sum(dtype=np.min_scalar_type(self.hits)) != self.hits):
+            dtype, size = np.min_scalar_type(self.rows), len(self._all)
+            self._all = self.counts = None  # free the uint8 counts before the wide ones exist
+            self._all = np.zeros(size, dtype)
+            self.counts, self.rows = self._all[:-1], 0
+            self.add(rows, counted)
 
     def add(self, rows: np.ndarray, counted: np.ndarray | None = None, sign: int = 1) -> None:
         """Add the hits of the rows with counted[i] (every row where counted
@@ -242,7 +240,8 @@ class PairCounter:
                 chunk = chunk[keep]
             # one axis of indices takes ufunc.at's faster path; a gather along
             # axis 1 is laid out column by column, which ravel("K") keeps uncopied
-            at(self._all, _pair_index(chunk[:, u], chunk[:, v], self.n).ravel("K"), one)
+            at(self._all, _pair_index(chunk[:, u], chunk[:, v], self.n).ravel("K")
+               .astype(np.intp, copy=False), one)
             self.rows += sign * len(chunk)
 
     def errors(
@@ -334,9 +333,9 @@ def certify(cert: Certificate) -> CertReport:
     srg(16, 6, 2, 2), so with lambda = mu = 2 any two positions i, j have
     a common neighbour k, and row[i] = row[j] makes edges ik and jk hit
     one pair index.  Otherwise _counted_rows checks the labels, and the
-    hits of the bad rows it finds are taken back out of those counts;
-    where a label is out of range, or the good rows' counts left cannot
-    be proved exact, PairCounter.of counts the good rows."""
+    hits of the bad rows it finds are taken back out of those counts, or
+    where a label is out of range the good rows are counted; then
+    PairCounter.prove counts them again, wider, only if it must."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -356,11 +355,12 @@ def certify(cert: Certificate) -> CertReport:
     if counter is not None and counter.once:
         return report
     counted = _counted_rows(blocks, n, report.label_errors)
-    if counter is not None and not counted.all():
+    if counter is None:  # a label out of range stopped the count pass
+        counter = PairCounter(n, target_graph(cert.target).edge_ends)
+        counter.add(blocks, counted)
+    elif not counted.all():
         counter.add(blocks, ~counted, sign=-1)
-    if counter is None or not counter.exact:
-        counter = None  # free the first counts before the recount
-        counter = PairCounter.of(n, blocks, counted, target_graph(cert.target).edge_ends)
+    counter.prove(blocks, counted)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
     return report

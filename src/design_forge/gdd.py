@@ -170,12 +170,12 @@ def verify_gdd(design: Gdd) -> CertReport:
     k = design.k
     report = CertReport(design.gdd_type.block_count(k), len(design.blocks))
 
-    group_of = design.gdd_type.group_of()
     blocks = np.sort(design.blocks, axis=1)
     repeated = (blocks[:, 1:] == blocks[:, :-1]).any(axis=1)
     outside = (blocks[:, 0] < 0) | (blocks[:, -1] >= n)
     counted = ~(repeated | outside)  # a block sharing a group still counts
-    block_groups = np.sort(group_of[np.where(counted[:, None], blocks, 0)], axis=1)
+    # sorted rows over consecutive-range groups: each row's groups already ascend
+    block_groups = design.gdd_type.group_of()[np.where(counted[:, None], blocks, 0)]
     shared = counted & (block_groups[:, 1:] == block_groups[:, :-1]).any(axis=1)
     for idx in np.flatnonzero(~counted | shared).tolist():
         if repeated[idx]:

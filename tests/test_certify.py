@@ -1301,8 +1301,8 @@ def test_counts_across_the_uint16_boundary_match_the_reference(rows, dtype):
 
 
 def test_certify_of_481_peaks_under_0_23_mib():
-    # 115,440 uint8 counts and the int32 pair indices of one chunk of rows
-    # (0.191 MiB measured); int64 counts over all blocks at once peaked at
+    # 115,440 uint8 counts and the intp pair indices of one chunk of rows
+    # (0.183 MiB measured); int64 counts over all blocks at once peaked at
     # 3.66 MiB, int64 indices over gathered chunks at 0.49 MiB, uint16
     # counts at 0.34 MiB, and one sorted copy of all 2405 rows at 0.25 MiB
     design = construct_design(TargetId.LINE_K44, 481)
@@ -1506,6 +1506,62 @@ def test_a_failing_481_design_is_counted_once_with_its_bad_rows_taken_back_out(m
     assert report.label_errors == ["block 1500: repeated label"]
     assert sum(indexed) < 1.1 * 2405 * 48
     assert report == _certify_sorting_every_row(cert)
+
+
+@pytest.mark.parametrize(("out_of_range", "label_errors", "rows_indexed"), [
+    (False, [], 2 * 2705),
+    (True, ["block 1000: label out of range 0..480"], 2 * 2704),
+], ids=["in range", "a label out of range"])
+def test_a_481_design_whose_counts_wrap_is_counted_once_in_uint8_and_once_wide(
+        monkeypatch, out_of_range, label_errors, rows_indexed):
+    # block 0 repeated 300 more times covers its pairs 301 times, which wrap
+    # in uint8: the counts of the rows in range are proved short of their
+    # hits and counted again wide, never a second time in uint8.  A label
+    # out of range stops the count pass before any row is added.
+    design = construct_design(TargetId.LINE_K44, 481)
+    rows = np.vstack([np.repeat(design.blocks[:1], 301, axis=0), design.blocks[1:]])
+    if out_of_range:
+        rows[1000, 3] = 481
+    cert = replace(design, blocks=rows)
+    module = sys.modules[certify.__module__]
+    real, indexed = module._pair_index, []
+
+    def spy(u, v, n):
+        if u.ndim == 2:  # a chunk's gather; errors() indexes its listed pairs in 1-D
+            indexed.append(u.size)
+        return real(u, v, n)
+
+    monkeypatch.setattr(module, "_pair_index", spy)
+    report = certify(cert)
+    monkeypatch.undo()
+    assert sum(indexed) == rows_indexed * 48
+    assert report.label_errors == label_errors
+    assert report == _certify_sorting_every_row(cert)
+    pair = tuple(sorted(design.blocks[0, :2].tolist()))
+    assert (pair, 255) in report.pair_errors
+
+
+def test_prove_frees_the_uint8_counts_before_the_wide_ones_exist():
+    # the same 2705 rows: any moment holding both counts would hold both
+    # their bytes, which no end-to-end peak shows, as errors() and reading
+    # the file peak higher
+    design = construct_design(TargetId.LINE_K44, 481)
+    rows = np.vstack([np.repeat(design.blocks[:1], 301, axis=0), design.blocks[1:]])
+    graph = target_graph(design.target)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        counter = PairCounter(481, graph.edge_ends)
+        counter.add(rows)
+        narrow = counter.counts.nbytes
+        tracemalloc.reset_peak()
+        counter.prove(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counter.counts.dtype == np.uint16
+    assert np.array_equal(counter.counts, _count_pair_coverage(481, rows, graph.edges))
+    assert peak < narrow + counter.counts.nbytes
 
 
 def test_good_rows_whose_counts_wrap_are_counted_again_wide_after_a_bad_row_is_taken_out():
