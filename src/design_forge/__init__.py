@@ -26,6 +26,7 @@ from .certify import (
     CertMode,
     CertReport,
     certify,
+    certify_file,
     certify_raw_edges,
     read_certificate,
     write_certificate,
@@ -67,6 +68,7 @@ __all__ = [
     "admissible",
     "catalog",
     "certify",
+    "certify_file",
     "certify_raw_edges",
     "construct_design",
     "develop",

@@ -18,23 +18,32 @@ count is wrong and whose blocks cannot cover half its pairs fails on the
 count alone, with no pair counting, so memory follows the file.
 
 Every other certificate with every label in 0..n-1 is first counted
-whole, with no label check: if every pair is covered exactly once, it
-passes on its counts alone (certify says why that is sound).  Only where
-the counts fail are the rows sorted for a repeated label.
+with no label check: if every pair is covered exactly once, it passes on
+its counts alone (certify says why that is sound).  Only where a count
+exceeds 1, or the counts fail, are the rows sorted for a repeated label.
 
-certify_raw_edges adds one check: the target's edge table must match its
-definition.  Blocks need no search, as a row of 16 distinct labels reads
-through the table as a copy of it, v -> row[v-1] being the isomorphism.
+certify_raw_edges adds one check, edge_table_errors: the target's edge
+table must match its definition.  Blocks need no search, as a row of 16
+distinct labels reads through the table as a copy of it, v -> row[v-1]
+being the isomorphism.
 
 PairCounter is the package's one pair counter, to which rows are added a
-slice at a time.  certify and certify_slices share one count pass,
-_slice_counts, over a file's rows or a design never held whole
-(assemble.construct_design); PairCounter.prove makes exact the counts of
-a failing file and gdd.verify_gdd's.  Every report caps its pair counts
-at 255 and lists the first 1000 wrong pairs beside the exact number of
-them.  Its memory is one uint8 count per pair (freed before wider ones
-exist where a count passes 255) and one slice of rows or pairs at a
-time, never a whole-pair mask or a sorted copy of every block.
+slice at a time.  _Tally is the one count-and-check routine of certify,
+over a certificate's blocks as one slice, and of certify_file, over a
+file's pieces; certify_slices counts a design never held whole
+(assemble.construct_design) with the same range check (_added), and
+PairCounter.prove makes exact the counts of a failing certificate and
+gdd.verify_gdd's.  Every report caps its pair counts at 255 and lists the
+first 1000 wrong pairs beside the exact number of them.  Its memory is
+one uint8 count per pair (freed before wider ones exist where a count
+passes 255) and one slice of rows or pairs at a time, never a whole-pair
+mask or a sorted copy of every block.
+
+certify_file, verify's reader, streams a file as construct writes it: a
+piece of its body at a time is parsed and counted by a _Tally, so it
+holds the counts and one piece, never the file's bytes or its block
+array.  A file it does not take, or whose tally does not settle, is read
+whole by parse_certificate and checked by certify.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
 a design's slices one at a time, so their memory follows one slice, not
@@ -46,6 +55,7 @@ from __future__ import annotations
 import codecs
 import enum
 import io
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -157,10 +167,13 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 _CHUNK_ROWS = 128
 
 # Rows per sorted copy in _counted_rows, which runs only where the counts
-# do not prove the design (see certify), and so may run beside them: 1024
-# rows sort into 64 KiB and compare in 16 KiB more, which with the 481
-# design's uint8 counts stays below the counts plus one chunk (185 KiB);
-# 4096 rows took 256 KiB and set the peak of certify there.
+# do not prove the design (see _Tally), and so runs beside them: 1024 rows
+# sort into 64 KiB and compare in 16 KiB more.  certify of the lk44 481
+# design with one repeated label peaks at 206,874 B in the label check, the
+# counts, the blocks and one sorted copy, below its 236,735 B in
+# PairCounter.errors; verify of that file, whose slices hold fewer rows,
+# peaks at 158,918 B in the check.  4096 rows took 256 KiB and set the peak
+# of certify there.
 _SORT_ROWS = 1024
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
@@ -209,18 +222,24 @@ class PairCounter:
     def once(self) -> bool:
         """Every count is 1: hits as many as the pairs, and no count 0 (a
         wrapped count that reads above 0 stands for more hits than that).
-        The one pass test of certify and certify_slices (see certify)."""
+        The one pass test of certify, certify_slices and certify_file (see
+        certify)."""
         return self.hits == len(self.counts) and self.counts.min(initial=1) > 0
+
+    @property
+    def exact(self) -> bool:
+        """The counts, spare included, sum to the hits made: no count has
+        wrapped, as a wrap loses a multiple of the dtype's range."""
+        return self._all.sum(dtype=np.min_scalar_type(self.hits)) == self.hits
 
     def prove(self, rows: np.ndarray, counted: np.ndarray | None = None) -> None:
         """Make exact the counts of the rows with counted[i], added and not
         taken back, each of distinct labels and so covering a pair at most
         once.  The counts stay where no more rows count than their dtype
-        holds, or where they sum to the hits made, as a wrap loses a multiple
-        of the dtype's range; else they are freed and the same rows counted
-        once more, in the narrowest dtype that holds their number."""
-        if (self.rows > np.iinfo(self._all.dtype).max
-                and self._all.sum(dtype=np.min_scalar_type(self.hits)) != self.hits):
+        holds, or where they are exact; else they are freed and the same
+        rows counted once more, in the narrowest dtype that holds their
+        number."""
+        if self.rows > np.iinfo(self._all.dtype).max and not self.exact:
             dtype, size = np.min_scalar_type(self.rows), len(self._all)
             self._all = self.counts = None  # free the uint8 counts before the wide ones exist
             self._all = np.zeros(size, dtype)
@@ -287,10 +306,11 @@ def _header_outruns_blocks(report: CertReport, n: int) -> bool:
     return report.count_actual != report.count_expected and n * (n - 1) > 192 * report.count_actual
 
 
-def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str]) -> np.ndarray:
+def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str],
+                  first: int = 0) -> np.ndarray:
     """Per row: whether its labels are distinct and lie in 0..n-1, read off
     sorted copies of _SORT_ROWS rows at a time; every other row's label
-    error joins label_errors."""
+    error joins label_errors, blocks[0] being block first."""
     counted = np.empty(len(blocks), dtype=bool)
     for start in range(0, len(blocks), _SORT_ROWS):
         ordered = np.sort(blocks[start : start + _SORT_ROWS], axis=1)
@@ -304,38 +324,94 @@ def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str]) -> np.nda
         bad = out_of_range | repeats.any(axis=1)
         for idx in np.flatnonzero(bad).tolist():
             problem = f"label out of range 0..{n - 1}" if out_of_range[idx] else "repeated label"
-            label_errors.append(f"block {start + idx}: {problem}")
+            label_errors.append(f"block {first + start + idx}: {problem}")
         np.logical_not(bad, out=counted[start : start + _SORT_ROWS])
         del ordered, repeats  # before the next slice's copies exist
     return counted
 
 
-def _slice_counts(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> PairCounter | None:
-    """The uint8 counts of rows that come as slices, one held at a time, or
-    None at the first label outside 0..n-1: certify's and certify_slices'."""
-    counter = PairCounter(n, target_graph(target).edge_ends)
-    for rows in slices:
-        # one bound for both ends: read unsigned, a negative label is 2^31 or more
-        if rows.view(np.uint32).max(initial=0) >= n:
-            return None
-        counter.add(rows)
-    return counter
+def _added(counter: PairCounter, rows: np.ndarray) -> bool:
+    """Whether every label of the rows lies in 0..n-1, where they are then
+    added to counter: one unsigned max bounds both ends, as a negative
+    label reads 2^31 or more."""
+    if rows.view(np.uint32).max(initial=0) >= counter.n:
+        return False
+    counter.add(rows)
+    return True
+
+
+# Pairs up to which _Tally watches its counts for one above 1 after every
+# slice.  The max reads every pair: per 512-row slice 0.003 ms at n = 481 and
+# 0.036 ms at 1825, but 3.06 ms at 8161 against 0.20 ms to count the slice.
+_WATCHED_PAIRS = 1 << 18
+
+
+class _Tally:
+    """certify's and certify_file's one count-and-check routine: a
+    certificate's rows, fed a slice at a time into one PairCounter, with the
+    label errors of the rows it has label-checked.
+
+    While no count exceeds 1, the spare count included, no counted row
+    repeats a label, as in certify, so no label check is made.  The first
+    slice that holds a label outside 0..n-1, or after which a count exceeds
+    1, is label-checked (_counted_rows), its bad rows' hits taken back or
+    only its good rows counted, and so is every later slice.  That max reads
+    every pair, so counts of more than _WATCHED_PAIRS pairs are not watched:
+    only a slice with a label out of range starts the checks."""
+
+    def __init__(self, target: TargetId, n: int, label_errors: list[str]):
+        self.counter = PairCounter(n, target_graph(target).edge_ends)
+        self.watched = len(self.counter._all) <= _WATCHED_PAIRS
+        self.label_errors = label_errors
+        self.blocks = 0  # rows fed in
+        self.checked_from: int | None = None  # the first label-checked block
+
+    def add(self, rows: np.ndarray) -> np.ndarray | None:
+        """Count the next slice of rows; its counted mask where it was
+        label-checked (see _counted_rows), else None."""
+        first, self.blocks = self.blocks, self.blocks + len(rows)
+        if self.checked_from is None and _added(self.counter, rows):
+            if not self.watched or self.counter._all.max() <= 1:
+                return None
+            return self.check(rows, first, added=True)
+        return self.check(rows, first, added=False)
+
+    def check(self, rows: np.ndarray, first: int, added: bool) -> np.ndarray:
+        """Label-check rows, blocks first on, then take their bad rows' hits
+        back where they were added, else add their good rows; their counted
+        mask."""
+        if self.checked_from is None:
+            self.checked_from = first
+        counted = _counted_rows(rows, self.counter.n, self.label_errors, first)
+        if not added:
+            self.counter.add(rows, counted)
+        elif not counted.all():
+            self.counter.add(rows, ~counted, sign=-1)
+        return counted
+
+    @property
+    def settled(self) -> bool:
+        """The counts are exact and the label errors all there are.  A slice
+        counted unchecked under watch left no count above 1, so a row of it
+        that repeats a label left a count that wrapped, at least 256 hits
+        that no later take-back removes, and the counts would not be exact;
+        unwatched, every slice must have been checked."""
+        return (self.watched or self.checked_from == 0) and self.counter.exact
 
 
 def certify(cert: Certificate) -> CertReport:
     """Check a certificate by exact pair counting; all findings go in the report.
 
-    A certificate with every label in 0..n-1 has every row counted first,
-    with no label check, and passes if every pair is covered once.  That
-    needs rows * 48 hits, as many as the pairs: in complete mode exactly
-    the n(n-1)/96 rows expected, in 4partite mode (120 pairs) never.  And
-    no row that repeats a label can leave every count 1: each target is
-    srg(16, 6, 2, 2), so with lambda = mu = 2 any two positions i, j have
-    a common neighbour k, and row[i] = row[j] makes edges ik and jk hit
-    one pair index.  Otherwise _counted_rows checks the labels, and the
-    hits of the bad rows it finds are taken back out of those counts, or
-    where a label is out of range the good rows are counted; then
-    PairCounter.prove counts them again, wider, only if it must."""
+    The blocks are counted as one slice by _Tally, and pass if every pair
+    is covered once.  That needs rows * 48 hits, as many as the pairs: in
+    complete mode exactly the n(n-1)/96 rows expected, in 4partite mode
+    (120 pairs) never.  And no row that repeats a label can leave every
+    count 1: each target is srg(16, 6, 2, 2), so with lambda = mu = 2 any
+    two positions i, j have a common neighbour k, and row[i] = row[j]
+    makes edges ik and jk hit one pair index, which a uint8 count shows
+    unless it wraps.  Where the tally is not settled, its slice is
+    label-checked if it was not, and PairCounter.prove counts the good rows
+    again, wider, only if it must."""
     n = cert.order
     mode = cert.mode
     blocks = cert.blocks
@@ -351,15 +427,13 @@ def certify(cert: Certificate) -> CertReport:
     if mode is CertMode.COMPLETE and _header_outruns_blocks(report, n):
         return report
 
-    counter = _slice_counts(cert.target, n, [blocks])
-    if counter is not None and counter.once:
+    tally = _Tally(cert.target, n, report.label_errors)
+    counted = tally.add(blocks)
+    counter = tally.counter
+    if counter.once:
         return report
-    counted = _counted_rows(blocks, n, report.label_errors)
-    if counter is None:  # a label out of range stopped the count pass
-        counter = PairCounter(n, target_graph(cert.target).edge_ends)
-        counter.add(blocks, counted)
-    elif not counted.all():
-        counter.add(blocks, ~counted, sign=-1)
+    if counted is None and not tally.settled:
+        counted = tally.check(blocks, 0, added=True)
     counter.prove(blocks, counted)
     residues = [range(r, n, 4) for r in range(4)] if mode is CertMode.FOUR_PARTITE else ()
     report.pair_errors, report.pair_error_count = counter.errors(residues)
@@ -372,17 +446,22 @@ def certify_slices(target: TargetId, n: int, slices: Iterable[np.ndarray]) -> bo
     n(n-1)/96 rows in all (their hits as many as the pairs) and every pair
     covered once.  Holds the uint8 counts and one slice, never the design;
     where it is False, certify of the design says why."""
-    counter = _slice_counts(target, n, slices)
-    return counter is not None and counter.once
+    counter = PairCounter(n, target_graph(target).edge_ends)
+    return all(_added(counter, rows) for rows in slices) and counter.once
+
+
+def edge_table_errors(target: TargetId) -> list[str]:
+    """The one check of certify_raw_edges and `verify --raw` beyond certify:
+    ``edge table is not the {target} graph`` where the target's edge table
+    is not the graph of its definition (targets.matches_definition)."""
+    return [] if matches_definition(target) else [f"edge table is not the {target.value} graph"]
 
 
 def certify_raw_edges(cert: Certificate) -> CertReport:
-    """certify(cert)'s report, plus the check that the target's edge table is
-    the graph of its definition (targets.matches_definition); if it is not,
-    the report gains ``edge table is not the {target} graph``."""
+    """certify(cert)'s report, its part errors joined by
+    edge_table_errors(cert.target)."""
     report = certify(cert)
-    if not matches_definition(cert.target):
-        report.part_errors.append(f"edge table is not the {cert.target.value} graph")
+    report.part_errors += edge_table_errors(cert.target)
     return report
 
 
@@ -585,6 +664,36 @@ def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
     return Certificate(target=target, order=order, mode=mode, blocks=rows)
 
 
+def _bulk_header(data: bytes) -> tuple[int, TargetId, int, CertMode, int] | None:
+    """(where the body starts, target, order, mode, block count) where
+    data's first two lines are ASCII and are the design and blocks lines,
+    with no line break but LF or CRLF; None otherwise."""
+    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # the body starts after the second LF
+    if not start or not data[:start].isascii():
+        return None
+    lines = _content_lines(data[: start - 1].decode("ascii"))
+    try:
+        _, target, order, mode, count = _read_header(lines)
+    except CertificateParseError:
+        return None
+    if next(lines, None) is not None:  # a line break other than LF or CRLF in the header
+        return None
+    return start, target, order, mode, count
+
+
+def _label_rows(body: io.BytesIO, lines: int | None) -> np.ndarray | None:
+    """The next lines of body (all of them where lines is None) as rows of
+    int32 labels split at single spaces, one np.loadtxt pass; None for
+    ragged rows, an empty field or a label beyond int32."""
+    try:  # older numpy casts a label beyond int32 via a float, with only a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(islice(body, lines), dtype=np.int32, delimiter=" ",
+                              comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
 def _parse_bulk(data: str | bytes) -> Certificate | None:
     """What _parse_lines reads from data, or raises, for the files described
     above: one numpy pass over the body's LF-terminated lines, then the line
@@ -594,32 +703,22 @@ def _parse_bulk(data: str | bytes) -> Certificate | None:
     if not data.isascii():
         return None
     data = data.encode("ascii") if isinstance(data, str) else data
-    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # the body starts after the second LF
+    header = _bulk_header(data)
+    if header is None:
+        return None
+    start, target, order, mode, count = header
     cut = data.rfind(b"\n") + 1  # the body's LF-terminated lines end at cut
-    if not start or cut == start or not data[start : start + 1].isdigit() or any(
+    if cut == start or not data[start : start + 1].isdigit() or any(
             data[i : i + _GATE_BYTES].translate(None, b"0123456789 \r\n")
             for i in range(start, len(data), _GATE_BYTES)):
         return None
     if b"\r" in data and re.search(rb"\r(?!\n)", data):  # a line break LF counts miss
         return None
-    lines = _content_lines(data[: start - 1].decode("ascii"))
-    try:
-        _, target, order, mode, count = _read_header(lines)
-    except CertificateParseError:
-        return None
-    if next(lines, None) is not None:  # a line break other than LF or CRLF in the header
-        return None
     rows = None if cut == len(data) else data.count(b"\n", start)  # the lines of a cut body
     body = io.BytesIO(data)
     body.seek(start)
-    try:  # older numpy casts a label beyond int32 via a float, with only a warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            blocks = np.loadtxt(islice(body, rows), dtype=np.int32, delimiter=" ",
-                                comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):  # ragged rows, an empty field, a label beyond int32
-        return None
-    if blocks.shape[1] != 16 or len(blocks) > count:
+    blocks = _label_rows(body, rows)
+    if blocks is None or blocks.shape[1] != 16 or len(blocks) > count:
         return None
     if len(blocks) == count and rows is None:
         return Certificate(target, order, mode, blocks)
@@ -682,3 +781,91 @@ def read_certificate(path: str | Path) -> Certificate:
     (encoding="utf-8") reads it, with universal newlines, which need no
     translation: np.loadtxt ends a row at CRLF, str.splitlines a line at CR."""
     return parse_certificate(Path(path).read_bytes())
+
+
+# Body bytes per piece of certify_file's stream.  Beside the counts it holds
+# one piece and np.loadtxt's rows of it, then those rows (about 1.1 times
+# the piece) and one chunk of pair indices (72 KiB, see _CHUNK_ROWS).
+# verify of the lk44 481 file peaked at 216,881 B with 16 KiB pieces,
+# 233,497 B with 32 KiB and 266,699 B with 64 KiB; each piece costs one
+# np.loadtxt call and one max over the counts.
+_PIECE_BYTES = 1 << 15
+
+
+def _streamed(file) -> tuple[TargetId, CertMode, CertReport] | None:
+    """certify_file's result for the files it streams, None for any other.
+    Each piece of the body must hold only digits, single spaces and LF, and
+    its lines up to its cut be one np.loadtxt pass of rows of 16 int32
+    labels, one per line; the pass is a _Tally of the pieces' rows."""
+    if not file.seekable():  # a pipe: its bytes can be read only once
+        return None
+    size = os.fstat(file.fileno()).st_size  # 0 for a file it cannot tell, which goes whole
+    file.seek(max(size - 1, 0))
+    if file.read(1) != b"\n":
+        return None
+    file.seek(0)
+    header = _bulk_header(file.read(_PIECE_BYTES))
+    if header is None:
+        return None
+    pos, target, n, mode, count = header
+    # a row takes at least 32 bytes, so a body too short for its rows fails
+    # to parse, before counts sized by the header exist
+    if (mode is not CertMode.COMPLETE or n < 1 or count != n * (n - 1) // 96
+            or size - pos < 32 * count):
+        return None
+    report = CertReport(count_expected=count, count_actual=count)
+    tally = _Tally(target, n, report.label_errors)
+    while pos < size:
+        file.seek(pos)
+        piece = file.read(_PIECE_BYTES)
+        ends = piece.translate(None, b"0123456789 ")  # the gate and the LF count in one pass
+        lines = len(ends)
+        # a first row that is not blank also spares np.loadtxt its empty-input warning
+        if not lines or not piece[:1].isdigit() or ends.strip(b"\n"):
+            return None
+        if pos + len(piece) < size and lines > _CHUNK_ROWS:
+            # whole chunks of rows, so the slices take as many np.add.at
+            # calls as the file would whole; the lines left are read again
+            lines -= lines % _CHUNK_ROWS
+        body = io.BytesIO(piece)
+        rows = _label_rows(body, lines)
+        pos += body.tell()
+        del piece, body  # before the rows are counted
+        if rows is None or rows.shape != (lines, 16) or tally.blocks + lines > count:
+            return None
+        tally.add(rows)
+        del rows  # before the next piece's rows exist
+        if not tally.watched and tally.checked_from is not None:
+            return None  # a label out of range, unwatched: the tally cannot settle
+    if tally.blocks != count:
+        return None
+    if not tally.counter.once:
+        if not tally.settled:
+            return None
+        report.pair_errors, report.pair_error_count = tally.counter.errors()
+    return target, mode, report
+
+
+def certify_file(path: str | Path) -> tuple[TargetId, CertMode, CertReport]:
+    """(target, mode, certify's report) of the certificate in the file at
+    path, as read_certificate and certify give them, and raising what
+    read_certificate raises.
+
+    A seekable, ASCII, complete-mode file whose two header lines parse,
+    whose block count is n(n-1)/96 and whose last byte is LF is streamed:
+    its body is read _PIECE_BYTES at a time, cut after its last whole
+    _CHUNK_ROWS rows (its last LF in the last piece), and each piece's rows
+    are counted by a _Tally, so neither the file's bytes nor its block
+    array is ever held whole.  It passes where every pair is covered once,
+    and fails where the tally is settled.  Any other file, or outcome (a
+    count that wrapped, a piece the bulk reader would not take, fewer or
+    more rows than the count), is read whole by parse_certificate and
+    checked by certify, the one source of parse messages and line numbers."""
+    with open(path, "rb") as file:
+        streamed = _streamed(file)
+        if streamed is not None:
+            return streamed
+        if file.seekable():
+            file.seek(0)
+        cert = parse_certificate(file.read())
+    return cert.target, cert.mode, certify(cert)

@@ -35,8 +35,8 @@ from .certify import (
     CertificateParseError,
     CertMode,
     certify,
-    certify_raw_edges,
-    read_certificate,
+    certify_file,
+    edge_table_errors,
 )
 from .gdd import (
     NODE_BUDGET,
@@ -149,18 +149,21 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # certify_file streams a file as construct writes it, holding the pair
+    # counts and one piece; any other file it reads and certifies whole
     try:
-        cert = read_certificate(args.path)
+        target, mode, report = certify_file(args.path)
     except CertificateParseError as exc:
         print(f"{args.path}: parse error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"{args.path}: error: {exc}", file=sys.stderr)
         return 2
-    if args.raw and cert.mode is not CertMode.COMPLETE:
+    if args.raw and mode is not CertMode.COMPLETE:
         print("error: --raw applies to complete-mode certificates only", file=sys.stderr)
         return 2
-    report = certify_raw_edges(cert) if args.raw else certify(cert)
+    if args.raw:
+        report.part_errors += edge_table_errors(target)
     _print_report(report)
     return 0 if report.passed else 1
 

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import functools
 import gc
+import io
+import os
 import random
 import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import design_forge.cli as cli_module
 import design_forge.targets as targets_module
 from design_forge.assemble import construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
@@ -24,6 +29,7 @@ from design_forge.certify import (
     PairCounter,
     _CHUNK_ROWS,
     _LISTED_PAIRS,
+    _PIECE_BYTES,
     _SCAN_PAIRS,
     _SLICE_ROWS,
     _SORT_ROWS,
@@ -33,6 +39,7 @@ from design_forge.certify import (
     _parse_bulk,
     _parse_lines,
     certify,
+    certify_file,
     certify_raw_edges,
     certify_slices,
     format_certificate,
@@ -1632,3 +1639,278 @@ def test_a_row_ending_on_the_next_rows_first_label_repeats_nothing():
     rows = as_block_array([list(range(16)), list(range(15, 31)), [30] + list(range(31, 46))])
     assert _counted_rows(rows, 46, errors).all()
     assert errors == []
+
+
+# --- verify, streamed, against the whole path --------------------------------
+#
+# certify_file streams a complete-mode file as construct writes it, one
+# piece of its body at a time, and reads any other file whole.  verify and
+# verify --raw must print what they printed, and exit as they exited, when
+# every file was read whole (_verify_whole).
+
+
+def _verify_whole(path, raw):
+    """verify as it ran when it read every file whole: read_certificate, then
+    certify or certify_raw_edges, under main's error handling."""
+    try:
+        cert = read_certificate(path)
+    except CertificateParseError as exc:
+        print(f"{path}: parse error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"{path}: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if raw and cert.mode is not CertMode.COMPLETE:
+        print("error: --raw applies to complete-mode certificates only", file=sys.stderr)
+        return 2
+    report = certify_raw_edges(cert) if raw else certify(cert)
+    cli_module._print_report(report)
+    return 0 if report.passed else 1
+
+
+def _captured(fn, *args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = fn(*args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_verify_reads_as_whole(path):
+    for raw in (False, True):
+        argv = ["verify", "--raw", str(path)] if raw else ["verify", str(path)]
+        assert _captured(main, argv) == _captured(_verify_whole, path, raw), raw
+    try:  # and, where the file parses, certify as it was, which shares no count code
+        cert = read_certificate(path)
+    except (CertificateParseError, UnicodeDecodeError):
+        return
+    assert certify_file(path) == (cert.target, cert.mode, _certify_sorting_every_row(cert))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(text=_mutated_d97_text())
+def test_verify_of_an_edited_text_prints_what_the_whole_path_prints(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "edited-d97.cert"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_verify_reads_as_whole(path)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=_mutated_d97_bytes())
+def test_verify_of_edited_bytes_prints_what_the_whole_path_prints(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "edited-d97.cert"
+    path.write_bytes(data)
+    _assert_verify_reads_as_whole(path)
+
+
+@functools.cache
+def _d481_bytes() -> bytes:
+    return format_certificate(construct_design(TargetId.LINE_K44, 481)).encode("ascii")
+
+
+def _piece_edges(data: bytes) -> list[int]:
+    """The first row of every piece but the first that certify_file cuts
+    data's body into: whole chunks of rows, but for the last piece."""
+    pos = data.index(b"\n", data.index(b"\n") + 1) + 1
+    edges, row = [], 0
+    while pos < len(data):
+        lines = data[pos : pos + _PIECE_BYTES].splitlines(keepends=True)
+        if pos + _PIECE_BYTES < len(data):
+            lines = lines if lines[-1].endswith(b"\n") else lines[:-1]  # the whole lines
+            lines = lines[: len(lines) - len(lines) % _CHUNK_ROWS]
+        row += len(lines)
+        pos += sum(map(len, lines))
+        edges.append(row)
+    return edges[:-1]
+
+
+def _edited_481(kind: str, row: int) -> bytes:
+    lines = _d481_bytes().split(b"\n")
+    i = row + 2  # after the header
+    labels = lines[i].split(b" ")
+    if kind == "label changed":
+        labels[0] = str((int(labels[0]) + 1) % 481).encode()
+    elif kind == "label repeated":
+        labels[1] = labels[0]
+    elif kind == "label out of range":
+        labels[0] = b"481"
+    elif kind == "block dropped":
+        del lines[i]
+        lines[1] = b"blocks 2404"
+        return b"\n".join(lines)
+    elif kind == "cut inside the row":
+        return b"\n".join(lines[:i] + [lines[i][: len(lines[i]) // 2]])
+    elif kind == "cut after the row":
+        return b"\n".join(lines[: i + 1]) + b"\n"
+    lines[i] = b" ".join(labels)
+    return b"\n".join(lines)
+
+
+_EDITS_481 = ("label changed", "label repeated", "label out of range", "block dropped",
+              "cut inside the row", "cut after the row")
+
+
+def test_the_481_certificate_is_streamed_in_pieces_of_whole_chunks_of_rows(tmp_path,
+                                                                           monkeypatch):
+    # every slice but the last ends at a chunk edge of PairCounter.add, and
+    # _piece_edges, which the tests below edit rows around, finds them all
+    tally, slices = sys.modules["design_forge.certify"]._Tally, []
+    real = tally.add
+    monkeypatch.setattr(tally, "add", lambda self, rows: slices.append(len(rows))
+                        or real(self, rows))
+    path = tmp_path / "d481.cert"
+    path.write_bytes(_d481_bytes())
+    assert certify_file(path)[2].passed
+    edges = _piece_edges(_d481_bytes())
+    assert np.cumsum(slices)[:-1].tolist() == edges and sum(slices) == 2405
+    assert len(edges) >= 3 and all(edge % _CHUNK_ROWS == 0 for edge in edges)
+
+
+@pytest.mark.parametrize("watched", [True, False], ids=["watched", "unwatched"])
+@pytest.mark.parametrize("kind", _EDITS_481)
+def test_verify_of_an_edited_481_prints_what_the_whole_path_prints_at_every_piece_edge(
+        tmp_path, monkeypatch, kind, watched):
+    # unwatched, as counts of more than 2^18 pairs are, a failing file goes whole
+    if not watched:
+        monkeypatch.setattr(sys.modules["design_forge.certify"], "_WATCHED_PAIRS", 0)
+    path = tmp_path / "edited-d481.cert"
+    rows = {0, 2404}
+    for edge in _piece_edges(_d481_bytes()):
+        rows |= {edge - 1, edge}
+    for row in sorted(rows):
+        path.write_bytes(_edited_481(kind, row))
+        _assert_verify_reads_as_whole(path)
+
+
+def _parses(monkeypatch) -> list[int]:
+    """The sizes of what parse_certificate is handed from here on."""
+    module = sys.modules["design_forge.certify"]
+    real, calls = module.parse_certificate, []
+    monkeypatch.setattr(module, "parse_certificate", lambda data: calls.append(len(data))
+                        or real(data))
+    return calls
+
+
+@pytest.mark.parametrize(("kind", "reads"), [
+    ("label changed", 0), ("label out of range", 0), ("block dropped", 1),
+    ("cut inside the row", 1), ("cut after the row", 1)])
+def test_a_failing_481_file_is_read_once(tmp_path, monkeypatch, capsys, kind, reads):
+    # the stream reports a label changed or out of range from its own
+    # counts; the rest it hands to the whole path once, reading nothing more
+    path = tmp_path / "edited-d481.cert"
+    path.write_bytes(_edited_481(kind, 1500))
+    calls = _parses(monkeypatch)
+    assert main(["verify", str(path)]) in (1, 2)
+    capsys.readouterr()
+    assert len(calls) == reads
+
+
+def test_a_row_of_label_480_whose_hits_all_land_on_the_spare_count_is_reported(tmp_path,
+                                                                               monkeypatch):
+    # any two positions of the row share a neighbour, itself 480, so every
+    # hit it makes lands on the spare count past the pairs: the max over the
+    # counts that starts the label checks must read the spare count too
+    lines = _d481_bytes().split(b"\n")
+    lines[2] = b" ".join([b"480"] * 16)
+    path = tmp_path / "spare-d481.cert"
+    path.write_bytes(b"\n".join(lines))
+    calls = _parses(monkeypatch)
+    code, out, err = _captured(main, ["verify", str(path)])
+    assert calls == [] and code == 1 and err == ""
+    assert "  label: block 0: repeated label\n" in out
+    _assert_verify_reads_as_whole(path)
+
+
+def _wrapped_d97_rows(target: TargetId, hits: int) -> np.ndarray:
+    """97 rows of order 97 whose repeated labels push the count of the pair
+    {0, 41}, which label 40 at both ends of an edge also hits, to hits (256
+    or 257), with every other pair count at most 1: five rows of 40 (240
+    hits), four rows with 0 on two positions and 41 on their two common
+    neighbours (4 hits each) and, for 257, one row of distinct labels with
+    0 next to 41.  97 rows make as many hits as there are pairs, so 80 rows
+    of 96 put the other repeated hits on the spare count, 3840 of them,
+    which wraps to 0; the rest are rows of distinct labels."""
+    table = target_graph(target).graph
+
+    def common(u, v):
+        return sorted(set(table.neighbors(u)) & set(table.neighbors(v)))
+
+    a, b = next((u, v) for u in range(1, 17) for v in range(u + 1, 17)
+                if not table.has_edge(u, v) and not table.has_edge(*common(u, v)))
+    c, d = common(a, b)
+    fresh = iter(x for x in range(1, 96) if x not in (40, 41))
+    rows = [[40] * 16] * 5 + [[96] * 16] * 80
+    used = set()
+    for _ in range(4):
+        row = [0 if p in (a, b) else 41 if p in (c, d) else next(fresh) for p in range(1, 17)]
+        used |= {frozenset((row[u - 1], row[v - 1])) for u, v in table.edges}
+        rows.append(row)
+    rng = random.Random(hits)
+    while len(rows) < 97:
+        row = rng.sample([x for x in range(97) if x not in (0, 41)], 16)
+        if hits == 257 and len(rows) == 89:  # one row of 0 next to 41
+            (u, v), *_ = table.edges
+            row[u - 1], row[v - 1] = 0, 41
+        pairs = {frozenset((row[u - 1], row[v - 1])) for u, v in table.edges}
+        if not pairs & used - {frozenset((0, 41))}:
+            used |= pairs
+            rows.append(row)
+    return as_block_array(rows)
+
+
+@pytest.mark.parametrize("target", list(TargetId))
+@pytest.mark.parametrize("hits", [256, 257])
+def test_a_count_that_wraps_to_0_or_1_inside_one_slice_sends_the_file_whole(
+        tmp_path, monkeypatch, target, hits):
+    # no stored count exceeds 1, so no label check starts, yet 89 rows
+    # repeat a label: the counts sum short of the hits, and only the whole
+    # path, which checks every row, can say which
+    rows = _wrapped_d97_rows(target, hits)
+    counter = PairCounter(97, target_graph(target).edge_ends)
+    counter.add(rows)
+    assert counter.counts[_pair_index(np.array([0]), np.array([41]), 97)[0]] == hits - 256
+    assert counter._all.max() <= 1 and not counter.exact
+    path = tmp_path / "wrapped-d97.cert"
+    write_certificate(Certificate(target, 97, CertMode.COMPLETE, rows), path)
+    assert len(_piece_edges(path.read_bytes())) == 0  # one piece, one slice
+    calls = _parses(monkeypatch)
+    code, out, _ = _captured(main, ["verify", str(path)])
+    assert len(calls) == 1 and code == 1
+    assert "89 label errors" in out
+    _assert_verify_reads_as_whole(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_verify_of_a_fifo_prints_what_it_prints_of_the_file(tmp_path):
+    # a pipe cannot be read twice, so certify_file reads it whole, once
+    fifo, path = tmp_path / "d481.fifo", tmp_path / "d481.cert"
+    os.mkfifo(fifo)
+    for data in (_d481_bytes(), _edited_481("label changed", 1500)):
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        streamed = _captured(main, ["verify", str(fifo)])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        path.write_bytes(data)
+        assert streamed == _captured(_verify_whole, path, False) == _captured(
+            main, ["verify", str(path)])
+
+
+def test_streamed_verify_of_481_peaks_below_its_counts_plus_128_kib(tmp_path, capsys):
+    # the uint8 counts (115,441 bytes, the spare included), then one piece
+    # and its rows, never the file's bytes or its block array (0.33 MiB)
+    path = tmp_path / "d481.cert"
+    path.write_bytes(_d481_bytes())
+    assert main(["verify", str(path)]) == 0  # the parser and target tables, built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 481 * 480 // 2 + 1 + 128 * 2**10

@@ -165,8 +165,17 @@ def test_construct_past_481_from_a_stored_6_t(tmp_path, capsys, graph, order):
             "--ingredients", str(store)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_GOLDEN[(graph, order)]
-    assert main(["verify", str(out)]) == 0
+    # verify streams the file: its uint8 counts, the spare included, and one
+    # piece, never the file's bytes (2.3 MB at 1825) or its block array
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     capsys.readouterr()
+    assert peak < order * (order - 1) // 2 + 1 + 2**20
 
 
 def test_construct_1825_peaks_below_its_counts_and_blocks_plus_1_mib(tmp_path, capsys):
