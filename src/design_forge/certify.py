@@ -39,11 +39,12 @@ one uint8 count per pair (freed before wider ones exist where a count
 passes 255) and one slice of rows or pairs at a time, never a whole-pair
 mask or a sorted copy of every block.
 
-certify_file, verify's reader, streams a file as construct writes it: a
-piece of its body at a time is parsed and counted by a _Tally, so it
-holds the counts and one piece, never the file's bytes or its block
-array.  A file it does not take, or whose tally does not settle, is read
-whole by parse_certificate and checked by certify.
+Every certificate is read by one reader, _body_rows, a piece of its body
+at a time.  read_certificate and parse_certificate fill one block array
+from it; certify_file, verify's reader, counts a complete-mode file's
+pieces in a _Tally, so it holds the counts and one piece, never the file's
+bytes or its block array.  A file whose tally does not settle is read as
+read_certificate reads it and checked by certify.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
 a design's slices one at a time, so their memory follows one slice, not
@@ -55,8 +56,6 @@ from __future__ import annotations
 import codecs
 import enum
 import io
-import os
-import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -166,14 +165,9 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 # peak of certify of 289 from 0.11 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
-# Rows per sorted copy in _counted_rows, which runs only where the counts
-# do not prove the design (see _Tally), and so runs beside them: 1024 rows
-# sort into 64 KiB and compare in 16 KiB more.  certify of the lk44 481
-# design with one repeated label peaks at 206,874 B in the label check, the
-# counts, the blocks and one sorted copy, below its 236,735 B in
-# PairCounter.errors; verify of that file, whose slices hold fewer rows,
-# peaks at 158,918 B in the check.  4096 rows took 256 KiB and set the peak
-# of certify there.
+# Rows per sorted copy in _counted_rows, which runs beside the counts where
+# they do not prove the design (see _Tally): a copy and its compare, 80 bytes
+# a row, must leave a failing certify's peak in PairCounter.errors.
 _SORT_ROWS = 1024
 
 # Wrong pairs listed per report, far above the few dozen a corrupted block
@@ -341,8 +335,8 @@ def _added(counter: PairCounter, rows: np.ndarray) -> bool:
 
 
 # Pairs up to which _Tally watches its counts for one above 1 after every
-# slice.  The max reads every pair: per 512-row slice 0.003 ms at n = 481 and
-# 0.036 ms at 1825, but 3.06 ms at 8161 against 0.20 ms to count the slice.
+# slice: the max reads every pair, and must cost a small part of counting
+# the slice.
 _WATCHED_PAIRS = 1 << 18
 
 
@@ -475,23 +469,17 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 # Lines starting with `#` are comments.  The `design` keyword is the format
 # version marker: any other keyword is rejected as a format mismatch.
 #
-# Two readers, the one resuming the other.  _parse_bulk takes an ASCII file
-# whose header is lines 1 and 2 and whose body starts with a digit and holds
-# only digits, spaces and LF or CRLF line ends.  It reads the bytes in place:
-# one np.loadtxt pass over a BytesIO sharing them reads the body's complete
-# rows, every line up to its last LF, kept only if they are rows of 16 labels
-# that fit in int32, no more of them than the header counts.  If they are all
-# of them and nothing follows the last LF, they are what the line parser
-# would read.  If not (a file cut short, a last line without its LF),
-# _parse_lines resumes with those rows in hand and reads only what follows
-# the last LF.  Every other file (a comment, a leading blank line, another
-# line break, a doubled space, a sign, a ragged line or an overflow before
-# the last LF, more rows than the count, a blank line in a file cut short)
-# goes to _parse_lines whole, so the line parser is the one source of every
-# parse message and line number, and the one reader of a file decoded whole.
-
-# Body bytes per slice of _parse_bulk's gate: bytes.translate copies what it keeps
-_GATE_BYTES = 1 << 16
+# One reader.  A file whose first two lines are the design and blocks
+# lines, ASCII and broken by LF or CRLF alone (_file_header), has its body
+# read by _body_rows a piece at a time: each piece that holds only digits,
+# single spaces and LF or CRLF line ends, in rows of 16 labels that fit in
+# int32, is one np.loadtxt pass.  At the first piece it does not take (a
+# comment, a blank line, another line break, a doubled space, a sign, a
+# ragged line, an overflow, more rows than the count), or where the pieces
+# end short of the count or of the file, the line parser's row reader,
+# _line_rows, reads the rest, so the line parser is the one source of every
+# parse message and line number.  Every other file, and a str that is not
+# ASCII, goes to _parse_lines whole.
 
 
 def _beyond_ascii_decimal(text: str) -> bool:
@@ -617,21 +605,19 @@ def _read_header(lines) -> tuple[int, TargetId, int, CertMode, int]:
     return lineno, target, order, mode, count
 
 
-def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
-    """The line parser: every file, one content line at a time.  _parse_bulk
-    resumes it with head, the rows of a file's lines from 3 to its last LF,
-    and text, the file's lines 1 and 2 and then what follows that LF."""
-    if head is None:
-        lines = _content_lines(text)
-    else:
-        header_end = text.index("\n", text.index("\n") + 1)
-        lines = chain(_content_lines(text[:header_end]),
-                      _content_lines(text[header_end + 1 :], len(head) + 3))
+def _parse_lines(text: str) -> Certificate:
+    """The line parser: a whole file, one content line at a time."""
+    lines = _content_lines(text)
     lineno, target, order, mode, count = _read_header(lines)
-    done = 0 if head is None else len(head)
-    lineno += done
+    return Certificate(target, order, mode, _line_rows(text, lines, lineno, count, 0))
 
-    # where the whole text passes, int() alone keeps to _ascii_ints' rule,
+
+def _line_rows(text: str, lines, lineno: int, count: int, done: int) -> np.ndarray:
+    """The line parser's rows: blocks done to count - 1 from lines, text's
+    content lines, the last line read before them being lineno, and then
+    no more content.  _parse_lines reads a file's rows through it, and
+    _body_rows the rest of a file that its pieces do not take."""
+    # where text passes, int() alone keeps to _ascii_ints' rule,
     # so label lines, the bulk of the file, skip the check per line
     ints = _ascii_ints if _beyond_ascii_decimal(text) else lambda t: list(map(int, t))
     blocks, linenos = [], []
@@ -653,38 +639,44 @@ def _parse_lines(text: str, head: np.ndarray | None = None) -> Certificate:
     if extra is not None:
         raise CertificateParseError(extra[0], "trailing content after last block")
     try:
-        rows = as_block_array(blocks)
+        return as_block_array(blocks)
     except ValueError:
         # every row is 16 integers, so some label does not fit in int32
         top = np.iinfo(np.int32)
         i = next(i for i, row in enumerate(blocks) if min(row) < top.min or max(row) > top.max)
         raise CertificateParseError(linenos[i], "label does not fit in 32 bits") from None
-    if head is not None:
-        rows = np.concatenate((head, rows))
-    return Certificate(target=target, order=order, mode=mode, blocks=rows)
 
 
-def _bulk_header(data: bytes) -> tuple[int, TargetId, int, CertMode, int] | None:
-    """(where the body starts, target, order, mode, block count) where
-    data's first two lines are ASCII and are the design and blocks lines,
-    with no line break but LF or CRLF; None otherwise."""
-    start = data.find(b"\n", data.find(b"\n") + 1) + 1  # the body starts after the second LF
-    if not start or not data[:start].isascii():
+# Bytes per piece of _body_rows: a reader holds one piece and its rows beside
+# the pair counts or the block array it fills, and pays one np.loadtxt call,
+# and in a streamed verify one max over the counts, per piece.
+_PIECE_BYTES = 1 << 15
+
+
+def _file_header(file) -> tuple[int, TargetId, int, CertMode, int] | None:
+    """(where the body starts, target, order, mode, block count) of a
+    seekable binary file whose first two lines, within its first piece,
+    are ASCII and are the design and blocks lines, with no line break but
+    LF or CRLF, so that its body starts at line 3; None for any other."""
+    file.seek(0)
+    head = file.read(_PIECE_BYTES)
+    start = head.find(b"\n", head.find(b"\n") + 1) + 1  # the body starts after the second LF
+    if not start or not head[:start].isascii():
         return None
-    lines = _content_lines(data[: start - 1].decode("ascii"))
+    text = head[:start].decode("ascii")
+    if len(text.splitlines()) != 2:  # another line break, or a blank line
+        return None
     try:
-        _, target, order, mode, count = _read_header(lines)
+        _, target, order, mode, count = _read_header(_content_lines(text))
     except CertificateParseError:
-        return None
-    if next(lines, None) is not None:  # a line break other than LF or CRLF in the header
         return None
     return start, target, order, mode, count
 
 
-def _label_rows(body: io.BytesIO, lines: int | None) -> np.ndarray | None:
-    """The next lines of body (all of them where lines is None) as rows of
-    int32 labels split at single spaces, one np.loadtxt pass; None for
-    ragged rows, an empty field or a label beyond int32."""
+def _label_rows(body: io.BytesIO, lines: int) -> np.ndarray | None:
+    """The next lines of body as rows of int32 labels split at single
+    spaces, one np.loadtxt pass; None for ragged rows, an empty field or a
+    label beyond int32."""
     try:  # older numpy casts a label beyond int32 via a float, with only a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -692,39 +684,6 @@ def _label_rows(body: io.BytesIO, lines: int | None) -> np.ndarray | None:
                               comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-
-
-def _parse_bulk(data: str | bytes) -> Certificate | None:
-    """What _parse_lines reads from data, or raises, for the files described
-    above: one numpy pass over the body's LF-terminated lines, then the line
-    parser resumed after them where they hold fewer rows than the header's
-    count or data goes on past its last LF; None for every other file.
-    A str is encoded first; bytes are read in place."""
-    if not data.isascii():
-        return None
-    data = data.encode("ascii") if isinstance(data, str) else data
-    header = _bulk_header(data)
-    if header is None:
-        return None
-    start, target, order, mode, count = header
-    cut = data.rfind(b"\n") + 1  # the body's LF-terminated lines end at cut
-    if cut == start or not data[start : start + 1].isdigit() or any(
-            data[i : i + _GATE_BYTES].translate(None, b"0123456789 \r\n")
-            for i in range(start, len(data), _GATE_BYTES)):
-        return None
-    if b"\r" in data and re.search(rb"\r(?!\n)", data):  # a line break LF counts miss
-        return None
-    rows = None if cut == len(data) else data.count(b"\n", start)  # the lines of a cut body
-    body = io.BytesIO(data)
-    body.seek(start)
-    blocks = _label_rows(body, rows)
-    if blocks is None or blocks.shape[1] != 16 or len(blocks) > count:
-        return None
-    if len(blocks) == count and rows is None:
-        return Certificate(target, order, mode, blocks)
-    if (data.count(b"\n", start) if rows is None else rows) != len(blocks):
-        return None  # a blank line: rows are not lines
-    return _parse_lines((data[:start] + data[cut:]).decode("ascii"), blocks)
 
 
 # Bytes per slice of _decoded's check: a slice that fails costs about three
@@ -750,11 +709,83 @@ def _decoded(data: bytes) -> str:
     return data.decode()
 
 
+def _body_rows(file, start: int, count: int) -> Iterator[np.ndarray]:
+    """The count rows of a seekable binary file's body, from byte start on,
+    as _parse_lines reads them from its UTF-8 text, or its error, an array
+    at a time (see above).  Each piece is cut after its last whole
+    _CHUNK_ROWS rows (its last LF, in the last piece), so its rows take as
+    many np.add.at calls as the file whole."""
+    size = file.seek(0, io.SEEK_END)
+    pos, done = start, 0
+    while pos < size:
+        file.seek(pos)
+        piece = file.read(_PIECE_BYTES)
+        ends = piece.translate(None, b"0123456789 ")  # the line ends, and any other byte
+        ends = ends[: ends.rfind(b"\n") + 1]  # those of the piece's whole lines
+        lines = ends.count(b"\n")
+        # a first row that is not blank also spares np.loadtxt its empty-input
+        # warning; a CR other than CRLF's, a line break that LF counts miss,
+        # np.loadtxt refuses as an embedded newline
+        if not lines or ends.translate(None, b"\r\n") or not piece[:1].isdigit():
+            break
+        if pos + len(piece) < size and lines > _CHUNK_ROWS:
+            lines -= lines % _CHUNK_ROWS  # the lines left are read again
+        body = io.BytesIO(piece)
+        rows = _label_rows(body, lines)
+        if rows is None or rows.shape != (lines, 16) or done + lines > count:
+            break
+        pos += body.tell()
+        done += lines
+        del piece, ends, body  # before the rows are used
+        yield rows
+        del rows  # before the next piece's rows exist
+    if done == count and pos == size:
+        return
+    file.seek(pos)
+    try:
+        text = _decoded(file.read())
+    except UnicodeDecodeError:
+        file.seek(0)
+        _decoded(file.read())  # raises it again, at the file's own positions
+        raise
+    yield _line_rows(text, _content_lines(text, 3 + done), 2 + done, count, done)
+
+
+def _room(file, start: int) -> int:
+    """The most rows a body from byte start to the end of file can hold: a
+    row takes 16 labels, 15 spaces and a line break, but for a last row."""
+    return (file.seek(0, io.SEEK_END) - start + 1) // 32
+
+
+def _read(file) -> Certificate:
+    """The certificate in a binary file, as _parse_lines reads its UTF-8
+    text: through _body_rows into one int32 array where _file_header takes
+    the file, else decoded whole."""
+    if not file.seekable():  # a pipe: its bytes can be read only once
+        file = io.BytesIO(file.read())
+    header = _file_header(file)
+    if header is None:
+        file.seek(0)
+        return _parse_lines(_decoded(file.read()))
+    start, target, order, mode, count = header
+    blocks = np.empty((min(count, _room(file, start)), 16), np.int32)  # not the header's alone
+    done = 0
+    for rows in _body_rows(file, start, count):
+        blocks[done : done + len(rows)] = rows
+        done += len(rows)
+        del rows  # before the next piece's rows exist
+    return Certificate(target, order, mode, blocks)
+
+
 def parse_certificate(text: str | bytes) -> Certificate:
     """Parse a certificate; CertificateParseError names the line at fault.
-    Bytes are read in place where _parse_bulk takes them, else decoded whole
-    as UTF-8 for the line parser (see read_certificate and _decoded)."""
-    return _parse_bulk(text) or _parse_lines(text if isinstance(text, str) else _decoded(text))
+    Bytes, and a str of ASCII, are read as read_certificate reads a file
+    of them; any other str goes to the line parser whole."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return _parse_lines(text)
+        text = text.encode("ascii")
+    return _read(io.BytesIO(text))
 
 
 def write_certificate(cert: Certificate, path: str | Path) -> None:
@@ -779,66 +810,31 @@ def write_slices(target: TargetId, n: int, slices: Iterable[np.ndarray],
 def read_certificate(path: str | Path) -> Certificate:
     """The certificate in the file at path, read as bytes as Path.read_text
     (encoding="utf-8") reads it, with universal newlines, which need no
-    translation: np.loadtxt ends a row at CRLF, str.splitlines a line at CR."""
-    return parse_certificate(Path(path).read_bytes())
-
-
-# Body bytes per piece of certify_file's stream.  Beside the counts it holds
-# one piece and np.loadtxt's rows of it, then those rows (about 1.1 times
-# the piece) and one chunk of pair indices (72 KiB, see _CHUNK_ROWS).
-# verify of the lk44 481 file peaked at 216,881 B with 16 KiB pieces,
-# 233,497 B with 32 KiB and 266,699 B with 64 KiB; each piece costs one
-# np.loadtxt call and one max over the counts.
-_PIECE_BYTES = 1 << 15
+    translation: np.loadtxt ends a row at CRLF, str.splitlines a line at CR.
+    It holds the block array and one piece of the file (see _body_rows)."""
+    with open(path, "rb") as file:
+        return _read(file)
 
 
 def _streamed(file) -> tuple[TargetId, CertMode, CertReport] | None:
-    """certify_file's result for the files it streams, None for any other.
-    Each piece of the body must hold only digits, single spaces and LF, and
-    its lines up to its cut be one np.loadtxt pass of rows of 16 int32
-    labels, one per line; the pass is a _Tally of the pieces' rows."""
-    if not file.seekable():  # a pipe: its bytes can be read only once
-        return None
-    size = os.fstat(file.fileno()).st_size  # 0 for a file it cannot tell, which goes whole
-    file.seek(max(size - 1, 0))
-    if file.read(1) != b"\n":
-        return None
-    file.seek(0)
-    header = _bulk_header(file.read(_PIECE_BYTES))
+    """certify_file's result for the files it streams, None for any other
+    or where the tally does not settle."""
+    header = _file_header(file)
     if header is None:
         return None
-    pos, target, n, mode, count = header
-    # a row takes at least 32 bytes, so a body too short for its rows fails
-    # to parse, before counts sized by the header exist
+    start, target, n, mode, count = header
+    # a body too short for its rows fails to parse, before counts sized by
+    # the header exist
     if (mode is not CertMode.COMPLETE or n < 1 or count != n * (n - 1) // 96
-            or size - pos < 32 * count):
+            or _room(file, start) < count):
         return None
     report = CertReport(count_expected=count, count_actual=count)
     tally = _Tally(target, n, report.label_errors)
-    while pos < size:
-        file.seek(pos)
-        piece = file.read(_PIECE_BYTES)
-        ends = piece.translate(None, b"0123456789 ")  # the gate and the LF count in one pass
-        lines = len(ends)
-        # a first row that is not blank also spares np.loadtxt its empty-input warning
-        if not lines or not piece[:1].isdigit() or ends.strip(b"\n"):
-            return None
-        if pos + len(piece) < size and lines > _CHUNK_ROWS:
-            # whole chunks of rows, so the slices take as many np.add.at
-            # calls as the file would whole; the lines left are read again
-            lines -= lines % _CHUNK_ROWS
-        body = io.BytesIO(piece)
-        rows = _label_rows(body, lines)
-        pos += body.tell()
-        del piece, body  # before the rows are counted
-        if rows is None or rows.shape != (lines, 16) or tally.blocks + lines > count:
-            return None
+    for rows in _body_rows(file, start, count):
         tally.add(rows)
         del rows  # before the next piece's rows exist
         if not tally.watched and tally.checked_from is not None:
             return None  # a label out of range, unwatched: the tally cannot settle
-    if tally.blocks != count:
-        return None
     if not tally.counter.once:
         if not tally.settled:
             return None
@@ -851,21 +847,16 @@ def certify_file(path: str | Path) -> tuple[TargetId, CertMode, CertReport]:
     path, as read_certificate and certify give them, and raising what
     read_certificate raises.
 
-    A seekable, ASCII, complete-mode file whose two header lines parse,
-    whose block count is n(n-1)/96 and whose last byte is LF is streamed:
-    its body is read _PIECE_BYTES at a time, cut after its last whole
-    _CHUNK_ROWS rows (its last LF in the last piece), and each piece's rows
-    are counted by a _Tally, so neither the file's bytes nor its block
-    array is ever held whole.  It passes where every pair is covered once,
-    and fails where the tally is settled.  Any other file, or outcome (a
-    count that wrapped, a piece the bulk reader would not take, fewer or
-    more rows than the count), is read whole by parse_certificate and
-    checked by certify, the one source of parse messages and line numbers."""
+    A seekable, complete-mode file whose two header lines _file_header
+    takes and whose block count is n(n-1)/96 is streamed: the rows that
+    _body_rows reads, a piece at a time, are counted by a _Tally, so
+    neither the file's bytes nor its block array is held whole, and a parse
+    error is raised where the reader meets it.  It passes where every pair
+    is covered once, and fails where the tally is settled.  Any other file,
+    or outcome (a count that wrapped, a label out of range unwatched), is
+    read as read_certificate reads it and checked by certify."""
     with open(path, "rb") as file:
-        streamed = _streamed(file)
-        if streamed is not None:
+        if file.seekable() and (streamed := _streamed(file)) is not None:
             return streamed
-        if file.seekable():
-            file.seek(0)
-        cert = parse_certificate(file.read())
+        cert = _read(file)
     return cert.target, cert.mode, certify(cert)

@@ -36,7 +36,6 @@ from design_forge.certify import (
     _counted_rows,
     _header_outruns_blocks,
     _pair_index,
-    _parse_bulk,
     _parse_lines,
     certify,
     certify_file,
@@ -473,13 +472,14 @@ def test_labels_parse_alike_beside_a_comment_with_other_characters():
     assert err.value.line == 6
 
 
-# --- the bulk reader against the line parser --------------------------------
+# --- the piece reader against the line parser -------------------------------
 #
-# parse_certificate reads a body's complete rows, every line up to its last
-# LF, in one np.loadtxt pass (_parse_bulk); where they fall short of the
-# header's count or text follows the last LF, the line parser
-# (_parse_lines) resumes after them, and every other file goes to it whole.
-# Either way the outcome must be the line parser's.
+# parse_certificate reads a body a piece at a time, each piece's whole rows
+# in one np.loadtxt pass (_body_rows); at a piece it does not take, or where
+# the pieces fall short of the header's count or of the file's end, the
+# line parser's row reader (_line_rows) resumes after them, and every other
+# file goes to _parse_lines whole.  Either way the outcome must be the line
+# parser's.
 
 
 @functools.cache
@@ -494,13 +494,28 @@ def _outcome(parse, text):
         return err.line, str(err)
 
 
-def test_a_formatted_certificate_takes_the_bulk_reader():
+def _spied(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of each call of certify's function name from here on;
+    those of _line_rows end with done, the rows read before it, 0 where
+    _parse_lines reads a file whole."""
+    module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
+    real, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_formatted_certificate_never_reaches_the_line_parser(monkeypatch):
     d289 = develop(paper_base_blocks(TargetId.LINE_K44, 289))
-    for cert in (_d97(), _d97(TargetId.LINE_K44), d289):
-        text = format_certificate(cert)
-        assert _parse_bulk(text) == cert == _parse_lines(text)
-        bulk = parse_certificate(text).blocks
-        assert bulk.dtype == np.int32 and not bulk.flags.writeable
+    certs = (_d97(), _d97(TargetId.LINE_K44), d289)
+    texts = [format_certificate(cert) for cert in certs]
+    assert all(_parse_lines(text) == cert for text, cert in zip(texts, certs))
+    calls = _spied(monkeypatch, "_line_rows")
+    for text, cert in zip(texts, certs):
+        for data in (text, text.encode("ascii"), text.replace("\n", "\r\n").encode("ascii")):
+            parsed = parse_certificate(data)
+            assert parsed == cert
+            assert parsed.blocks.dtype == np.int32 and not parsed.blocks.flags.writeable
+    assert calls == []
 
 
 # characters that str.splitlines breaks a line at and "\n".split does not
@@ -595,10 +610,16 @@ def test_a_label_beyond_int32_errs_at_its_line_whatever_the_warning_filter(numpy
 def test_a_header_split_by_another_line_break_reads_as_the_line_parser_reads_it(brk):
     # one line of the file by LF, two by str.splitlines: the blocks line
     # claims 96, and the 96 label lines after the first bear it out
-    design, _, *labels = _d97_lines(TargetId.SHRIKHANDE)
+    design, blocks, *labels = _d97_lines(TargetId.SHRIKHANDE)
     text = "\n".join([design + brk + "blocks 96", *labels])
     assert _outcome(parse_certificate, text) == _outcome(_parse_lines, text)
     assert _outcome(parse_certificate, text) == (99, "line 99: trailing content after last block")
+    # the design line ended at brk and again at its LF (but for CRLF) puts
+    # the body at line 4, so a file cut inside row 58 errs at line 62
+    cut = "\n".join([design + brk, blocks, *labels[:58]]) + "\n" + labels[58][:9]
+    for data in (cut, cut.encode()):
+        assert _outcome(parse_certificate, data) == _outcome(_parse_lines, cut)
+    assert brk == "\r" or _outcome(_parse_lines, cut) == (62, "line 62: 3 labels, want 16")
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -639,8 +660,10 @@ def test_a_file_cut_after_whole_rows_resumes_the_line_parser(rows, tail, outcome
     lines = _d97_lines(TargetId.SHRIKHANDE)
     text = "\n".join(lines[: rows + 2]) + "\n" + _TAILS[tail](lines[rows + 2])
     expected = _d97() if outcome is None else outcome
-    assert _outcome(_parse_bulk, text) == expected  # resumed, not sent to the line parser whole
-    assert _outcome(parse_certificate, text) == expected == _outcome(_parse_lines, text)
+    calls = _spied(monkeypatch, "_line_rows")
+    assert _outcome(parse_certificate, text) == expected
+    assert [args[-1] for args in calls] == [rows]  # resumed after the rows, not whole
+    assert expected == _outcome(_parse_lines, text)
 
 
 def test_a_blank_line_among_the_rows_of_a_cut_file_counts_in_its_line_numbers():
@@ -672,7 +695,7 @@ def test_a_481_certificate_cut_mid_block_line_parses_only_its_header_and_tail(mo
 
 # --- certificate files, read as bytes, against Path.read_text ---------------
 #
-# read_certificate reads a file's bytes in place; what it gives or raises
+# read_certificate reads a file a piece at a time; what it gives or raises
 # must be what parse_certificate makes of the file's text as
 # Path.read_text(encoding="utf-8") decodes it, universal newlines and all.
 
@@ -788,53 +811,48 @@ def test_utf8_is_checked_slice_by_slice_as_bytes_decode_checks_it(bad, cut):
             assert got == want, (at, sample[max(0, at - 4) : at + 4])
 
 
-def test_read_certificate_enters_parse_certificate_once(tmp_path, monkeypatch):
-    # once per file, however it reads: the benchmark times and sizes each entry
-    module = sys.modules["design_forge.certify"]
-    real, calls = module.parse_certificate, []
-
-    def parse(text):
-        calls.append(len(text))
-        return real(text)
-
-    monkeypatch.setattr(module, "parse_certificate", parse)
+def test_each_read_of_a_file_enters_the_reader_once(tmp_path, monkeypatch):
+    # read_certificate, parse_certificate of the bytes and certify_file each
+    # read a file once: its body through _body_rows, or the file whole
+    # through _parse_lines where its header is not the two plain lines
+    pieces, wholes = _spied(monkeypatch, "_body_rows"), _spied(monkeypatch, "_parse_lines")
     data = format_certificate(_d97()).encode("ascii")
     path = tmp_path / "edited.cert"
     for edited in (data, data.replace(b"\n", b"\r\n"), data[:-20], b"# \xe2\x80\x94\n" + data):
         path.write_bytes(edited)
-        calls.clear()
-        _file_outcome(read_certificate, path)
-        assert calls == [len(edited)]
+        for read in (read_certificate, lambda path: parse_certificate(path.read_bytes()),
+                     certify_file):
+            pieces.clear()
+            wholes.clear()
+            _file_outcome(read, path)
+            assert len(pieces) + len(wholes) == 1
+            assert len(wholes) == edited.startswith(b"#")
 
 
-def test_the_bulk_reader_takes_crlf_in_place_and_no_lone_cr():
+def test_crlf_is_read_in_pieces_and_a_lone_cr_resumes_the_line_parser(monkeypatch):
     # a CR before LF ends a row for np.loadtxt; any other CR is a line break
-    # that LF counts miss, so the file goes to the line parser whole
+    # that LF counts miss, so the line parser reads from the piece that holds it
+    monkeypatch.setattr(sys.modules["design_forge.certify"], "_PIECE_BYTES", 1024)
     data = format_certificate(_d97()).encode("ascii")
-    assert _parse_bulk(data.replace(b"\n", b"\r\n")) == _d97()
-    at = data.index(b"\n", 100) + 1  # the start of a row
+    calls = _spied(monkeypatch, "_line_rows")
+    assert parse_certificate(data.replace(b"\n", b"\r\n")) == _d97() and calls == []
+    at = data.index(b"\n", len(data) // 2) + 1  # the start of a row past the first piece
     for lone in (data[:at] + b"\r" + data[at:], data + b"\r"):  # each a blank line more
-        assert _parse_bulk(lone) is None
+        calls.clear()
         assert parse_certificate(lone) == _d97()
+        assert len(calls) == 1 and calls[0][-1] > 0
 
 
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
-def test_reading_the_481_certificate_peaks_under_0_39_mib(tmp_path, monkeypatch, line_end):
-    # the file's bytes (0.14 MiB) and the int32 blocks (0.15 MiB), with no
-    # decoded str, encoded copy or split-off body (0.321 MiB measured; the
-    # text, its encoding and its body peaked at 0.46 MiB); a CRLF file is
-    # read in place as well, by np.loadtxt, never by the line parser whole
+def test_reading_the_481_certificate_peaks_below_its_blocks_plus_128_kib(tmp_path, monkeypatch,
+                                                                         line_end):
+    # the int32 blocks (153,920 bytes), then one piece and its rows, never
+    # the file's bytes (0.14 MiB) or a decoded str; a CRLF file is read in
+    # pieces as well, by np.loadtxt, never by the line parser
     design = construct_design(TargetId.LINE_K44, 481)
     path = tmp_path / "d481.cert"
     path.write_bytes(format_certificate(design).encode("ascii").replace(b"\n", line_end))
-    module = sys.modules["design_forge.certify"]  # the package's `certify` is the function
-    real, whole = module._parse_lines, []
-
-    def parse_lines(text, head=None):
-        whole.append(head is None)
-        return real(text, head)
-
-    monkeypatch.setattr(module, "_parse_lines", parse_lines)
+    calls = _spied(monkeypatch, "_line_rows")
     gc.collect()
     tracemalloc.start()
     try:
@@ -842,8 +860,8 @@ def test_reading_the_481_certificate_peaks_under_0_39_mib(tmp_path, monkeypatch,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cert == design and not any(whole)
-    assert peak < 0.39 * 2**20
+    assert cert == design and calls == []
+    assert peak < design.blocks.nbytes + 128 * 2**10
 
 
 def test_a_hostile_block_count_errs_at_its_line_in_little_memory():
@@ -1643,15 +1661,18 @@ def test_a_row_ending_on_the_next_rows_first_label_repeats_nothing():
 
 # --- verify, streamed, against the whole path --------------------------------
 #
-# certify_file streams a complete-mode file as construct writes it, one
-# piece of its body at a time, and reads any other file whole.  verify and
-# verify --raw must print what they printed, and exit as they exited, when
-# every file was read whole (_verify_whole).
+# certify_file counts the rows of a complete-mode file with the right block
+# count as the reader yields them, a piece of its body at a time, and reads
+# any other file into one block array, as read_certificate does.  verify
+# and verify --raw must print what they printed, and exit as they exited,
+# when every file was read into its block array and certified whole
+# (_verify_whole).
 
 
 def _verify_whole(path, raw):
-    """verify as it ran when it read every file whole: read_certificate, then
-    certify or certify_raw_edges, under main's error handling."""
+    """verify as it ran when it read every file into its block array:
+    read_certificate, then certify or certify_raw_edges, under main's error
+    handling."""
     try:
         cert = read_certificate(path)
     except CertificateParseError as exc:
@@ -1703,6 +1724,48 @@ def test_verify_of_edited_bytes_prints_what_the_whole_path_prints(tmp_path_facto
     path = tmp_path_factory.getbasetemp() / "edited-d97.cert"
     path.write_bytes(data)
     _assert_verify_reads_as_whole(path)
+
+
+@functools.cache
+def _d193_bytes() -> bytes:
+    return format_certificate(develop(paper_base_blocks(TargetId.SHRIKHANDE, 193))).encode("ascii")
+
+
+def _edited_193(kind: str, row: int) -> bytes:
+    data = _d193_bytes()
+    at = data.index(b"\n", data.index(b"\n") + 1) + 1  # where row 0 starts
+    for _ in range(row):
+        at = data.index(b"\n", at) + 1
+    end = data.index(b"\n", at)  # the row's LF
+    if kind == "crlf":
+        return data[:end] + b"\r" + data[end:]
+    if kind == "lone cr":
+        return data[:at] + b"\r" + data[at:]
+    if kind == "cut":
+        return data[: (at + end) // 2]
+    if kind == "comment":
+        return data[:at] + b"# a comment 1 2 3\n" + data[at:]
+    assert kind == "tab"
+    return data[:at] + data[at:end].replace(b" ", b"\t", 1) + data[end:]
+
+
+@pytest.mark.parametrize("piece_bytes", [33, 64, 100, 257, 1000, 4099])
+def test_every_piece_size_reads_as_the_line_parser_and_verifies_as_the_whole_path(
+        tmp_path, monkeypatch, piece_bytes):
+    # pieces shorter than a row (33), of one row (64) and of a few; the
+    # header alone does not fit in 33 bytes, so that file is read whole
+    monkeypatch.setattr(sys.modules["design_forge.certify"], "_PIECE_BYTES", piece_bytes)
+    path = tmp_path / "edited-d193.cert"
+    edits = [_d193_bytes(), _d193_bytes().replace(b"\n", b"\r\n")] + [
+        _edited_193(kind, row) for kind in ("crlf", "lone cr", "cut", "comment", "tab")
+        for row in (0, 1, 100, 200, 385)]
+    for data in edits:
+        text = data.decode("ascii")
+        expected = _outcome(_parse_lines, text)
+        assert _outcome(parse_certificate, text) == expected == _outcome(parse_certificate, data)
+        path.write_bytes(data)
+        assert _file_outcome(read_certificate, path) == expected
+        _assert_verify_reads_as_whole(path)
 
 
 @functools.cache
@@ -1784,27 +1847,19 @@ def test_verify_of_an_edited_481_prints_what_the_whole_path_prints_at_every_piec
         _assert_verify_reads_as_whole(path)
 
 
-def _parses(monkeypatch) -> list[int]:
-    """The sizes of what parse_certificate is handed from here on."""
-    module = sys.modules["design_forge.certify"]
-    real, calls = module.parse_certificate, []
-    monkeypatch.setattr(module, "parse_certificate", lambda data: calls.append(len(data))
-                        or real(data))
-    return calls
-
-
-@pytest.mark.parametrize(("kind", "reads"), [
+@pytest.mark.parametrize(("kind", "wholes"), [
     ("label changed", 0), ("label out of range", 0), ("block dropped", 1),
-    ("cut inside the row", 1), ("cut after the row", 1)])
-def test_a_failing_481_file_is_read_once(tmp_path, monkeypatch, capsys, kind, reads):
+    ("cut inside the row", 0), ("cut after the row", 0)])
+def test_a_failing_481_file_is_read_once(tmp_path, monkeypatch, capsys, kind, wholes):
     # the stream reports a label changed or out of range from its own
-    # counts; the rest it hands to the whole path once, reading nothing more
+    # counts, and a cut file's parse error as it meets it; a wrong block
+    # count it hands to the whole path, which reads the body once instead
     path = tmp_path / "edited-d481.cert"
     path.write_bytes(_edited_481(kind, 1500))
-    calls = _parses(monkeypatch)
+    pieces, calls = _spied(monkeypatch, "_body_rows"), _spied(monkeypatch, "_read")
     assert main(["verify", str(path)]) in (1, 2)
     capsys.readouterr()
-    assert len(calls) == reads
+    assert len(pieces) == 1 and len(calls) == wholes
 
 
 def test_a_row_of_label_480_whose_hits_all_land_on_the_spare_count_is_reported(tmp_path,
@@ -1816,7 +1871,7 @@ def test_a_row_of_label_480_whose_hits_all_land_on_the_spare_count_is_reported(t
     lines[2] = b" ".join([b"480"] * 16)
     path = tmp_path / "spare-d481.cert"
     path.write_bytes(b"\n".join(lines))
-    calls = _parses(monkeypatch)
+    calls = _spied(monkeypatch, "_read")
     code, out, err = _captured(main, ["verify", str(path)])
     assert calls == [] and code == 1 and err == ""
     assert "  label: block 0: repeated label\n" in out
@@ -1875,7 +1930,7 @@ def test_a_count_that_wraps_to_0_or_1_inside_one_slice_sends_the_file_whole(
     path = tmp_path / "wrapped-d97.cert"
     write_certificate(Certificate(target, 97, CertMode.COMPLETE, rows), path)
     assert len(_piece_edges(path.read_bytes())) == 0  # one piece, one slice
-    calls = _parses(monkeypatch)
+    calls = _spied(monkeypatch, "_read")
     code, out, _ = _captured(main, ["verify", str(path)])
     assert len(calls) == 1 and code == 1
     assert "89 label errors" in out
