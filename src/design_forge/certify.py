@@ -40,11 +40,15 @@ passes 255) and one slice of rows or pairs at a time, never a whole-pair
 mask or a sorted copy of every block.
 
 Every certificate is read by one reader, _body_rows, a piece of its body
-at a time.  read_certificate and parse_certificate fill one block array
-from it; certify_file, verify's reader, counts a complete-mode file's
-pieces in a _Tally, so it holds the counts and one piece, never the file's
-bytes or its block array.  A file whose tally does not settle is read as
-read_certificate reads it and checked by certify.
+at a time, each piece's rows in the narrowest dtype that holds its labels:
+uint8 below 256, uint16 below 65,536, else int32.  read_certificate and
+parse_certificate fill one int32 block array from it; certify_file,
+verify's reader, counts a complete-mode file's pieces in a _Tally, so it
+holds the counts, one piece's narrow rows and one chunk's pair indices,
+never the file's bytes, its block array or a read buffer.  A file whose
+tally does not settle is read as read_certificate reads it and checked by
+certify.  A pipe is first copied into an unnamed temporary file, a piece
+at a time (_opened), so every input is read alike.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
 a design's slices one at a time, so their memory follows one slice, not
@@ -56,11 +60,14 @@ from __future__ import annotations
 import codecs
 import enum
 import io
+import shutil
+import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -325,10 +332,11 @@ def _counted_rows(blocks: np.ndarray, n: int, label_errors: list[str],
 
 
 def _added(counter: PairCounter, rows: np.ndarray) -> bool:
-    """Whether every label of the rows lies in 0..n-1, where they are then
-    added to counter: one unsigned max bounds both ends, as a negative
-    label reads 2^31 or more."""
-    if rows.view(np.uint32).max(initial=0) >= counter.n:
+    """Whether every label of the rows, unsigned or int32, lies in 0..n-1,
+    where they are then added to counter: one max bounds both ends, over
+    int32 rows viewed as uint32, where a negative label reads 2^31 or more."""
+    labels = rows if rows.dtype.kind == "u" else rows.view(np.uint32)
+    if labels.max(initial=0) >= counter.n:
         return False
     counter.add(rows)
     return True
@@ -473,7 +481,7 @@ def certify_raw_edges(cert: Certificate) -> CertReport:
 # lines, ASCII and broken by LF or CRLF alone (_file_header), has its body
 # read by _body_rows a piece at a time: each piece that holds only digits,
 # single spaces and LF or CRLF line ends, in rows of 16 labels that fit in
-# int32, is one np.loadtxt pass.  At the first piece it does not take (a
+# int32, is one np.loadtxt pass, its rows then narrowed.  At the first piece it does not take (a
 # comment, a blank line, another line break, a doubled space, a sign, a
 # ragged line, an overflow, more rows than the count), or where the pieces
 # end short of the count or of the file, the line parser's row reader,
@@ -647,9 +655,11 @@ def _line_rows(text: str, lines, lineno: int, count: int, done: int) -> np.ndarr
         raise CertificateParseError(linenos[i], "label does not fit in 32 bits") from None
 
 
-# Bytes per piece of _body_rows: a reader holds one piece and its rows beside
-# the pair counts or the block array it fills, and pays one np.loadtxt call,
-# and in a streamed verify one max over the counts, per piece.
+# Bytes per piece of _body_rows: a reader holds one piece, then its int32 rows
+# and their narrow copy, then that copy alone, beside the pair counts or the
+# block array it fills, and pays one np.loadtxt call, and in a streamed
+# verify one max over the counts, per piece.  Every read takes a whole piece
+# or the rest of the file, so files are read with no buffer (_opened).
 _PIECE_BYTES = 1 << 15
 
 
@@ -712,9 +722,10 @@ def _decoded(data: bytes) -> str:
 def _body_rows(file, start: int, count: int) -> Iterator[np.ndarray]:
     """The count rows of a seekable binary file's body, from byte start on,
     as _parse_lines reads them from its UTF-8 text, or its error, an array
-    at a time (see above).  Each piece is cut after its last whole
-    _CHUNK_ROWS rows (its last LF, in the last piece), so its rows take as
-    many np.add.at calls as the file whole."""
+    at a time (see above), a piece's in the narrowest unsigned dtype that
+    holds its labels where that is narrower than int32.  Each piece is cut
+    after its last whole _CHUNK_ROWS rows (its last LF, in the last piece),
+    so its rows take as many np.add.at calls as the file whole."""
     size = file.seek(0, io.SEEK_END)
     pos, done = start, 0
     while pos < size:
@@ -737,6 +748,9 @@ def _body_rows(file, start: int, count: int) -> Iterator[np.ndarray]:
         pos += body.tell()
         done += lines
         del piece, ends, body  # before the rows are used
+        top = rows.max(initial=0)  # labels of digits alone are nonnegative
+        if top < 1 << 16:  # the int32 rows are freed as their narrow copy takes their name
+            rows = rows.astype(np.min_scalar_type(top))
         yield rows
         del rows  # before the next piece's rows exist
     if done == count and pos == size:
@@ -758,11 +772,9 @@ def _room(file, start: int) -> int:
 
 
 def _read(file) -> Certificate:
-    """The certificate in a binary file, as _parse_lines reads its UTF-8
-    text: through _body_rows into one int32 array where _file_header takes
-    the file, else decoded whole."""
-    if not file.seekable():  # a pipe: its bytes can be read only once
-        file = io.BytesIO(file.read())
+    """The certificate in a seekable binary file, as _parse_lines reads its
+    UTF-8 text: through _body_rows into one int32 array where _file_header
+    takes the file, else decoded whole."""
     header = _file_header(file)
     if header is None:
         file.seek(0)
@@ -807,12 +819,27 @@ def write_slices(target: TargetId, n: int, slices: Iterable[np.ndarray],
                                     n - 1, count))
 
 
+@contextmanager
+def _opened(path: str | Path) -> Iterator[BinaryIO]:
+    """The file at path, open to read bytes with no read buffer, as every
+    read takes a whole piece or the rest of the file; where it cannot seek
+    (a pipe, whose bytes can be read only once), an unnamed temporary file
+    its bytes are copied into a piece at a time, so every reader seeks."""
+    with open(path, "rb", buffering=0) as file:
+        if file.seekable():
+            yield file
+            return
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(file, spool, _PIECE_BYTES)
+            yield spool
+
+
 def read_certificate(path: str | Path) -> Certificate:
     """The certificate in the file at path, read as bytes as Path.read_text
     (encoding="utf-8") reads it, with universal newlines, which need no
     translation: np.loadtxt ends a row at CRLF, str.splitlines a line at CR.
     It holds the block array and one piece of the file (see _body_rows)."""
-    with open(path, "rb") as file:
+    with _opened(path) as file:
         return _read(file)
 
 
@@ -847,16 +874,17 @@ def certify_file(path: str | Path) -> tuple[TargetId, CertMode, CertReport]:
     path, as read_certificate and certify give them, and raising what
     read_certificate raises.
 
-    A seekable, complete-mode file whose two header lines _file_header
-    takes and whose block count is n(n-1)/96 is streamed: the rows that
-    _body_rows reads, a piece at a time, are counted by a _Tally, so
-    neither the file's bytes nor its block array is held whole, and a parse
-    error is raised where the reader meets it.  It passes where every pair
-    is covered once, and fails where the tally is settled.  Any other file,
-    or outcome (a count that wrapped, a label out of range unwatched), is
-    read as read_certificate reads it and checked by certify."""
-    with open(path, "rb") as file:
-        if file.seekable() and (streamed := _streamed(file)) is not None:
+    A complete-mode file whose two header lines _file_header takes and
+    whose block count is n(n-1)/96 is streamed, a pipe from its spooled copy
+    (see _opened): the rows that _body_rows reads, a piece at a time, are
+    counted by a _Tally, so neither the file's bytes nor its block array is
+    held whole, and a parse error is raised where the reader meets it.  It
+    passes where every pair is covered once, and fails where the tally is
+    settled.  Any other file, or outcome (a count that wrapped, a label out
+    of range unwatched), is read as read_certificate reads it and checked
+    by certify."""
+    with _opened(path) as file:
+        if (streamed := _streamed(file)) is not None:
             return streamed
         cert = _read(file)
     return cert.target, cert.mode, certify(cert)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 from pathlib import Path
@@ -136,6 +137,16 @@ def _print_report(report) -> None:
         print(f"  ... {total} problems in total")
 
 
+def _is_stdout(path: Path) -> bool:
+    """Whether path is this process's stdout (/dev/stdout, say), where a
+    status line printed after the certificate would trail it, so that
+    `construct --out /dev/stdout | verify /dev/stdin` would fail to parse."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # stdout closed
+        return False
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     # construct_design counts the design's slices, its one certification,
     # and only then makes them again and writes them to --out; a design that
@@ -143,14 +154,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # design is never held whole nor read back, so --out may be a pipe or
     # /dev/null; the golden digests and verify runs in the tests pin it.
     construct_design(TargetId(args.graph), args.order, _store(args), out=args.out)
+    status = sys.stderr if _is_stdout(args.out) else sys.stdout
     print(f"{args.out}: {args.graph} order {args.order}, "
-          f"PASS ({args.order * (args.order - 1) // 96} blocks, all pairs covered exactly once)")
+          f"PASS ({args.order * (args.order - 1) // 96} blocks, all pairs covered exactly once)",
+          file=status)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # certify_file streams a file as construct writes it, holding the pair
-    # counts and one piece; any other file it reads and certifies whole
+    # certify_file streams a file or pipe as construct writes it, holding the
+    # pair counts and one piece; any other file it reads and certifies whole
     try:
         target, mode, report = certify_file(args.path)
     except CertificateParseError as exc:

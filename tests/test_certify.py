@@ -33,7 +33,9 @@ from design_forge.certify import (
     _SCAN_PAIRS,
     _SLICE_ROWS,
     _SORT_ROWS,
+    _body_rows,
     _counted_rows,
+    _file_header,
     _header_outruns_blocks,
     _pair_index,
     _parse_lines,
@@ -1831,6 +1833,54 @@ def test_the_481_certificate_is_streamed_in_pieces_of_whole_chunks_of_rows(tmp_p
     assert len(edges) >= 3 and all(edge % _CHUNK_ROWS == 0 for edge in edges)
 
 
+def _with_label(data: bytes, row: int, label: int) -> bytes:
+    """A certificate's bytes with the first label of block row set to label."""
+    lines = data.split(b"\n")
+    labels = lines[row + 2].split(b" ")
+    labels[0] = str(label).encode()
+    lines[row + 2] = b" ".join(labels)
+    return b"\n".join(lines)
+
+
+def test_each_piece_of_rows_comes_in_the_narrowest_dtype_that_holds_its_labels(tmp_path):
+    # uint8 below 256, uint16 below 65,536, else int32 as np.loadtxt reads
+    # them; a sign sends the rest of the file to the line parser, whose rows
+    # are int32; the rows are the labels the line parser reads all the same
+    path = tmp_path / "d.cert"
+    for data, dtypes in [
+            (_d193_bytes(), [np.uint8]),
+            (_d481_bytes(), [np.uint16] * 5),
+            (_with_label(_d481_bytes(), 600, 65535), [np.uint16] * 5),
+            (_with_label(_d481_bytes(), 0, 65536), [np.int32] + [np.uint16] * 4),
+            (_with_label(_d481_bytes(), 600, -1), [np.uint16, np.int32])]:
+        path.write_bytes(data)
+        with open(path, "rb") as file:
+            start, *_, count = _file_header(file)
+            pieces = list(_body_rows(file, start, count))
+        assert [rows.dtype for rows in pieces] == list(map(np.dtype, dtypes))
+        assert np.array_equal(np.concatenate(pieces), _parse_lines(data.decode()).blocks)
+
+
+@pytest.mark.parametrize("label", [255, 256, 65535, 65536, 70000])
+@pytest.mark.parametrize("data", [_d193_bytes, _d481_bytes], ids=["193", "481"])
+def test_verify_of_a_label_at_a_dtype_edge_prints_what_the_whole_path_prints(tmp_path, data,
+                                                                           label):
+    # a label out of range that its piece's narrow rows hold (255 in uint8,
+    # 65535 in uint16), or that widens them (256, 65536), at the first,
+    # middle and last rows and on both sides of every piece edge; the whole
+    # path reads the file through the same reader, so that reads as the line
+    # parser does
+    path = tmp_path / "edited.cert"
+    count = len(data().split(b"\n")) - 3  # the header lines, and "" after the last LF
+    rows = {0, count // 2, count - 1}
+    for edge in _piece_edges(data()):
+        rows |= {edge - 1, edge}
+    for row in sorted(rows):
+        path.write_bytes(edited := _with_label(data(), row, label))
+        assert read_certificate(path) == _parse_lines(edited.decode())
+        _assert_verify_reads_as_whole(path)
+
+
 @pytest.mark.parametrize("watched", [True, False], ids=["watched", "unwatched"])
 @pytest.mark.parametrize("kind", _EDITS_481)
 def test_verify_of_an_edited_481_prints_what_the_whole_path_prints_at_every_piece_edge(
@@ -1939,7 +1989,8 @@ def test_a_count_that_wraps_to_0_or_1_inside_one_slice_sends_the_file_whole(
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_verify_of_a_fifo_prints_what_it_prints_of_the_file(tmp_path):
-    # a pipe cannot be read twice, so certify_file reads it whole, once
+    # a pipe cannot be read twice, so certify_file copies it into a
+    # temporary file, a piece at a time, and reads that as it reads a file
     fifo, path = tmp_path / "d481.fifo", tmp_path / "d481.cert"
     os.mkfifo(fifo)
     for data in (_d481_bytes(), _edited_481("label changed", 1500)):
@@ -1953,19 +2004,55 @@ def test_verify_of_a_fifo_prints_what_it_prints_of_the_file(tmp_path):
             main, ["verify", str(path)])
 
 
-def test_streamed_verify_of_481_peaks_below_its_counts_plus_128_kib(tmp_path, capsys):
-    # the uint8 counts (115,441 bytes, the spare included), then one piece
-    # and its rows, never the file's bytes or its block array (0.33 MiB)
-    path = tmp_path / "d481.cert"
-    path.write_bytes(_d481_bytes())
-    assert main(["verify", str(path)]) == 0  # the parser and target tables, built once
+def _peak(argv) -> tuple[int, int]:
+    """main(argv)'s exit code and tracemalloc peak."""
     gc.collect()
     tracemalloc.start()
     try:
-        code = main(["verify", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_streamed_verify_of_481_peaks_below_its_counts_plus_128_kib(tmp_path, capsys):
+    # the uint8 counts (115,441 bytes, the spare included), then one piece's
+    # rows, narrowed to uint16, and one chunk's pair indices, never the
+    # file's bytes, its block array (0.33 MiB) or a read buffer
+    path = tmp_path / "d481.cert"
+    path.write_bytes(_d481_bytes())
+    assert main(["verify", str(path)]) == 0  # the parser and target tables, built once
+    code, peak = _peak(["verify", str(path)])
     capsys.readouterr()
     assert code == 0
+    assert peak < 228_000  # about 7% above its 212,969 bytes (numpy 2.4)
+
+
+def test_streamed_verify_raw_of_289_peaks_below_153_kb(tmp_path, capsys):
+    # the uint8 counts (41,617 bytes, the spare included), one piece's rows
+    # in uint16 and one chunk's pair indices, in int32 and then intp
+    path = tmp_path / "d289.cert"
+    write_certificate(construct_design(TargetId.LINE_K44, 289), path)
+    assert main(["verify", "--raw", str(path)]) == 0
+    code, peak = _peak(["verify", "--raw", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 153_000  # about 10% above its 138,945 bytes (numpy 2.4)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_verify_of_a_fifo_peaks_below_its_counts_plus_128_kib(tmp_path, capsys):
+    # copied into a temporary file a piece at a time, a FIFO is streamed as
+    # the file is, and peaks near it: never its bytes or its block array
+    fifo, path = tmp_path / "d481.fifo", tmp_path / "d481.cert"
+    os.mkfifo(fifo)
+    path.write_bytes(_d481_bytes())
+    whole = _captured(main, ["verify", str(path)])  # and the tables, built once
+    writer = threading.Thread(target=fifo.write_bytes, args=(_d481_bytes(),), daemon=True)
+    writer.start()
+    code, peak = _peak(["verify", str(fifo)])
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == whole and code == 0
     assert peak < 481 * 480 // 2 + 1 + 128 * 2**10

@@ -33,6 +33,29 @@ def test_construct_to_devnull_exits_0(capsys):
     assert "PASS (97 blocks" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_construct_to_dev_stdout_pipes_into_verify_of_dev_stdin(tmp_path):
+    # the status line goes to stderr where --out is stdout, or the pipe
+    # would carry it after the last block; verify spools the pipe and streams it
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "design_forge"]
+    construct = subprocess.Popen(
+        [*cmd, "construct", "--graph", "lk44", "--order", "97", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        verify = subprocess.run([*cmd, "verify", "/dev/stdin"], stdin=construct.stdout,
+                                capture_output=True, text=True, env=env, timeout=120)
+    finally:
+        construct.stdout.close()
+        err = construct.communicate(timeout=120)[1].decode()
+    assert construct.returncode == 0
+    assert err == "/dev/stdout: lk44 order 97, PASS (97 blocks, all pairs covered exactly once)\n"
+    assert (verify.returncode, verify.stdout, verify.stderr) == (
+        0, "PASS (97 blocks, all pairs covered exactly once)\n", "")
+
+
 def test_construct_of_a_corrupted_assembly_exits_1_and_writes_nothing(
     tmp_path, capsys, monkeypatch
 ):
