@@ -16,17 +16,20 @@ d97 with label x < 96 sent to 96i + x and label 96 sent to the new point
 96t.
 
 The design is never built as one array.  A slice generator yields its
-int32 rows in output order, certify._SLICE_ROWS at a time (that many rows
-of a developed design, or the pieces of half as many GDD blocks), then one
+rows in output order, certify._SLICE_ROWS at a time (that many rows of a
+developed design, or the pieces of half as many GDD blocks), then one
 overlay per group, and is run twice: once for the count pass,
 certify.certify_slices, which holds the uint8 pair counts and one slice,
 and only if that passes once more, for the certificate written slice by
 slice, or the Certificate returned to a library caller, joined from the
-slices.  That one count pass is the
-design's certification and the boundary of the whole pipeline: the 24^t
-GDD and every step below it (MOLS, TD, inflation, exact-cover search) are
-unverified claims, and only an ingredient read from a file is verified on
-its own, on load.
+slices.  An assembled design is held in its label dtype, the narrowest
+unsigned one that holds 96t (uint16 up to t = 682, then uint32): the
+24^t GDD's points, the overlay tables and every slice, so that beside
+its counts a construct holds little more than the points at half their
+int32 bytes.  That one count pass is the design's certification and the
+boundary of the whole pipeline: the 24^t GDD and every step below it
+(MOLS, TD, inflation, exact-cover search) are unverified claims, and only
+an ingredient read from a file is verified on its own, on load.
 
 For t >= 5 the 24^t needs a 6^t or 3^t ingredient, stored or found by the
 3^t search within its budget; without one gdd_24_t raises
@@ -73,7 +76,7 @@ def construct_design(
 
     The design's slices are counted first (certify.certify_slices); a
     design that fails raises ConstructionError with certify's summary.
-    Then they are made again and either joined into the Certificate
+    Then they are made again and either joined into the int32 Certificate
     returned, or, with out, written there as its certificate (a pipe will
     do) and None returned: the design is then never held whole.
     """
@@ -95,7 +98,7 @@ def _joined(slices: Iterator[np.ndarray]) -> np.ndarray:
 def _design_slices(
     target: TargetId, n: int, store: IngredientStore | None
 ) -> Callable[[], Iterator[np.ndarray]]:
-    """A function that yields the int32 rows of the design of order n, in
+    """A function that yields the rows of the design of order n, in
     output order, a slice at a time, afresh on every call; what it needs
     (the 24^t GDD, develop's array) is built once, here."""
     if not admissible(n):
@@ -110,23 +113,26 @@ def _design_slices(
 
 
 def _assembled_slices(target: TargetId, base: Gdd, t: int) -> Callable[[], Iterator[np.ndarray]]:
-    """A function that yields the int32 rows of order 96t + 1 from a 4-GDD
-    of type 24^t whose rows ascend (see the module docstring): the
-    K_{4,4,4,4} pieces of _SLICE_ROWS / 2 GDD blocks at a time, then the
-    order-97 overlay of each group."""
-    points = base.blocks * np.int32(4)  # the one GDD array slices() keeps
-    dec = np.array(k4444_decomposition(target), dtype=np.int32).ravel()  # both pieces, in a row
-    columns, offsets = dec % 4, dec // 4
-    d97 = develop(paper_base_blocks(target, 97)).blocks
+    """A function that yields the rows of order 96t + 1 from a 4-GDD of
+    type 24^t whose rows ascend (see the module docstring), in the label
+    dtype np.min_scalar_type(96t): the K_{4,4,4,4} pieces of
+    _SLICE_ROWS / 2 GDD blocks at a time, then the order-97 overlay of
+    each group."""
+    label = np.min_scalar_type(96 * t).type  # every array below: no mixed-dtype arithmetic
+    points = base.blocks.astype(label)
+    points *= label(4)  # the one GDD array slices() keeps
+    dec = np.array(k4444_decomposition(target), dtype=label).ravel()  # both pieces, in a row
+    columns, offsets = dec % label(4), dec // label(4)
+    d97 = develop(paper_base_blocks(target, 97)).blocks.astype(label)
     # overlay i is lifted + i * step: x < 96 goes to 96i + x, 96 to 96t
-    lifted = np.where(d97 == 96, np.int32(96 * t), d97)
-    step = np.where(d97 == 96, np.int32(0), np.int32(96))
+    lifted = np.where(d97 == 96, label(96 * t), d97)
+    step = np.where(d97 == 96, label(0), label(96))
 
     def slices() -> Iterator[np.ndarray]:
         for start in range(0, len(points), _SLICE_ROWS // 2):
             yield _pieces(points[start : start + _SLICE_ROWS // 2], columns, offsets)
         for i in range(t):  # one group at a time: numpy buffers a broadcast over several
-            overlay = step * np.int32(i)
+            overlay = step * label(i)
             overlay += lifted
             yield overlay
 
@@ -136,8 +142,9 @@ def _assembled_slices(target: TargetId, base: Gdd, t: int) -> Callable[[], Itera
 def _pieces(points: np.ndarray, columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The (2B, 16) rows of the K_{4,4,4,4} pieces of B GDD blocks, given
     4 * block as points: labels points[columns] + offsets, a row of both
-    pieces' labels per block.  A function, so that no temporary of it is
-    held while its slice is in use."""
+    pieces' labels per block, in the dtype of points and offsets, which
+    must be one.  A function, so that no temporary of it is held while
+    its slice is in use."""
     pieces = points[:, columns]
     pieces += offsets
     return pieces.reshape(-1, 16)  # the gather is laid out column by column: a copy, in rows

@@ -139,8 +139,9 @@ def _print_report(report) -> None:
 
 def _is_stdout(path: Path) -> bool:
     """Whether path is this process's stdout (/dev/stdout, say), where a
-    status line printed after the certificate would trail it, so that
-    `construct --out /dev/stdout | verify /dev/stdin` would fail to parse."""
+    status line printed after the certificate or GDD file would trail it,
+    so that `construct --out /dev/stdout | verify /dev/stdin` would fail
+    to parse."""
     try:
         return os.path.samestat(os.stat(path), os.fstat(1))
     except OSError:  # stdout closed
@@ -202,13 +203,15 @@ def _cmd_gdd(args: argparse.Namespace) -> int:
         print(f"error: 4-GDD of type {design.gdd_type} failed verification: {report.summary()}",
               file=sys.stderr)
         return 1
+    status, named = sys.stdout, ""
     if args.out is not None:
         write_gdd_file(design, args.out)
-        print(f"{args.out}: 4-GDD of type {design.gdd_type}, {len(design.blocks)} blocks, verified")
-    else:
-        print(f"4-GDD of type {design.gdd_type}, {len(design.blocks)} blocks, verified")
+        status = sys.stderr if _is_stdout(args.out) else sys.stdout
+        named = f"{args.out}: "
+    print(f"{named}4-GDD of type {design.gdd_type}, {len(design.blocks)} blocks, verified",
+          file=status)
     if design.provenance:
-        print(f"  via {design.provenance}")
+        print(f"  via {design.provenance}", file=status)
     return 0
 
 

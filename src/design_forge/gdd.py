@@ -540,7 +540,10 @@ def gdd_24_t(t: int, store: IngredientStore | None = None, node_budget: int = NO
     g = ingredient.gdd_type.parts[0][0]
     blocks = inflate(ingredient, 24 // g).blocks
     provenance = f"inflate {how} 4-gdd {g}^{t} by weight {24 // g}"
-    return Gdd(GddType.of(24, t), 4, blocks[np.lexsort(blocks.T[::-1])], provenance)
+    # rows in lexicographic order, by their first two points alone: a pair
+    # lies in one block, and an int64 key of two points cannot overflow
+    key = blocks[:, 0].astype(np.int64) * (24 * t) + blocks[:, 1]
+    return Gdd(GddType.of(24, t), 4, blocks[np.argsort(key, kind="stable")], provenance)
 
 
 def _ingredient(t: int, store: IngredientStore, node_budget: int) -> tuple[str, Gdd]:

@@ -9,7 +9,8 @@ import pytest
 from design_forge.assemble import _assembled_slices, _SLICE_ROWS, admissible, construct_design
 from design_forge.blocks import develop, k4444_decomposition, paper_base_blocks
 from design_forge.certify import certify, format_certificate, write_certificate
-from design_forge.gdd import IngredientStore, gdd_24_t
+from design_forge.cli import main
+from design_forge.gdd import Gdd, GddType, IngredientStore, gdd_24_t
 from design_forge.targets import TargetId
 
 
@@ -28,7 +29,7 @@ def test_admissible_rejects_nonpositive():
 def test_assembly_follows_the_documented_point_naming(target, t):
     base = gdd_24_t(t)
     out = np.concatenate(list(_assembled_slices(target, base, t)()))
-    assert out.dtype == np.int32
+    assert out.dtype == np.min_scalar_type(96 * t)
     g = len(base.blocks)
     assert out.shape == (2 * g + 97 * t, 16)
     # rows 2j and 2j+1: label l goes to 4 * p[l % 4] + l // 4, p block j ascending
@@ -68,8 +69,22 @@ def test_assembly_slices_join_to_the_whole_array_expressions(target, t):
     reference = _reference_assembled_blocks(target, base, t)
     for made in (first, again):  # made afresh on every call
         out = np.concatenate(made)
-        assert out.dtype == reference.dtype == np.int32
+        assert out.dtype == np.min_scalar_type(96 * t)
         assert np.array_equal(out, reference)
+
+
+def test_assembly_past_t_682_is_uint32_with_no_wrap():
+    # 96t = 65,568 at t = 683 overflows uint16, so every slice widens
+    target = TargetId.LINE_K44
+    t = 683
+    base = Gdd(GddType.of(24, t), 4, [[0, 24, 48, 72]])
+    made = list(_assembled_slices(target, base, t)())
+    assert {s.dtype for s in made} == {np.dtype(np.uint32)}
+    assert len(made) == 1 + t
+    d97 = develop(paper_base_blocks(target, 97)).blocks
+    last = np.where(d97 == 96, 96 * t, d97 + 96 * (t - 1))
+    assert np.array_equal(made[-1], last)
+    assert made[-1].max() == 65_568
 
 
 @pytest.mark.parametrize("n", [1, 97, 385])
@@ -136,3 +151,21 @@ def test_construct_and_write_of_481_peak_under_0_42_mib(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.42 * 2**20
+
+
+def test_construct_of_481_to_a_file_peaks_below_253_000_bytes(tmp_path, capsys):
+    # the uint8 counts of its 115,440 pairs, the 24^5 GDD's points in
+    # uint16, one uint16 slice and one chunk's pair indices (236,396 B
+    # measured, warm, numpy 2.4; 266,736 B with the points and slices in
+    # int32)
+    argv = ["construct", "--graph", "lk44", "--order", "481", "--out", str(tmp_path / "d.cert")]
+    assert main(argv) == 0  # the first call loads the catalog and the ingredient
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 253_000

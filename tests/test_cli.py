@@ -19,6 +19,14 @@ from design_forge.cli import main
 from design_forge.targets import TargetId
 
 
+def _env_importing_src() -> dict[str, str]:
+    """This environment, with the package's source first on PYTHONPATH, for
+    a child interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_construct_and_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "d97.cert"
     assert main(["construct", "--graph", "shrikhande", "--order", "97", "--out", str(out)]) == 0
@@ -37,9 +45,7 @@ def test_construct_to_devnull_exits_0(capsys):
 def test_construct_to_dev_stdout_pipes_into_verify_of_dev_stdin(tmp_path):
     # the status line goes to stderr where --out is stdout, or the pipe
     # would carry it after the last block; verify spools the pipe and streams it
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _env_importing_src()
     cmd = [sys.executable, "-m", "design_forge"]
     construct = subprocess.Popen(
         [*cmd, "construct", "--graph", "lk44", "--order", "97", "--out", "/dev/stdout"],
@@ -267,6 +273,20 @@ def test_construct_769_runs_its_3_8_search_out_of_the_default_budget(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_gdd_to_dev_stdout_writes_only_the_file_there():
+    # the status and via lines go to stderr where --out is stdout, as
+    # construct's do, so the stream holds the GDD file and nothing after it
+    done = subprocess.run(
+        [sys.executable, "-m", "design_forge", "gdd", "--type", "3^5", "--out", "/dev/stdout"],
+        capture_output=True, text=True, env=_env_importing_src(), timeout=120)
+    assert done.returncode == 0
+    design = gdd_mod.exact_cover_search(gdd_mod.GddType.parse("3^5"), 4)
+    assert done.stdout == gdd_mod.format_gdd_file(design)
+    assert done.stderr == ("/dev/stdout: 4-GDD of type 3^5, 15 blocks, verified\n"
+                           "  via exact cover search (seed 0)\n")
+
+
 def test_gdd_24_4_via_cli(tmp_path, capsys):
     assert main(["gdd", "--type", "24^4"]) == 0
     captured = capsys.readouterr()
@@ -464,9 +484,7 @@ def test_construct_and_selftest_import_no_numpy_ma(tmp_path, argv):
     # after the package's own import count
     if argv[0] == "construct":
         argv = [*argv, "--out", str(tmp_path / "d97.cert")]
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", _MA_MODULES_ADDED, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _MA_MODULES_ADDED, *argv],
+                          env=_env_importing_src(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"

@@ -404,6 +404,20 @@ def test_gdd_24_5_from_store_and_from_regeneration(tmp_path):
     assert "3^5" in regenerated.provenance
 
 
+@pytest.mark.parametrize("route", ["stored", "searched"])
+def test_gdd_24_5_rows_are_its_inflated_ingredient_lexsorted(tmp_path, route):
+    # one key of each row's first two points sorts the rows as lexsort of
+    # all four does, since a pair of points lies in one block
+    if route == "stored":
+        store = IngredientStore.default()
+        ingredient, weight = store.find(4, GddType.of(6, 5)), 4
+    else:
+        store = IngredientStore(tmp_path)
+        ingredient, weight = exact_cover_search(GddType.of(3, 5), 4), 8
+    inflated = inflate(ingredient, weight).blocks
+    assert np.array_equal(gdd_24_t(5, store).blocks, inflated[np.lexsort(inflated.T[::-1])])
+
+
 def test_gdd_24_t_rejects_small_t():
     with pytest.raises(GddError):
         gdd_24_t(3)

@@ -180,8 +180,9 @@ def test_construct_past_481_from_a_stored_6_t(tmp_path, capsys, graph, order):
 
 def test_construct_1825_peaks_below_its_counts_and_blocks_plus_1_mib(tmp_path, capsys):
     # the design (34,675 rows, 2.1 MiB) is never held: the uint8 counts of
-    # its 1,664,400 pairs and the 16,416 blocks of the 24^19 are, with
-    # slices and tables far below 1 MiB beside them (4.1 MiB before)
+    # its 1,664,400 pairs and the points of the 24^19's 16,416 blocks in
+    # uint16 are, with slices and tables far below 1 MiB beside them
+    # (4.1 MiB before)
     store = _cyclic_6t_store(tmp_path / "store", 19)
     argv = ["construct", "--graph", "lk44", "--order", "1825", "--out", os.devnull,
             "--ingredients", str(store)]
@@ -194,5 +195,5 @@ def test_construct_1825_peaks_below_its_counts_and_blocks_plus_1_mib(tmp_path, c
         tracemalloc.stop()
     capsys.readouterr()
     counts = 1825 * 1824 // 2
-    blocks = GddType.of(24, 19).block_count(4) * 4 * 4  # int32
+    blocks = GddType.of(24, 19).block_count(4) * 4 * 2  # uint16
     assert peak < counts + blocks + 2**20
