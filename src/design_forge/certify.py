@@ -44,10 +44,10 @@ at a time, each piece's rows in the narrowest dtype that holds its labels:
 uint8 below 256, uint16 below 65,536, else int32.  read_certificate and
 parse_certificate fill one int32 block array from it; certify_file,
 verify's reader, counts a complete-mode file's pieces in a _Tally, so it
-holds the counts, one piece's narrow rows and one chunk's pair indices,
-never the file's bytes, its block array or a read buffer.  A file whose
-tally does not settle is read as read_certificate reads it and checked by
-certify.  A pipe is first copied into an unnamed temporary file, a piece
+holds the counts, one piece's narrow rows and one chunk's pair indices
+(in int32, and half of them in intp), never the file's bytes, its block
+array or a read buffer.  A file whose tally does not settle is read as
+read_certificate reads it and checked by certify.  A pipe is first copied into an unnamed temporary file, a piece
 at a time (_opened), so every input is read alike.
 
 write_certificate formats and writes 512 rows at a time, and write_slices
@@ -152,24 +152,30 @@ class CertReport:
 
 def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Pair {u < v} of 0..n-1, given in either order, has index v(v-1)/2 + u,
-    in int32 where n(n-1) fits (n <= 46341), else int64.  It is computed in
-    place over u and v, which every caller passes fresh, wherever they
-    already hold that dtype: three arrays the size of u, no more."""
+    in int32 where n(n-1) fits (n <= 46341), else int64.  The ends are
+    compared in their own dtype, over v, which every caller passes fresh,
+    and u is let go; only the larger end is widened, so the uint16 ends of
+    a chunk peak at the low end, the wide end and the index (61 KB), where
+    widening both ends held them wide beside the low one (74 KB).  Ends
+    already wide peak at three arrays the size of u."""
     wide = np.int32 if n * (n - 1) < 2**31 else np.int64
-    u, v = u.astype(wide, copy=False), v.astype(wide, copy=False)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v, out=v)
-    index = np.subtract(hi, 1, out=u)
+    u = v = None
+    hi = hi.astype(wide, copy=False)
+    index = hi - 1
     index *= hi
+    hi = None
     index >>= 1
     index += lo
     return index
 
 
-# Rows per np.add.at, 6144 pair hits.  Their indices are built in int32, which
-# peaks lower than intp, and cast to intp with the int32 freed before np.add.at
-# runs, as it copies any other index to intp beside it; 256 rows raised the
-# peak of certify of 289 from 0.11 to 0.18 MiB.
+# Rows per chunk of PairCounter.add, 6144 pair hits.  Their indices are built
+# in int32, which peaks lower than intp, and cast to intp half a chunk at a
+# time, one np.add.at each, as it copies any other index to intp beside it:
+# the int32 indices and half their intp copy, 49 KB, where the whole copy
+# took 74 KB.  256 rows raised the peak of certify of 289 from 0.11 to 0.18 MiB.
 _CHUNK_ROWS = 128
 
 # Rows per sorted copy in _counted_rows, which runs beside the counts where
@@ -260,8 +266,11 @@ class PairCounter:
                 chunk = chunk[keep]
             # one axis of indices takes ufunc.at's faster path; a gather along
             # axis 1 is laid out column by column, which ravel("K") keeps uncopied
-            at(self._all, _pair_index(chunk[:, u], chunk[:, v], self.n).ravel("K")
-               .astype(np.intp, copy=False), one)
+            index = _pair_index(chunk[:, u], chunk[:, v], self.n).ravel("K")
+            half = len(index) // 2
+            at(self._all, index[:half].astype(np.intp, copy=False), one)
+            at(self._all, index[half:].astype(np.intp, copy=False), one)
+            del index  # before the next chunk's ends exist
             self.rows += sign * len(chunk)
 
     def errors(
@@ -845,17 +854,20 @@ def read_certificate(path: str | Path) -> Certificate:
 
 def _streamed(file) -> tuple[TargetId, CertMode, CertReport] | None:
     """certify_file's result for the files it streams, None for any other
-    or where the tally does not settle."""
+    or where the tally does not settle.  A block count other than n(n-1)/96
+    is counted too, unless the header outruns its blocks, where certify
+    counts nothing."""
     header = _file_header(file)
     if header is None:
         return None
     start, target, n, mode, count = header
     # a body too short for its rows fails to parse, before counts sized by
     # the header exist
-    if (mode is not CertMode.COMPLETE or n < 1 or count != n * (n - 1) // 96
-            or _room(file, start) < count):
+    if mode is not CertMode.COMPLETE or n < 1 or _room(file, start) < count:
         return None
-    report = CertReport(count_expected=count, count_actual=count)
+    report = CertReport(count_expected=n * (n - 1) // 96, count_actual=count)
+    if _header_outruns_blocks(report, n):
+        return None
     tally = _Tally(target, n, report.label_errors)
     for rows in _body_rows(file, start, count):
         tally.add(rows)
@@ -874,9 +886,10 @@ def certify_file(path: str | Path) -> tuple[TargetId, CertMode, CertReport]:
     path, as read_certificate and certify give them, and raising what
     read_certificate raises.
 
-    A complete-mode file whose two header lines _file_header takes and
-    whose block count is n(n-1)/96 is streamed, a pipe from its spooled copy
-    (see _opened): the rows that _body_rows reads, a piece at a time, are
+    A complete-mode file whose two header lines _file_header takes, whose
+    body has room for its block count and whose header does not outrun its
+    blocks (_header_outruns_blocks) is streamed, whatever that count, a
+    pipe from its spooled copy (see _opened): the rows that _body_rows reads, a piece at a time, are
     counted by a _Tally, so neither the file's bytes nor its block array is
     held whole, and a parse error is raised where the reader meets it.  It
     passes where every pair is covered once, and fails where the tally is

@@ -121,9 +121,6 @@ class SmallGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(1, self.vertex_count + 1) if self.adjacency[v] >> u & 1]
-
 
 @dataclass(frozen=True)
 class TargetGraph:

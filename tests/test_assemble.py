@@ -155,9 +155,10 @@ def test_construct_and_write_of_481_peak_under_0_42_mib(tmp_path):
 
 def test_construct_of_481_to_a_file_peaks_below_253_000_bytes(tmp_path, capsys):
     # the uint8 counts of its 115,440 pairs, the 24^5 GDD's points in
-    # uint16, one uint16 slice and one chunk's pair indices (236,396 B
-    # measured, warm, numpy 2.4; 266,736 B with the points and slices in
-    # int32)
+    # uint16, one uint16 slice and one chunk's pair indices (224,813 B
+    # measured, warm, numpy 2.4; 236,396 B with the chunk's ends widened to
+    # int32 and its indices cast to intp whole; 266,736 B with the points
+    # and slices in int32)
     argv = ["construct", "--graph", "lk44", "--order", "481", "--out", str(tmp_path / "d.cert")]
     assert main(argv) == 0  # the first call loads the catalog and the ingredient
     gc.collect()
